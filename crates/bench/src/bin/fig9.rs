@@ -12,8 +12,9 @@
 //!   that substitution application rivals the 2-SAT solver;
 //! * `--classes` — print how many definitions landed in each
 //!   satisfiability class (Section 5's operation → solver mapping);
-//! * `--json`    — print a machine-readable report instead of the table
-//!   (this is what `BENCH_fig9.json` in the repository root is);
+//! * `--json`    — print a machine-readable report on stdout and the
+//!   table on stderr (this is what `BENCH_fig9.json` and
+//!   `fig9_output.txt` in the repository root are);
 //! * `--proof-overhead` — run the with-fields configuration a second
 //!   time with inline proof checking forced on (every SAT verdict
 //!   re-derived with a proof and replayed through `ProofChecker`) and
@@ -32,9 +33,14 @@
 //!
 //! Absolute numbers are not comparable to the paper's (different
 //! hardware, language and — necessarily — synthetic workloads); the
-//! *shape* is: times grow superlinearly with line count and the
-//! "w. fields" column costs a small constant factor over "w/o fields".
+//! *shape* is: both columns grow about linearly with the number of
+//! definitions, and the "w. fields" column costs a roughly constant
+//! factor over "w/o fields". The table's closing `shape:` line prints
+//! both as measured: the factor's range across rows, and each column's
+//! time per definition on the largest row over the smallest
+//! (`scripts/check_projection.py` gates the w/o-fields growth at 2x).
 
+use std::io::Write;
 use std::time::{Duration, Instant};
 
 use rowpoly_core::{Options, ProgramReport, Session, Stats, SAT_CLASSES};
@@ -96,15 +102,14 @@ fn main() {
     // Baseline for the process-wide `mem` block in the JSON report.
     let mem_baseline = mem_on.then(|| (mem::snapshot(), mem::site_snapshot()));
 
-    if !json {
-        println!("Figure 9: inference times on synthetic decoder specifications");
-        println!("(paper numbers measured MLton-compiled SML on a 3.4 GHz Core i7)");
-        println!();
-        println!(
-            "{:<18} {:>7} {:>7}  {:>12} {:>12}  {:>12} {:>12} {:>7}",
-            "decoder", "paper", "lines", "paper w/o", "paper w.", "time w/o", "time w.", "ratio"
-        );
-    }
+    // The human-readable table goes to stdout, or to stderr next to a
+    // `--json` report, so one run yields both views of the same numbers.
+    let mut table: Box<dyn Write> = if json {
+        Box::new(std::io::stderr())
+    } else {
+        Box::new(std::io::stdout())
+    };
+    print_header(&mut table).expect("write table");
 
     let mut measurements = Vec::new();
     for w in fig9_workloads() {
@@ -181,9 +186,7 @@ fn main() {
             mem_with,
             mem_walls,
         };
-        if !json {
-            print_row(&m, &w, phases, classes);
-        }
+        print_row(&mut table, &m, &w, phases, classes).expect("write table");
         measurements.push(m);
     }
 
@@ -203,10 +206,8 @@ fn main() {
             "{}",
             render_json(seed, quick, &measurements, mem_block).render()
         );
-    } else {
-        println!();
-        println!("shape checks: ratios should be ~1.5-3x; both columns grow superlinearly");
     }
+    print_shape(&mut table, &measurements).expect("write table");
 
     if let Some(path) = trace {
         let snap = rowpoly_obs::snapshot();
@@ -217,8 +218,32 @@ fn main() {
     }
 }
 
-fn print_row(m: &Measurement, w: &rowpoly_gen::Workload, phases: bool, classes: bool) {
-    println!(
+fn print_header(out: &mut dyn Write) -> std::io::Result<()> {
+    writeln!(
+        out,
+        "Figure 9: inference times on synthetic decoder specifications"
+    )?;
+    writeln!(
+        out,
+        "(paper numbers measured MLton-compiled SML on a 3.4 GHz Core i7)"
+    )?;
+    writeln!(out)?;
+    writeln!(
+        out,
+        "{:<18} {:>7} {:>7}  {:>12} {:>12}  {:>12} {:>12} {:>7}",
+        "decoder", "paper", "lines", "paper w/o", "paper w.", "time w/o", "time w.", "ratio"
+    )
+}
+
+fn print_row(
+    out: &mut dyn Write,
+    m: &Measurement,
+    w: &rowpoly_gen::Workload,
+    phases: bool,
+    classes: bool,
+) -> std::io::Result<()> {
+    writeln!(
+        out,
         "{:<18} {:>7} {:>7}  {:>11.2}s {:>11.2}s  {:>11.2}s {:>11.2}s {:>6.2}x",
         m.name,
         m.paper_lines,
@@ -228,18 +253,20 @@ fn print_row(m: &Measurement, w: &rowpoly_gen::Workload, phases: bool, classes: 
         m.t_without.as_secs_f64(),
         m.t_with.as_secs_f64(),
         m.t_with.as_secs_f64() / m.t_without.as_secs_f64().max(1e-9),
-    );
+    )?;
     if phases {
         let s0 = &m.rep_without.stats;
         let s1 = &m.rep_with.stats;
-        println!(
+        writeln!(
+            out,
             "    w/o fields: unify {:>8.3}s  applyS {:>8.3}s  ({} mgu, {} applyS)",
             s0.unify.as_secs_f64(),
             s0.applys.as_secs_f64(),
             s0.unify_calls,
             s0.applys_calls
-        );
-        println!(
+        )?;
+        writeln!(
+            out,
             "    w. fields:  unify {:>8.3}s  applyS {:>8.3}s  project {:>8.3}s  sat {:>8.3}s  ({} checks, class {}, peak {} clauses)",
             s1.unify.as_secs_f64(),
             s1.applys.as_secs_f64(),
@@ -248,42 +275,46 @@ fn print_row(m: &Measurement, w: &rowpoly_gen::Workload, phases: bool, classes: 
             s1.sat_calls,
             m.rep_with.sat_class,
             s1.peak_clauses
-        );
-        println!(
+        )?;
+        writeln!(
+            out,
             "    projection: {} eliminated ({} fast path, {} fallback), {} resolvents, {} subsumed",
             s1.project_resolutions,
             s1.project_fastpath,
             s1.project_fallback,
             s1.project_resolvents,
             s1.project_subsumed
-        );
+        )?;
     }
     if let Some((tu, tc)) = m.proof_walls {
         let overhead = tc.as_secs_f64() / tu.as_secs_f64().max(1e-9) - 1.0;
-        println!(
+        writeln!(
+            out,
             "    proof checking: {:>8.3}s checked vs {:>8.3}s unchecked ({:+.1}% wall, best of 3)",
             tc.as_secs_f64(),
             tu.as_secs_f64(),
             overhead * 100.0
-        );
+        )?;
     }
     if let Some(d) = &m.mem_with {
         const MIB: f64 = 1024.0 * 1024.0;
-        println!(
+        writeln!(
+            out,
             "    memory (w. fields): {:.2} MiB allocated in {} allocations, net {:+.2} MiB",
             d.alloc_bytes as f64 / MIB,
             d.allocs,
             d.net_bytes() as f64 / MIB,
-        );
+        )?;
     }
     if let Some((toff, ton)) = m.mem_walls {
         let overhead = ton.as_secs_f64() / toff.as_secs_f64().max(1e-9) - 1.0;
-        println!(
+        writeln!(
+            out,
             "    mem accounting: {:>8.3}s tracked vs {:>8.3}s untracked ({:+.1}% wall, best of 3)",
             ton.as_secs_f64(),
             toff.as_secs_f64(),
             overhead * 100.0
-        );
+        )?;
     }
     if classes {
         let mut counts = std::collections::BTreeMap::new();
@@ -294,12 +325,43 @@ fn print_row(m: &Measurement, w: &rowpoly_gen::Workload, phases: bool, classes: 
             .iter()
             .map(|(name, n)| format!("{n} {name}"))
             .collect();
-        println!(
+        writeln!(
+            out,
             "    per-def flow classes: {} ({} defs)",
             summary.join(", "),
             m.rep_with.defs.len()
-        );
+        )?;
     }
+    Ok(())
+}
+
+/// The measured shape: the range of the w./w/o-fields factor across
+/// rows, and each column's time per definition on the last (largest)
+/// row over the first.
+fn print_shape(out: &mut dyn Write, measurements: &[Measurement]) -> std::io::Result<()> {
+    writeln!(out)?;
+    let (Some(first), Some(last)) = (measurements.first(), measurements.last()) else {
+        return Ok(());
+    };
+    let per_def = |t: Duration, r: &ProgramReport| t.as_secs_f64() / r.defs.len().max(1) as f64;
+    let growth = |t: fn(&Measurement) -> (Duration, &ProgramReport)| {
+        let (t0, r0) = t(first);
+        let (t1, r1) = t(last);
+        per_def(t1, r1) / per_def(t0, r0).max(1e-12)
+    };
+    let (lo, hi) = measurements
+        .iter()
+        .map(|m| m.t_with.as_secs_f64() / m.t_without.as_secs_f64().max(1e-9))
+        .fold((f64::INFINITY, 0.0f64), |(lo, hi), r| {
+            (lo.min(r), hi.max(r))
+        });
+    writeln!(
+        out,
+        "shape: w. fields costs {lo:.1}-{hi:.1}x w/o fields; time per definition, \
+         largest row over smallest: w/o {:.2}x, w. {:.2}x",
+        growth(|m| (m.t_without, &m.rep_without)),
+        growth(|m| (m.t_with, &m.rep_with)),
+    )
 }
 
 fn phases_json(stats: &Stats) -> Json {

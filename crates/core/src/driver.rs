@@ -6,7 +6,7 @@ use rowpoly_obs as obs;
 use rowpoly_types::{render_scheme, Binding, Scheme, Ty, TyEnv};
 use std::time::Instant;
 
-use crate::config::{CheckPolicy, Options, Stats, SAT_CLASSES};
+use crate::config::{Options, Stats, SAT_CLASSES};
 use crate::error::TypeError;
 use crate::flow::FlowInfer;
 
@@ -167,23 +167,14 @@ impl Session {
             program.to_expr().free_vars()
         };
         let mut env = builtin_env(&mut engine, &needed);
-        bind_free_vars(&mut engine, &mut env, program);
+        bind_free_vars(&mut engine, &mut env, &needed);
         env.freeze();
 
         let mut defs = Vec::new();
         let mut sat_class = SatClass::Trivial;
         for def in &program.defs {
             let _def_span = obs::span_lazy(|| format!("def {}", def.name));
-            let (mut scheme, env_after) = engine.infer_def(&env, def.name, &def.body, def.span)?;
-            if self.opts.check != CheckPolicy::Final {
-                engine.check_sat(def.span, None)?;
-            }
-            // Move the definition's flow into its scheme, keeping the
-            // working β proportional to one definition.
-            engine.finish_def(&mut scheme, &env_after);
-            env = env_after;
-            env.insert(def.name, Binding::Poly(scheme.clone()));
-            env.freeze();
+            let scheme = engine.fold_def(&mut env, def)?;
             let def_class = classify(&scheme.flow);
             defs.push(DefReport {
                 name: def.name,
@@ -218,14 +209,9 @@ impl Session {
     /// (free variables are bound to fresh monomorphic types first).
     pub fn infer_expr(&self, expr: &Expr) -> Result<(Ty, TyEnv), TypeError> {
         let mut engine = FlowInfer::new(self.opts.clone());
-        let mut env = builtin_env(&mut engine, &expr.free_vars());
-        for x in expr.free_vars() {
-            if !env.contains(x) {
-                let v = engine.vars.fresh();
-                let f = engine.fresh_flag_public();
-                env.insert(x, Binding::Mono(Ty::Var(v, f)));
-            }
-        }
+        let needed = expr.free_vars();
+        let mut env = builtin_env(&mut engine, &needed);
+        bind_free_vars(&mut engine, &mut env, &needed);
         env.freeze();
         let (ty, env1) = engine.infer(&env, expr)?;
         engine.check_sat(expr.span, None)?;
@@ -267,13 +253,15 @@ pub(crate) fn flush_stats_metrics(stats: &Stats) {
     obs::counter_max("beta.clauses.peak", stats.peak_clauses as u64);
 }
 
-/// Binds every free variable of the program to a fresh monomorphic type,
-/// so that open programs (like the paper's `some_condition`) check.
-fn bind_free_vars(engine: &mut FlowInfer, env: &mut TyEnv, program: &Program) {
-    if program.defs.is_empty() {
-        return;
-    }
-    for x in program.to_expr().free_vars() {
+/// Binds every free variable of the program or expression (`needed`)
+/// not already bound to a fresh monomorphic type, so that open programs
+/// (like the paper's `some_condition`) check.
+fn bind_free_vars(
+    engine: &mut FlowInfer,
+    env: &mut TyEnv,
+    needed: &std::collections::BTreeSet<Symbol>,
+) {
+    for &x in needed {
         if !env.contains(x) {
             let v = engine.vars.fresh();
             let f = engine.fresh_flag_public();

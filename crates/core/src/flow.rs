@@ -25,7 +25,7 @@
 //! `when` require a general SAT solver.
 
 use rowpoly_boolfun::{Cnf, Flag, FlagAlloc, FlagSet, Lit, ProjectStats, SatResult};
-use rowpoly_lang::{BinOp, Expr, ExprKind, FieldName, Span, Symbol};
+use rowpoly_lang::{BinOp, Def, Expr, ExprKind, FieldName, Span, Symbol};
 use rowpoly_obs as obs;
 use rowpoly_obs::{Phase, PhaseClock};
 use rowpoly_types::{
@@ -447,6 +447,27 @@ impl FlowInfer {
         self.clock.exit();
     }
 
+    /// Checks one top-level definition and folds it into `env`: infers
+    /// it, runs the per-definition SAT check (unless
+    /// [`CheckPolicy::Final`]), moves its flow into the scheme, binds the
+    /// scheme and freezes. Both the serial driver and the group runner
+    /// take this step, so `env` is the sole owner of its global layer at
+    /// the freeze and the layer is extended in place. On error `env` is
+    /// left as it was. Returns the bound scheme (its flow not yet closed).
+    pub(crate) fn fold_def(&mut self, env: &mut TyEnv, def: &Def) -> Infer<Scheme> {
+        let (mut scheme, env_after) = self.infer_def(env, def.name, &def.body, def.span)?;
+        if self.opts.check != CheckPolicy::Final {
+            self.check_sat(def.span, None)?;
+        }
+        // Move the definition's flow into its scheme, keeping the
+        // working β proportional to one definition.
+        self.finish_def(&mut scheme, &env_after);
+        *env = env_after;
+        env.insert(def.name, Binding::Poly(scheme.clone()));
+        env.freeze();
+        Ok(scheme)
+    }
+
     /// Projects β onto the frozen global layer — the definitive cleanup
     /// between top-level definitions (and the only projection in `PerDef`
     /// mode). The caller must have frozen the environment first.
@@ -638,12 +659,14 @@ impl FlowInfer {
         let Some(binding) = env.get(x) else {
             return Err(TypeError::new(TypeErrorKind::Unbound(x), span));
         };
-        match binding.clone() {
+        // `binding` borrows from `env`, not from the engine, so neither
+        // rule needs to copy it (a scheme carries its whole stored flow).
+        match binding {
             Binding::Mono(t) => {
                 // tx = ⇑RP(⇓RP(ρ(x))) with *tx+ ⇒ *ρ(x)+.
-                let tx = self.decorate(&t);
+                let tx = self.decorate(t);
                 if self.opts.track_fields {
-                    self.beta.imply_seq(&flag_lits(&tx), &flag_lits(&t));
+                    self.beta.imply_seq(&flag_lits(&tx), &flag_lits(t));
                     self.inherit_provenance(&t.flags(), &tx.flags());
                 }
                 Ok((tx, env.clone()))
@@ -651,8 +674,7 @@ impl FlowInfer {
             Binding::Poly(scheme) => {
                 let t = if self.opts.track_fields {
                     let old = scheme.ty.flags();
-                    let inst =
-                        instantiate(&scheme, &mut self.vars, &mut self.flags, &mut self.beta);
+                    let inst = instantiate(scheme, &mut self.vars, &mut self.flags, &mut self.beta);
                     self.inherit_provenance(&old, &inst.flags());
                     inst
                 } else {

@@ -34,7 +34,7 @@ use rowpoly_boolfun::{classify, Clause, Cnf, FlagSet, ProjectStats};
 use rowpoly_lang::{Program, Symbol};
 use rowpoly_types::{import_scheme, Binding, Scheme, Ty};
 
-use crate::config::{CheckPolicy, Options, Stats};
+use crate::config::{Options, Stats};
 use crate::driver::{builtin_env, flush_stats_metrics, DefReport};
 use crate::error::TypeError;
 use crate::flow::FlowInfer;
@@ -287,16 +287,9 @@ pub fn run_group_spec(spec: &GroupSpec<'_>, scratch: &mut EngineScratch) -> Grou
             continue;
         }
         let step = (|| -> Result<DefReport, TypeError> {
-            let (mut scheme, env_after) = engine.infer_def(&env, def.name, &def.body, def.span)?;
-            if spec.opts.check != CheckPolicy::Final {
-                engine.check_sat(def.span, None)?;
-            }
-            engine.finish_def(&mut scheme, &env_after);
-            env = env_after;
             // Group members see the scheme as the serial driver
             // would; the published report carries the closed copy.
-            env.insert(def.name, Binding::Poly(scheme.clone()));
-            env.freeze();
+            let mut scheme = engine.fold_def(&mut env, def)?;
             let closed = close_scheme(&mut scheme);
             engine.note_projection(&closed);
             let sat_class = classify(&scheme.flow);

@@ -96,12 +96,12 @@ fn next_version() -> u64 {
 /// The frozen outer layer of an environment: top-level definitions that
 /// no longer change during the current definition's inference.
 ///
-/// Freezing caches the layer's flag set and free variables once, so the
-/// per-AST-node operations of the inference (stale-flag projection,
-/// environment meets, flag-sequence equations) only ever walk the small
-/// *local* layer — this is what keeps whole-program inference from
-/// degrading quadratically in the number of definitions.
-#[derive(Debug, Default)]
+/// The layer caches its flag set and free variables, so the per-AST-node
+/// operations of the inference (stale-flag projection, environment
+/// meets, flag-sequence equations) only ever walk the small *local*
+/// layer. [`TyEnv::freeze`] extends the layer in place, so folding in one
+/// definition costs O(|local| log n) rather than a copy of the layer.
+#[derive(Clone, Debug, Default)]
 struct GlobalLayer {
     map: BTreeMap<Symbol, Binding>,
     /// All flags occurring in the layer.
@@ -216,22 +216,22 @@ impl TyEnv {
     /// Freezes the local layer into the global one, extending the cached
     /// flag and free-variable sets. Called by the driver after each
     /// top-level definition.
+    ///
+    /// The global layer is extended in place when this environment owns
+    /// it alone (the drivers' case), so a freeze costs O(|local| log n).
+    /// A clone sharing the layer keeps its own copy (copy-on-write).
     pub fn freeze(&mut self) {
         if self.local.is_empty() {
             return;
         }
-        let mut global = GlobalLayer {
-            map: self.global.map.clone(),
-            flags: self.global.flags.clone(),
-            free_vars: self.global.free_vars.clone(),
-        };
-        for (name, binding) in self.local.iter() {
+        let local = Rc::try_unwrap(std::mem::take(&mut self.local))
+            .unwrap_or_else(|shared| (*shared).clone());
+        let global = Rc::make_mut(&mut self.global);
+        for (name, binding) in local {
             global.flags.extend(binding.ty().flags());
             global.free_vars.extend(binding.free_vars());
-            global.map.insert(*name, binding.clone());
+            global.map.insert(name, binding);
         }
-        self.global = Rc::new(global);
-        self.local = Rc::new(BTreeMap::new());
         self.version = next_version();
     }
 
@@ -457,6 +457,60 @@ mod tests {
         assert!(env.global_flags().contains(&f));
         assert!(env.global_free_vars().contains(&Var(0)));
         assert_eq!(env.len(), 1);
+    }
+
+    #[test]
+    fn freeze_extends_a_uniquely_owned_global_layer_in_place() {
+        let mut env = TyEnv::new();
+        env.insert(sym("a"), Binding::Mono(Ty::Int));
+        env.freeze();
+        let before = Rc::as_ptr(&env.global);
+        env.insert(sym("b"), Binding::Mono(Ty::Str));
+        env.freeze();
+        assert!(std::ptr::eq(before, Rc::as_ptr(&env.global)), "no copy");
+        assert_eq!(env.len(), 2);
+    }
+
+    #[test]
+    fn freeze_copies_a_shared_global_layer_on_write() {
+        let mut flags = FlagAlloc::new();
+        let (f, g) = (flags.fresh(), flags.fresh());
+        let mut env = TyEnv::new();
+        env.insert(sym("a"), Binding::Mono(Ty::var(Var(0), f)));
+        env.freeze();
+        env.insert(sym("b"), Binding::Mono(Ty::var(Var(1), g)));
+        let snapshot = env.clone();
+        env.freeze();
+        assert!(!env.same(&snapshot));
+        assert!(!env.same_global(&snapshot));
+        // The clone still sees `b` as local and its global layer as it
+        // was before the freeze.
+        assert!(snapshot.get_local(sym("b")).is_some());
+        assert!(!snapshot.global.map.contains_key(&sym("b")));
+        assert!(!snapshot.global_flags().contains(&g));
+        assert!(!snapshot.global_free_vars().contains(&Var(1)));
+        assert!(env.global_flags().contains(&g));
+        assert!(env.global_free_vars().contains(&Var(1)));
+        assert!(env.iter_local().next().is_none());
+    }
+
+    #[test]
+    fn freeze_replaces_shadowed_globals_and_keeps_a_flag_superset() {
+        let mut flags = FlagAlloc::new();
+        let (old, new) = (flags.fresh(), flags.fresh());
+        let mut env = TyEnv::new();
+        env.insert(sym("x"), Binding::Mono(Ty::var(Var(0), old)));
+        env.freeze();
+        env.insert(sym("x"), Binding::Mono(Ty::var(Var(1), new)));
+        env.freeze();
+        assert_eq!(
+            env.get(sym("x")),
+            Some(&Binding::Mono(Ty::var(Var(1), new)))
+        );
+        assert_eq!(env.len(), 1);
+        // The replaced binding's flags stay: a stale superset.
+        assert!(env.global_flags().contains(&old));
+        assert!(env.global_flags().contains(&new));
     }
 
     #[test]

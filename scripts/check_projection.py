@@ -15,6 +15,15 @@ regressions:
 * every fig9 workload is select/update-only (2-SAT class), so every
   elimination must take the binary-implication fast path, and the
   fast-path/fallback split must account for every elimination.
+* the environment must not degrade with program size: without fields
+  (no β at all), time per definition on the largest workload over the
+  smallest must stay within `NOFIELDS_PER_DEF_GROWTH_BUDGET`.
+  Definitions are counted as the sum of `def_classes`. A per-definition
+  copy of the global environment layer measured 2.91x; folding each
+  definition in place measures ~0.9x. Only full-scale reports are
+  gated: in `--quick` runs the smallest workload has 14 definitions
+  and a ~2 ms wall, which is mostly noise, so the figure is printed
+  but not gated.
 
 It also gates the `project` bench report (`BENCH_project.json`, or a
 live `project --json` run): the report must carry the
@@ -35,6 +44,7 @@ import sys
 import benchlib
 
 PROJECT_WALL_BUDGET = 0.45
+NOFIELDS_PER_DEF_GROWTH_BUDGET = 2.0
 INCREMENTAL_SPEEDUP_FLOOR = 1.5
 
 fail = benchlib.failer("check_projection")
@@ -57,6 +67,30 @@ def ratio_of(doc):
         total_wall += wf["wall_s"]
         total_project += wf["phases"]["project"]
     return total_project / total_wall
+
+
+def check_nofields_growth(doc, src):
+    rows = []
+    for w in doc["workloads"]:
+        run = w["without_fields"]
+        defs = sum(run["def_classes"].values())
+        if defs <= 0:
+            fail(f"{src}: {w['name']}: no definitions in def_classes")
+        rows.append((defs, run["wall_s"] / defs * 1e6, w["name"]))
+    rows.sort()
+    (_, small_us, small), (_, large_us, large) = rows[0], rows[-1]
+    growth = large_us / small_us
+    gated = not doc.get("quick")
+    print(
+        f"    w/o fields per def: {large} {large_us:.0f} us / {small} {small_us:.0f} us "
+        f"= {growth:.2f}x (budget {NOFIELDS_PER_DEF_GROWTH_BUDGET}"
+        f"{'' if gated else ', not gated on --quick'})"
+    )
+    if gated and growth > NOFIELDS_PER_DEF_GROWTH_BUDGET:
+        fail(
+            f"{src}: w/o-fields time per definition grows {growth:.2f}x from "
+            f"{small} to {large} (budget {NOFIELDS_PER_DEF_GROWTH_BUDGET})"
+        )
 
 
 def check_project_bench(doc, src):
@@ -90,6 +124,7 @@ for src in srcs:
         check_project_bench(doc, src)
     else:
         ratios.append(ratio_of(doc))
+        check_nofields_growth(doc, src)
 if ratios:
     best = min(ratios)
     print(

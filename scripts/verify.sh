@@ -36,6 +36,9 @@ for i in 2 3; do
 done
 python3 scripts/check_projection.py "$proj_dir"/fig9-*.json
 rm -rf "$proj_dir"
+# The committed full-scale report also carries the environment-growth
+# gate (w/o-fields time per definition, largest workload over smallest).
+python3 scripts/check_projection.py BENCH_fig9.json
 
 echo "==> incremental SAT gate (committed BENCH_project.json + quick edit replay)"
 # The committed report must show the incremental session re-checking a
