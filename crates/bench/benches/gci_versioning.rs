@@ -24,15 +24,5 @@ fn main() {
                 Session::new(opts).infer_program(&program).expect("checks")
             },
         );
-        bench(
-            &format!("gci_versioning/union_find_unifier/{lines}"),
-            || {
-                let opts = Options {
-                    unifier: rowpoly_core::Unifier::UnionFind,
-                    ..Options::default()
-                };
-                Session::new(opts).infer_program(&program).expect("checks")
-            },
-        );
     }
 }

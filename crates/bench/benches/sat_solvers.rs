@@ -1,11 +1,19 @@
 //! Solver ablation: the same formula families decided by the class-
-//! dispatched solver versus always-CDCL, matching the paper's Section 5
-//! complexity classification (select/update ⇒ 2-SAT, asymmetric concat ⇒
-//! Horn, symmetric concat / `when` ⇒ general CNF).
+//! dispatched session versus a session forced onto CDCL, matching the
+//! paper's Section 5 complexity classification (select/update ⇒ 2-SAT,
+//! asymmetric concat ⇒ Horn, symmetric concat / `when` ⇒ general CNF).
+//! Every solve runs on a cold session, so no warm state is reused.
 
 use rowpoly_bench::bench;
-use rowpoly_boolfun::sat::{solve_with, Engine};
-use rowpoly_boolfun::{Cnf, Flag, Lit};
+use rowpoly_boolfun::{Cnf, Flag, Lit, SatBudget, SatClass, Session};
+
+/// Decides `f` on a cold session with the engine of `class` forced.
+fn sat_as(class: SatClass, f: &Cnf) -> bool {
+    Session::cold(f)
+        .solve_as(class, &SatBudget::unlimited())
+        .expect("unlimited budget")
+        .is_sat()
+}
 
 /// Implication-chain formulas (what select/update programs generate).
 fn chain(n: u32) -> Cnf {
@@ -52,24 +60,24 @@ fn main() {
     for n in [100u32, 1000, 5000] {
         let f = chain(n);
         bench(&format!("sat_solvers/twosat_on_chain/{n}"), || {
-            assert!(solve_with(Engine::TwoSat, &f).is_sat())
+            assert!(sat_as(SatClass::TwoSat, &f))
         });
         bench(&format!("sat_solvers/cdcl_on_chain/{n}"), || {
-            assert!(solve_with(Engine::Cdcl, &f).is_sat())
+            assert!(sat_as(SatClass::General, &f))
         });
         let h = horn_rules(n);
         bench(&format!("sat_solvers/horn_on_rules/{n}"), || {
-            assert!(solve_with(Engine::Horn, &h).is_sat())
+            assert!(sat_as(SatClass::Horn, &h))
         });
         bench(&format!("sat_solvers/cdcl_on_rules/{n}"), || {
-            assert!(solve_with(Engine::Cdcl, &h).is_sat())
+            assert!(sat_as(SatClass::General, &h))
         });
         let s = symmetric(n / 2);
         bench(&format!("sat_solvers/cdcl_on_symmetric/{n}"), || {
-            assert!(solve_with(Engine::Cdcl, &s).is_sat())
+            assert!(sat_as(SatClass::General, &s))
         });
         bench(&format!("sat_solvers/auto_dispatch_chain/{n}"), || {
-            assert!(solve_with(Engine::Auto, &f).is_sat())
+            assert!(f.is_sat())
         });
     }
 }

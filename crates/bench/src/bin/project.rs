@@ -28,9 +28,7 @@
 use std::time::Duration;
 
 use rowpoly_bench::bench;
-use rowpoly_boolfun::{
-    classify, solve_budgeted, Clause, Cnf, Flag, FlagSet, Lit, SatBudget, SatClass, Session,
-};
+use rowpoly_boolfun::{classify, Clause, Cnf, Flag, FlagSet, Lit, SatBudget, SatClass, Session};
 use rowpoly_obs::json::Json;
 use rowpoly_obs::rng::SplitMix64;
 
@@ -149,9 +147,9 @@ fn symconcat(triples: u32) -> Workload {
 /// single-clause edits, with satisfiability checked after every edit —
 /// the access pattern `check_sat` produces as inference walks a
 /// definition. The incremental engine answers each check from the
-/// previous check's solver state; the fresh engine re-solves the grown
-/// formula from scratch, which is what every check cost before
-/// sessions.
+/// previous check's solver state; the fresh arm re-solves the grown
+/// formula on a cold session, which is what every check cost before
+/// sessions were kept warm.
 struct EditReplay {
     base: Cnf,
     edits: Vec<Clause>,
@@ -198,12 +196,13 @@ fn edit_replay(nflags: u32, base_clauses: u32, edits: u32, seed: u64) -> EditRep
     EditReplay { base, edits }
 }
 
+/// The one-shot arm: a cold [`Session`] per edit, no state carried over.
 fn replay_fresh(r: &EditReplay, budget: &SatBudget) -> Vec<(bool, SatClass)> {
     let mut cnf = r.base.clone();
     let mut verdicts = Vec::with_capacity(r.edits.len());
     for e in &r.edits {
         cnf.add_clause(e.clone());
-        let v = solve_budgeted(&cnf, budget).expect("unlimited");
+        let v = Session::cold(&cnf).solve(budget).expect("unlimited");
         verdicts.push((v.is_sat(), classify(&cnf)));
     }
     verdicts

@@ -5,6 +5,7 @@ use std::fmt;
 
 use crate::clause::Clause;
 use crate::lit::{Flag, FlagSet, Lit};
+use crate::sat::session::Session;
 use crate::sat::{self, SatResult};
 
 /// A Boolean function β represented in conjunctive normal form.
@@ -303,15 +304,13 @@ impl Cnf {
         matches!(self.solve(), SatResult::Sat(_))
     }
 
-    /// Full solver result, including a model or an explanation.
+    /// Full solver result, including a model or an explanation, from a
+    /// cold [`Session`].
     pub fn solve(&self) -> SatResult {
-        sat::solve(self)
-    }
-
-    /// [`Self::solve`] under a [`sat::SatBudget`]; only general-CNF
-    /// formulas (CDCL) can stop early.
-    pub fn solve_budgeted(&self, budget: &sat::SatBudget) -> Result<SatResult, sat::BudgetStop> {
-        sat::solve_budgeted(self, budget)
+        match Session::cold(self).solve(&sat::SatBudget::unlimited()) {
+            Ok(r) => r,
+            Err(stop) => unreachable!("unlimited budget stopped a solve: {stop}"),
+        }
     }
 
     /// Whether `self ⊨ other` (every model of `self` satisfies `other`).

@@ -20,11 +20,12 @@
 //!   occurrence-indexed clause database with a binary-implication fast
 //!   path and inline, signature-filtered subsumption; each call reports
 //!   its work as a [`ProjectStats`].
-//! * [`sat`] — three from-scratch satisfiability solvers matching the
-//!   complexity classes the paper identifies: a linear-time 2-SAT solver
+//! * [`sat`] — three from-scratch satisfiability engines matching the
+//!   complexity classes the paper identifies: a linear-time 2-SAT engine
 //!   (select/update generate only two-variable Horn clauses), a linear-time
-//!   Horn-SAT solver (asymmetric record concatenation), and a CDCL solver
-//!   for general CNF (symmetric concatenation, `when`-conditionals).
+//!   Horn-SAT engine (asymmetric record concatenation), and a CDCL solver
+//!   for general CNF (symmetric concatenation, `when`-conditionals), all
+//!   driven by one incremental [`Session`].
 //! * [`classify`] — classifies a formula into the cheapest applicable
 //!   solver class.
 //!
@@ -62,7 +63,4 @@ pub use proof::{
     minimize_core, ClauseRef, DerivationStep, Proof, ProofChecker, ProofError, UnsatProof,
 };
 pub use sat::session::{Session, SyncOutcome};
-pub use sat::{
-    check_proofs_enabled, set_check_proofs, solve, solve_budgeted, solve_budgeted_proved,
-    solve_proved, BudgetStop, SatBudget, SatResult,
-};
+pub use sat::{check_proofs_enabled, set_check_proofs, BudgetStop, SatBudget, SatResult};

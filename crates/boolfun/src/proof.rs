@@ -33,7 +33,7 @@ use std::fmt;
 use crate::clause::Clause;
 use crate::cnf::Cnf;
 use crate::lit::{Flag, Lit};
-use crate::sat::{self, Model};
+use crate::sat::Model;
 
 /// Reference to a clause inside a derivation: either one of the input
 /// formula's clauses (by index into [`Cnf::clauses`]) or a clause derived
@@ -400,22 +400,10 @@ pub fn minimize_core(cnf: &Cnf, core: &[usize]) -> Vec<usize> {
     kept
 }
 
-/// Convenience: solve with a proof, check the proof, and return both.
-/// Panics on a bogus verdict — the backing assertion for
-/// `ROWPOLY_CHECK_PROOFS=1`.
-pub fn solve_checked(cnf: &Cnf) -> (sat::SatResult, Proof) {
-    let (res, proof) = sat::solve_proved(cnf);
-    if let Err(e) = ProofChecker::check(cnf, &proof) {
-        panic!("solver returned an uncheckable verdict: {e}\nformula: {cnf:?}");
-    }
-    (res, proof)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::lit::FlagAlloc;
-    use crate::sat::SatResult;
 
     fn p(i: u32) -> Lit {
         Lit::pos(Flag(i))
@@ -601,21 +589,5 @@ mod tests {
         assert!(min.len() < b.len());
         let sub = Cnf::from_clauses(min.iter().map(|&i| b.clauses()[i].clone()));
         assert!(!sub.is_sat());
-    }
-
-    #[test]
-    fn solve_checked_round_trips_both_verdicts() {
-        let mut sat = Cnf::top();
-        sat.imply(p(0), p(1));
-        let (r, proof) = solve_checked(&sat);
-        assert!(r.is_sat());
-        assert!(proof.is_sat_witness());
-
-        let mut unsat = Cnf::top();
-        unsat.assert_lit(p(0));
-        unsat.assert_lit(n(0));
-        let (r, proof) = solve_checked(&unsat);
-        assert!(matches!(r, SatResult::Unsat(_)));
-        assert!(proof.unsat().is_some());
     }
 }

@@ -4,14 +4,18 @@
 //! their inference rules generate:
 //!
 //! * select / update / removal / renaming → two-variable Horn clauses,
-//!   decidable in linear time by a **2-SAT** solver ([`twosat`]);
+//!   decidable in linear time by a **2-SAT** engine ([`twosat`]);
 //! * asymmetric record concatenation → multi-variable Horn clauses,
-//!   decidable in linear time by a **Horn-SAT** solver ([`horn`]);
+//!   decidable in linear time by a **Horn-SAT** engine ([`horn`]);
 //! * symmetric concatenation and `when N in x` conditionals → general CNF,
 //!   requiring a full **SAT** solver ([`cdcl`]).
 //!
-//! [`solve`] dispatches on [`crate::classify`] so each program pays only
-//! for the operations it uses.
+//! Each class has exactly one engine, driven by a [`session::Session`]
+//! that dispatches on the class of its active clause set, so each
+//! program pays only for the operations it uses. A one-shot question
+//! ([`crate::Cnf::solve`] and everything layered on it) is a cold
+//! session; [`session::Session::solve_as`] forces an engine for the §5
+//! ablation.
 
 pub mod cdcl;
 pub mod horn;
@@ -22,10 +26,8 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use crate::classify::{classify, SatClass};
 use crate::cnf::Cnf;
 use crate::lit::{Flag, Lit};
-use crate::proof::{Proof, ProofChecker, UnsatProof};
 
 /// A cooperative resource budget for SAT search.
 ///
@@ -141,15 +143,6 @@ impl SatResult {
     }
 }
 
-/// Decides satisfiability of `cnf`, dispatching to the cheapest solver
-/// that is complete for its clause shape.
-pub fn solve(cnf: &Cnf) -> SatResult {
-    match solve_budgeted(cnf, &SatBudget::unlimited()) {
-        Ok(r) => r,
-        Err(stop) => unreachable!("unlimited budget stopped a solve: {stop}"),
-    }
-}
-
 /// Harness override for [`check_proofs_enabled`]: `-1` defers to the
 /// environment latch, `0`/`1` force the answer. Lets a benchmark toggle
 /// checking within one process to measure its overhead, which the
@@ -165,11 +158,11 @@ pub fn set_check_proofs(enabled: bool) {
 }
 
 /// Whether `ROWPOLY_CHECK_PROOFS=1` is set: every verdict produced by
-/// [`solve_budgeted`] (and everything layered on it) is then solved with
-/// proof emission, checked inline by [`ProofChecker`], and a bogus
-/// verdict panics — a standing self-test for the whole engine. The
-/// environment is read once per process; [`set_check_proofs`] overrides
-/// it.
+/// [`session::Session::solve`] (and everything layered on it) is then
+/// solved with proof emission, checked inline by
+/// [`crate::ProofChecker`], and a bogus verdict panics — a standing
+/// self-test for the whole engine. The environment is read once per
+/// process; [`set_check_proofs`] overrides it.
 pub fn check_proofs_enabled() -> bool {
     match CHECK_OVERRIDE.load(std::sync::atomic::Ordering::Relaxed) {
         -1 => {
@@ -185,124 +178,6 @@ pub fn check_proofs_enabled() -> bool {
     }
 }
 
-/// [`solve`] under a [`SatBudget`]. Only the CDCL engine (general CNF)
-/// can stop early; the linear solvers always run to completion.
-pub fn solve_budgeted(cnf: &Cnf, budget: &SatBudget) -> Result<SatResult, BudgetStop> {
-    if check_proofs_enabled() {
-        let class = classify(cnf);
-        let (res, proof) = solve_budgeted_proved(cnf, budget)?;
-        let t0 = std::time::Instant::now();
-        let checked = ProofChecker::check(cnf, &proof);
-        if rowpoly_obs::enabled() {
-            rowpoly_obs::hist_record(
-                &format!("proof.check_ns.{}", class.name()),
-                t0.elapsed().as_nanos() as u64,
-            );
-            rowpoly_obs::counter_add("proof.checked", 1);
-        }
-        if let Err(e) = checked {
-            rowpoly_obs::counter_add("proof.check_failures", 1);
-            let verdict = if res.is_sat() { "SAT" } else { "UNSAT" };
-            panic!("ROWPOLY_CHECK_PROOFS: bogus {verdict} verdict ({e})\nformula: {cnf:?}");
-        }
-        return Ok(res);
-    }
-    let class = classify(cnf);
-    if rowpoly_obs::enabled() {
-        rowpoly_obs::counter_add(&format!("sat.dispatch.{}", class.name()), 1);
-    }
-    Ok(match class {
-        SatClass::Trivial => SatResult::Sat(Model::new()),
-        SatClass::Unsat => SatResult::Unsat(Vec::new()),
-        SatClass::TwoSat => twosat::solve(cnf),
-        SatClass::Horn => horn::solve(cnf),
-        SatClass::DualHorn => horn::solve_dual(cnf),
-        SatClass::General => cdcl::solve_budgeted(cnf, budget)?,
-    })
-}
-
-/// [`solve`] returning the verdict together with its [`Proof`] witness.
-pub fn solve_proved(cnf: &Cnf) -> (SatResult, Proof) {
-    match solve_budgeted_proved(cnf, &SatBudget::unlimited()) {
-        Ok(r) => r,
-        Err(stop) => unreachable!("unlimited budget stopped a solve: {stop}"),
-    }
-}
-
-/// [`solve_budgeted`] with proof emission: SAT verdicts carry the model
-/// found, UNSAT verdicts carry an unsat core and a derivation of `⊥`.
-/// Proof construction is confined to this entry point, so the default
-/// (proof-free) solve paths pay nothing for it.
-pub fn solve_budgeted_proved(
-    cnf: &Cnf,
-    budget: &SatBudget,
-) -> Result<(SatResult, Proof), BudgetStop> {
-    let class = classify(cnf);
-    if rowpoly_obs::enabled() {
-        rowpoly_obs::counter_add(&format!("sat.dispatch.{}", class.name()), 1);
-    }
-    let (res, proof) = match class {
-        SatClass::Trivial => (SatResult::Sat(Model::new()), Proof::Sat(Model::new())),
-        SatClass::Unsat => {
-            let idx = cnf
-                .clauses()
-                .iter()
-                .position(|c| c.is_empty())
-                .expect("Unsat class implies an empty clause");
-            (
-                SatResult::Unsat(Vec::new()),
-                Proof::Unsat(UnsatProof {
-                    core: vec![idx],
-                    steps: Vec::new(),
-                }),
-            )
-        }
-        SatClass::TwoSat => twosat::solve_proved(cnf),
-        SatClass::Horn => horn::solve_proved(cnf),
-        SatClass::DualHorn => horn::solve_dual_proved(cnf),
-        SatClass::General => cdcl::solve_budgeted_proved(cnf, budget)?,
-    };
-    if rowpoly_obs::enabled() {
-        match &proof {
-            Proof::Sat(_) => rowpoly_obs::counter_add("proof.emitted.sat", 1),
-            Proof::Unsat(p) => {
-                rowpoly_obs::counter_add("proof.emitted.unsat", 1);
-                rowpoly_obs::hist_record("proof.core_size", p.core_size() as u64);
-                rowpoly_obs::hist_record("proof.derivation_len", p.derivation_len() as u64);
-            }
-        }
-    }
-    Ok((res, proof))
-}
-
-/// Solver selection for benchmarking individual engines.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Engine {
-    /// Linear-time 2-SAT via strongly connected components.
-    TwoSat,
-    /// Linear-time Horn-SAT via positive unit propagation.
-    Horn,
-    /// Conflict-driven clause learning for general CNF.
-    Cdcl,
-    /// Class-based dispatch (the default).
-    Auto,
-}
-
-/// Decides satisfiability with an explicitly chosen engine.
-///
-/// # Panics
-///
-/// Panics if the formula is outside the engine's complete fragment
-/// (e.g. a 3-literal clause given to [`Engine::TwoSat`]).
-pub fn solve_with(engine: Engine, cnf: &Cnf) -> SatResult {
-    match engine {
-        Engine::TwoSat => twosat::solve(cnf),
-        Engine::Horn => horn::solve(cnf),
-        Engine::Cdcl => cdcl::solve(cnf),
-        Engine::Auto => solve(cnf),
-    }
-}
-
 /// Verifies that a model satisfies the formula (test helper).
 pub fn check_model(cnf: &Cnf, model: &Model) -> bool {
     cnf.clauses().iter().all(|c| {
@@ -315,6 +190,9 @@ pub fn check_model(cnf: &Cnf, model: &Model) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::classify::SatClass;
+    use crate::proof::ProofChecker;
+    use crate::sat::session::Session;
 
     fn p(i: u32) -> Lit {
         Lit::pos(Flag(i))
@@ -353,12 +231,14 @@ mod tests {
             }
             let universe: Vec<Flag> = (0..nflags).map(Flag).collect();
             let brute_sat = !cnf.models(&universe).is_empty();
-            let auto = solve(&cnf);
+            let auto = cnf.solve();
             assert_eq!(auto.is_sat(), brute_sat, "auto dispatch wrong on {cnf:?}");
             if let SatResult::Sat(m) = &auto {
                 assert!(check_model(&cnf, m), "bad model for {cnf:?}: {m:?}");
             }
-            let cdcl = cdcl::solve(&cnf);
+            let cdcl = Session::cold(&cnf)
+                .solve_as(SatClass::General, &SatBudget::unlimited())
+                .expect("unlimited budget");
             assert_eq!(cdcl.is_sat(), brute_sat, "cdcl wrong on {cnf:?}");
         }
     }
@@ -392,7 +272,9 @@ mod tests {
                 }
                 cnf.add_lits(lits);
             }
-            let (res, proof) = solve_proved(&cnf);
+            let (res, proof) = Session::cold(&cnf)
+                .solve_proved(&SatBudget::unlimited())
+                .expect("unlimited budget");
             assert_eq!(res.is_sat(), proof.is_sat_witness(), "verdict/proof split");
             if let Err(e) = ProofChecker::check(&cnf, &proof) {
                 panic!("proof rejected ({e}) on {cnf:?}\nproof: {proof:?}");
@@ -418,7 +300,7 @@ mod tests {
         let mut two = Cnf::top();
         two.imply(p(0), p(1));
         two.assert_lit(p(0));
-        assert!(solve(&two).is_sat());
+        assert!(two.solve().is_sat());
 
         // Horn shaped (3-literal clause, one positive).
         let mut horn = Cnf::top();
@@ -426,7 +308,7 @@ mod tests {
         horn.assert_lit(p(0));
         horn.assert_lit(p(1));
         horn.assert_lit(n(2));
-        assert!(!solve(&horn).is_sat());
+        assert!(!horn.solve().is_sat());
 
         // General (two positive literals in a 3-clause plus pigeonhole-ish
         // constraints).
@@ -435,6 +317,6 @@ mod tests {
         gen.add_lits(vec![n(0), n(1)]);
         gen.add_lits(vec![n(1), n(2)]);
         gen.add_lits(vec![n(0), n(2)]);
-        assert!(solve(&gen).is_sat());
+        assert!(gen.solve().is_sat());
     }
 }

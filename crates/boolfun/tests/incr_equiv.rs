@@ -1,14 +1,17 @@
-//! Randomized equivalence: incremental [`Session`] vs fresh
-//! [`solve_budgeted`] over seeded clause-add/retract scripts, one batch
-//! of seeds per solver class, with proof checking forced on — every
-//! incremental verdict is proved and replayed by the independent
-//! checker, and every script step cross-checks the fresh solver on the
-//! same active clause set.
+//! Randomized equivalence: a warm [`Session`] vs brute force and vs a
+//! cold session over seeded clause-add/retract scripts, one batch of
+//! seeds per solver class, with proof checking forced on — every warm
+//! and cold verdict is proved and replayed by the independent checker,
+//! and every script step cross-checks model enumeration on the same
+//! active clause set.
 
 use rowpoly_boolfun::sat::check_model;
 use rowpoly_boolfun::{
-    classify, set_check_proofs, solve_budgeted, Clause, Flag, Lit, SatBudget, SatResult, Session,
+    classify, set_check_proofs, Clause, Flag, Lit, SatBudget, SatResult, Session,
 };
+
+/// Flags every script draws from.
+const NFLAGS: usize = 8;
 
 /// Deterministic splitmix64; no external crates.
 struct Rng(u64);
@@ -59,18 +62,20 @@ fn gen_clause(rng: &mut Rng, shape: Shape, nflags: usize) -> Clause {
 }
 
 /// Runs one add/retract script, asserting after every step that the
-/// session verdict matches a fresh solve of the same active set.
+/// warm verdict matches brute force and a cold solve of the same
+/// active set.
 fn run_script(seed: u64, shape: Shape) {
     let mut rng = Rng(seed);
     let mut session = Session::new();
     let mut live: Vec<u32> = Vec::new();
     let budget = SatBudget::unlimited();
+    let universe: Vec<Flag> = (0..NFLAGS as u32).map(Flag).collect();
     for _ in 0..25 {
         if !live.is_empty() && rng.below(5) == 0 {
             let slot = live.swap_remove(rng.below(live.len()));
             session.retract(slot);
         } else {
-            let c = gen_clause(&mut rng, shape, 8);
+            let c = gen_clause(&mut rng, shape, NFLAGS);
             live.push(session.push(&c));
         }
         let cnf = session.active_cnf();
@@ -82,11 +87,17 @@ fn run_script(seed: u64, shape: Shape) {
         // Proof checking is on: this proves the verdict and replays the
         // witness against the active set before returning.
         let incr = session.solve(&budget).expect("unlimited");
-        let fresh = solve_budgeted(&cnf, &budget).expect("unlimited");
+        let cold = Session::cold(&cnf).solve(&budget).expect("unlimited");
         assert_eq!(
             incr.is_sat(),
-            fresh.is_sat(),
-            "verdict diverged (seed {seed}, {} clauses)",
+            !cnf.models(&universe).is_empty(),
+            "verdict wrong (seed {seed}, {} clauses)",
+            cnf.len()
+        );
+        assert_eq!(
+            incr.is_sat(),
+            cold.is_sat(),
+            "warm and cold diverged (seed {seed}, {} clauses)",
             cnf.len()
         );
         if let SatResult::Sat(m) = &incr {
@@ -97,27 +108,27 @@ fn run_script(seed: u64, shape: Shape) {
 
 fn run_batch(shape: Shape, base: u64) {
     set_check_proofs(true);
-    for seed in 0..50 {
+    for seed in 0..rowpoly_obs::cases(50) as u64 {
         run_script(base + seed, shape);
     }
 }
 
 #[test]
-fn twosat_scripts_agree_with_fresh() {
+fn twosat_scripts_agree_with_brute_force() {
     run_batch(Shape::TwoSat, 0x2541);
 }
 
 #[test]
-fn horn_scripts_agree_with_fresh() {
+fn horn_scripts_agree_with_brute_force() {
     run_batch(Shape::Horn, 0x4042);
 }
 
 #[test]
-fn dual_horn_scripts_agree_with_fresh() {
+fn dual_horn_scripts_agree_with_brute_force() {
     run_batch(Shape::DualHorn, 0x6743);
 }
 
 #[test]
-fn general_scripts_agree_with_fresh() {
+fn general_scripts_agree_with_brute_force() {
     run_batch(Shape::General, 0x8f44);
 }

@@ -6,8 +6,9 @@
 //! of `proptest` — the build environment has no crates.io access. Case
 //! counts scale with the `exhaustive` feature via `rowpoly_obs::cases`.
 
-use rowpoly_boolfun::sat::{solve_with, Engine};
-use rowpoly_boolfun::{classify, Clause, Cnf, Flag, FlagSet, Lit, SatClass};
+use rowpoly_boolfun::{
+    classify, Clause, Cnf, Flag, FlagSet, Lit, SatBudget, SatClass, SatResult, Session,
+};
 use rowpoly_obs::cases;
 use rowpoly_obs::rng::SplitMix64;
 use std::collections::BTreeSet;
@@ -36,6 +37,13 @@ fn universe() -> Vec<Flag> {
     (0..N).map(Flag).collect()
 }
 
+/// Solves `f` on a cold session with the engine of `class` forced.
+fn solve_as(f: &Cnf, class: SatClass) -> SatResult {
+    Session::cold(f)
+        .solve_as(class, &SatBudget::unlimited())
+        .expect("unlimited budget")
+}
+
 /// Every solver agrees with brute-force model enumeration.
 #[test]
 fn solvers_agree_with_brute_force() {
@@ -43,24 +51,20 @@ fn solvers_agree_with_brute_force() {
     for case in 0..cases(256) {
         let f = cnf(&mut rng, N, 14, 3);
         let brute = !f.models(&universe()).is_empty();
+        assert_eq!(f.is_sat(), brute, "case {case}: auto vs brute on {f:?}");
         assert_eq!(
-            solve_with(Engine::Auto, &f).is_sat(),
-            brute,
-            "case {case}: auto vs brute on {f:?}"
-        );
-        assert_eq!(
-            solve_with(Engine::Cdcl, &f).is_sat(),
+            solve_as(&f, SatClass::General).is_sat(),
             brute,
             "case {case}: cdcl vs brute on {f:?}"
         );
         match classify(&f) {
             SatClass::TwoSat => assert_eq!(
-                solve_with(Engine::TwoSat, &f).is_sat(),
+                solve_as(&f, SatClass::TwoSat).is_sat(),
                 brute,
                 "case {case}: twosat vs brute on {f:?}"
             ),
             SatClass::Horn => assert_eq!(
-                solve_with(Engine::Horn, &f).is_sat(),
+                solve_as(&f, SatClass::Horn).is_sat(),
                 brute,
                 "case {case}: horn vs brute on {f:?}"
             ),
@@ -75,7 +79,7 @@ fn models_are_models() {
     let mut rng = SplitMix64::seed_from_u64(0xB002);
     for _ in 0..cases(256) {
         let f = cnf(&mut rng, N, 14, 3);
-        if let rowpoly_boolfun::SatResult::Sat(m) = solve_with(Engine::Auto, &f) {
+        if let SatResult::Sat(m) = f.solve() {
             assert!(rowpoly_boolfun::sat::check_model(&f, &m), "{m:?} ⊭ {f:?}");
         }
     }

@@ -44,18 +44,6 @@ pub enum CheckPolicy {
     Final,
 }
 
-/// Which unifier backend computes most general unifiers.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Unifier {
-    /// Idempotent substitutions composed eagerly (the paper's
-    /// presentation; default).
-    Substitution,
-    /// Lazy binding maps resolved on demand, exported as a substitution
-    /// at the end (an ablation for the Section 6 substitution-cost
-    /// observation).
-    UnionFind,
-}
-
 /// Options controlling the flow inference.
 #[derive(Clone, Debug)]
 pub struct Options {
@@ -74,8 +62,6 @@ pub struct Options {
     /// the same version tag (the Section 6 optimisation). Disabled only
     /// by the `gci_versioning` ablation benchmark.
     pub env_versions: bool,
-    /// Unifier backend.
-    pub unifier: Unifier,
     /// CDCL step budget per SAT check (`None` = unlimited). With the
     /// default per-definition [`CheckPolicy`] this bounds the search a
     /// single definition may spend: only the general-CNF class — the
@@ -96,7 +82,6 @@ impl Default for Options {
             max_letrec_iters: 50,
             track_fields: true,
             env_versions: true,
-            unifier: Unifier::Substitution,
             sat_budget: None,
             cancel: None,
         }
@@ -113,13 +98,12 @@ impl Options {
     /// never which).
     pub fn fingerprint(&self) -> String {
         format!(
-            "compaction={:?};check={:?};letrec={};track={};envv={};unifier={:?};budget={:?}",
+            "compaction={:?};check={:?};letrec={};track={};envv={};budget={:?}",
             self.compaction,
             self.check,
             self.max_letrec_iters,
             self.track_fields,
             self.env_versions,
-            self.unifier,
             self.sat_budget,
         )
     }

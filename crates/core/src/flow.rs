@@ -24,7 +24,9 @@
 //! the clausal form of implication from the guard; this is what makes
 //! `when` require a general SAT solver.
 
-use rowpoly_boolfun::{Cnf, Flag, FlagAlloc, FlagSet, Lit, ProjectStats, SatResult};
+use rowpoly_boolfun::{
+    Cnf, Flag, FlagAlloc, FlagSet, Lit, ProjectStats, Proof, SatResult, UnsatProof,
+};
 use rowpoly_lang::{BinOp, Def, Expr, ExprKind, FieldName, Span, Symbol};
 use rowpoly_obs as obs;
 use rowpoly_obs::{Phase, PhaseClock};
@@ -169,10 +171,7 @@ impl FlowInfer {
     fn mgu(&mut self, pairs: Vec<(Ty, Ty)>, span: Span) -> Infer<Subst> {
         let _span = obs::span(Phase::Unify.name());
         self.clock.enter(Phase::Unify);
-        let r = match self.opts.unifier {
-            crate::config::Unifier::Substitution => mgu(pairs, &mut self.vars),
-            crate::config::Unifier::UnionFind => rowpoly_types::mgu_uf(pairs, &mut self.vars),
-        };
+        let r = mgu(pairs, &mut self.vars);
         self.clock.exit();
         self.counts.unify_calls += 1;
         r.map_err(|e| TypeError::new(TypeErrorKind::Unify(e), span))
@@ -524,56 +523,49 @@ impl FlowInfer {
                 ));
             }
         };
-        // Unsatisfiable: re-derive the conflict chain with a fresh
-        // solve (the error path is cold, and already re-solves with
-        // proof emission below), so the explanation does not depend on
-        // what the incremental session happened to learn first.
-        let result = if sat {
-            SatResult::Sat(rowpoly_boolfun::sat::Model::new())
-        } else {
-            self.beta.solve()
-        };
-        match result {
-            SatResult::Sat(_) => Ok(()),
-            SatResult::Unsat(chain) => {
-                // The error path is cold, so re-solve with proof emission:
-                // the checked unsat core names the β clauses the verdict
-                // rests on, and narrowing the conflict chain to the flags
-                // of the deletion-minimized core keeps the diagnostic to
-                // the minimal path.
-                let (proof_info, chain) = self.prove_conflict(chain);
-                // Identify the offending field from the conflict chain.
-                let field = field.or_else(|| {
-                    chain.iter().find_map(|l| match self.prov.get(l.flag()) {
-                        Some((_, FlagOrigin::FieldSelected(n))) => Some(*n),
-                        _ => None,
-                    })
-                });
-                let mut err = TypeError::new(TypeErrorKind::FieldMissing { field }, span);
-                err.notes = self.prov.explain(&chain);
-                // Present the path in source order: for straight-line
-                // record pipelines that reads as the paper's Observation 1
-                // narrative (created → added → removed → accessed).
-                err.notes.sort_by_key(|(span, _)| (span.start, span.end));
-                err.notes.dedup();
-                err.proof = proof_info;
-                Err(err)
-            }
+        if sat {
+            return Ok(());
         }
+        // Unsatisfiable: the error path is cold, so one cold proved solve
+        // gives both the conflict chain and the proof, independent of
+        // what the warm session happened to learn first. The checked
+        // unsat core names the β clauses the verdict rests on, and
+        // narrowing the chain to the flags of the deletion-minimized core
+        // keeps the diagnostic to the minimal path.
+        let solved = rowpoly_boolfun::Session::cold(&self.beta)
+            .solve_proved(&rowpoly_boolfun::SatBudget::unlimited());
+        let Ok((SatResult::Unsat(chain), Proof::Unsat(proof))) = solved else {
+            unreachable!("a cold solve of β agrees with the warm unsat verdict");
+        };
+        let (proof_info, chain) = self.prove_conflict(chain, &proof);
+        // Identify the offending field from the conflict chain.
+        let field = field.or_else(|| {
+            chain.iter().find_map(|l| match self.prov.get(l.flag()) {
+                Some((_, FlagOrigin::FieldSelected(n))) => Some(*n),
+                _ => None,
+            })
+        });
+        let mut err = TypeError::new(TypeErrorKind::FieldMissing { field }, span);
+        err.notes = self.prov.explain(&chain);
+        // Present the path in source order: for straight-line record
+        // pipelines that reads as the paper's Observation 1 narrative
+        // (created → added → removed → accessed).
+        err.notes.sort_by_key(|(span, _)| (span.start, span.end));
+        err.notes.dedup();
+        err.proof = Some(proof_info);
+        Err(err)
     }
 
-    /// Re-solves an unsatisfiable β with proof emission, minimizes the
-    /// unsat core, and filters the solver's conflict chain down to the
-    /// flags the minimized core mentions (falling back to the full chain
-    /// if the filter would erase it entirely — e.g. when every chain flag
-    /// is an expansion copy outside the core's clauses).
-    fn prove_conflict(&self, chain: Vec<Lit>) -> (Option<Box<crate::error::ProofInfo>>, Vec<Lit>) {
-        let (_, proof) = rowpoly_boolfun::solve_proved(&self.beta);
-        let Some(p) = proof.unsat() else {
-            // A budget-free re-solve of an unsat β cannot flip SAT; this
-            // arm only guards against an inconsistent solver.
-            return (None, chain);
-        };
+    /// Minimizes the unsat core of `p`, a refutation of β, and filters
+    /// the solver's conflict chain down to the flags the minimized core
+    /// mentions (falling back to the full chain if the filter would erase
+    /// it entirely — e.g. when every chain flag is an expansion copy
+    /// outside the core's clauses).
+    fn prove_conflict(
+        &self,
+        chain: Vec<Lit>,
+        p: &UnsatProof,
+    ) -> (Box<crate::error::ProofInfo>, Vec<Lit>) {
         let minimized = rowpoly_boolfun::minimize_core(&self.beta, &p.core);
         let core_flags: std::collections::HashSet<Flag> = minimized
             .iter()
@@ -604,7 +596,7 @@ impl FlowInfer {
             minimized_core_clauses: minimized,
             derivation_steps: p.steps.len(),
         };
-        (Some(Box::new(info)), chain)
+        (Box::new(info), chain)
     }
 
     fn check_eager(&mut self, span: Span, field: Option<FieldName>) -> Infer<()> {

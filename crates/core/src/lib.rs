@@ -54,7 +54,7 @@ pub mod hm;
 pub mod remy;
 pub mod smt;
 
-pub use config::{CheckPolicy, Compaction, Options, Stats, Unifier, SAT_CLASSES, SAT_CLASS_COUNT};
+pub use config::{CheckPolicy, Compaction, Options, Stats, SAT_CLASSES, SAT_CLASS_COUNT};
 pub use driver::{DefReport, ProgramReport, Session, SessionError};
 pub use error::{FlagOrigin, ProofInfo, Provenance, TypeError, TypeErrorKind};
 pub use flow::{alpha_eq_skeleton, FlowInfer, Infer};

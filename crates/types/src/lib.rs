@@ -38,7 +38,6 @@ mod pretty;
 mod subst;
 mod ty;
 mod unify;
-mod unify_uf;
 
 pub use applys::{apply_subst_flow, compact_flow, import_scheme, instantiate, ReplacedFlags};
 pub use env::{generalize, Binding, Scheme, TyEnv};
@@ -47,4 +46,3 @@ pub use pretty::{render_scheme, render_scheme_with_flow, render_ty};
 pub use subst::Subst;
 pub use ty::{FieldEntry, Row, RowTail, Ty, Var, VarAlloc, NO_FLAG};
 pub use unify::{mgu, unify, UnifyError};
-pub use unify_uf::mgu_uf;

@@ -55,32 +55,6 @@ impl Subst {
         self.row.iter().map(|(&v, r)| (v, r))
     }
 
-    /// Builds a substitution from already fully-resolved (idempotent)
-    /// binding maps. The caller guarantees that no right-hand side
-    /// mentions a bound variable; used by the union-find unifier's export
-    /// step.
-    pub(crate) fn from_resolved_parts(ty: HashMap<Var, Ty>, row: HashMap<Var, Row>) -> Subst {
-        let s = Subst { ty, row };
-        #[cfg(debug_assertions)]
-        {
-            let bound: Vec<Var> = s.ty.keys().chain(s.row.keys()).copied().collect();
-            for rhs in s.ty.values() {
-                debug_assert!(
-                    bound.iter().all(|&v| !rhs.mentions_var(v)),
-                    "resolved bindings must be idempotent: {rhs:?}"
-                );
-            }
-            for rhs in s.row.values() {
-                let t = Ty::Record(rhs.clone());
-                debug_assert!(
-                    bound.iter().all(|&v| !t.mentions_var(v)),
-                    "resolved row bindings must be idempotent: {rhs:?}"
-                );
-            }
-        }
-        s
-    }
-
     /// Builds a pure renaming `[a1/b1, …, an/bn]`, used for scheme
     /// instantiation. Whether each `ai` is a type or a row variable is not
     /// yet known, so the renaming is recorded in *both* sorts; application

@@ -7,7 +7,7 @@
 use rowpoly_lang::Symbol;
 use rowpoly_obs::cases;
 use rowpoly_obs::rng::SplitMix64;
-use rowpoly_types::{mgu, mgu_uf, unify, FieldEntry, RowTail, Subst, Ty, Var, VarAlloc, NO_FLAG};
+use rowpoly_types::{unify, FieldEntry, RowTail, Subst, Ty, Var, VarAlloc, NO_FLAG};
 
 const FIELD_POOL: [&str; 4] = ["a", "b", "c", "d"];
 
@@ -179,43 +179,5 @@ fn empty_subst_is_identity() {
     for _ in 0..cases(512) {
         let t = ty(&mut rng, 3);
         assert_eq!(Subst::new().apply(&t), t);
-    }
-}
-
-/// The substitution-composition and lazy-binding unifier backends
-/// agree: same verdict, and each backend's unifier unifies the inputs.
-#[test]
-fn unifier_backends_agree() {
-    let mut rng = SplitMix64::seed_from_u64(0x7109);
-    for _ in 0..cases(512) {
-        let (t1, t2) = pair(&mut rng);
-        let mut v1 = fresh_alloc();
-        let mut v2 = fresh_alloc();
-        let r_subst = mgu([(t1.clone(), t2.clone())], &mut v1);
-        let r_uf = mgu_uf([(t1.clone(), t2.clone())], &mut v2);
-        assert_eq!(
-            r_subst.is_ok(),
-            r_uf.is_ok(),
-            "verdicts differ on {t1:?} ~ {t2:?}: {r_subst:?} vs {r_uf:?}"
-        );
-        if let (Ok(s), Ok(u)) = (r_subst, r_uf) {
-            assert_eq!(s.apply(&t1).strip(), s.apply(&t2).strip());
-            assert_eq!(u.apply(&t1).strip(), u.apply(&t2).strip());
-        }
-    }
-}
-
-/// Unifiers from the lazy backend are idempotent too.
-#[test]
-fn uf_unifiers_are_idempotent() {
-    let mut rng = SplitMix64::seed_from_u64(0x710A);
-    for _ in 0..cases(512) {
-        let (t1, t2) = pair(&mut rng);
-        let mut vars = fresh_alloc();
-        if let Ok(s) = mgu_uf([(t1.clone(), t2.clone())], &mut vars) {
-            let probe = Ty::fun(t1.clone(), Ty::list(t2.clone()));
-            let once = s.apply(&probe);
-            assert_eq!(s.apply(&once), once);
-        }
     }
 }

@@ -13,6 +13,9 @@ cargo test --workspace -q
 echo "==> cargo test (checked proofs: every SAT verdict replayed)"
 ROWPOLY_CHECK_PROOFS=1 cargo test --workspace -q
 
+echo "==> boolfun suite, exhaustive sampling, checked proofs"
+ROWPOLY_CHECK_PROOFS=1 cargo test -p rowpoly-boolfun --release --features rowpoly-obs/exhaustive -q
+
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -95,25 +95,6 @@ fn perdef_compaction_reproduces_the_section_6_bug() {
     );
 }
 
-/// The two unifier backends agree on whole programs.
-#[test]
-fn unifier_backends_agree_on_programs() {
-    use rowpoly::core::Unifier;
-    let (program, _) = generate_with_lines(300, true, 13);
-    let subst = Session::default()
-        .infer_program(&program)
-        .expect("substitution backend");
-    let uf = Session::new(Options {
-        unifier: Unifier::UnionFind,
-        ..Options::default()
-    })
-    .infer_program(&program)
-    .expect("union-find backend");
-    for (a, b) in subst.defs.iter().zip(&uf.defs) {
-        assert_eq!(a.render(false), b.render(false), "def {}", a.name);
-    }
-}
-
 /// The environment-version ablation does not change results, only cost.
 #[test]
 fn env_version_ablation_preserves_verdicts() {

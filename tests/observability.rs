@@ -184,6 +184,9 @@ fn projection_engine_counters_are_recorded() {
 #[test]
 fn profiled_batch_trace_has_stable_worker_tracks() {
     use rowpoly::batch::{check_sources, BatchOptions, FileInput};
+    // The batch's inference writes to the global collector whenever a
+    // sibling test has collection enabled, so it serializes too.
+    let _g = lock();
 
     // Two files over a dependency chain each, so the run has several
     // groups and more than one wave.

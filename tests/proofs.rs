@@ -4,7 +4,7 @@
 //! `ProofChecker` replay (`ROWPOLY_CHECK_PROOFS=1` turns the whole
 //! engine into its own referee — a bogus proof panics inside the solver).
 
-use rowpoly::boolfun::{minimize_core, solve_proved, Clause, Cnf, Lit, ProofChecker};
+use rowpoly::boolfun::{minimize_core, Clause, Cnf, Lit, ProofChecker, SatBudget};
 use rowpoly::core::{CheckPolicy, Options, Session};
 use rowpoly::gen::{random_pipeline, FuzzParams};
 
@@ -127,7 +127,9 @@ fn minimized_core_is_strictly_smaller_than_beta() {
         clause(vec![Lit::pos(f(5)), Lit::neg(f(3))]),
         clause(vec![Lit::neg(f(1))]),
     ]);
-    let (res, proof) = solve_proved(&cnf);
+    let (res, proof) = rowpoly::boolfun::Session::cold(&cnf)
+        .solve_proved(&SatBudget::unlimited())
+        .expect("unlimited budget");
     assert!(!res.is_sat());
     let unsat = proof.unsat().expect("unsat proof");
     ProofChecker::check(&cnf, &proof).expect("proof replays");

@@ -2,9 +2,16 @@
 //! classes, verified on the formulas whole programs actually generate,
 //! plus cross-solver agreement on those formulas.
 
-use rowpoly::boolfun::sat::{solve_with, Engine};
-use rowpoly::boolfun::{classify, Cnf, Flag, Lit, SatClass};
+use rowpoly::boolfun::{classify, Cnf, Flag, Lit, SatBudget, SatClass};
 use rowpoly::core::Session;
+
+/// Decides `cnf` on a cold SAT session with the engine of `class` forced.
+fn sat_as(class: SatClass, cnf: &Cnf) -> bool {
+    rowpoly::boolfun::Session::cold(cnf)
+        .solve_as(class, &SatBudget::unlimited())
+        .expect("unlimited budget")
+        .is_sat()
+}
 
 fn class_of(src: &str) -> SatClass {
     Session::default()
@@ -94,15 +101,15 @@ fn solvers_agree_on_inference_formula_families() {
     }
 
     for (i, cnf) in cases.iter().enumerate() {
-        let auto = solve_with(Engine::Auto, cnf).is_sat();
-        let cdcl = solve_with(Engine::Cdcl, cnf).is_sat();
+        let auto = cnf.is_sat();
+        let cdcl = sat_as(SatClass::General, cnf);
         assert_eq!(auto, cdcl, "case {i} disagrees: {cnf:?}");
         match classify(cnf) {
             SatClass::TwoSat => {
-                assert_eq!(solve_with(Engine::TwoSat, cnf).is_sat(), cdcl, "case {i}");
+                assert_eq!(sat_as(SatClass::TwoSat, cnf), cdcl, "case {i}");
             }
             SatClass::Horn => {
-                assert_eq!(solve_with(Engine::Horn, cnf).is_sat(), cdcl, "case {i}");
+                assert_eq!(sat_as(SatClass::Horn, cnf), cdcl, "case {i}");
             }
             _ => {}
         }
