@@ -32,12 +32,11 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use rowpoly_boolfun::SatClass;
+use rowpoly_core::DefReport;
 use rowpoly_lang::Symbol;
 use rowpoly_obs::contention::LockTimer;
 use rowpoly_obs::json::{self, Json};
 use rowpoly_obs::MemSite;
-use rowpoly_types::Scheme;
 
 use crate::codec;
 
@@ -47,21 +46,10 @@ const FORMAT: &str = "rowpoly-batch-cache-v1";
 /// File name inside the cache directory.
 pub const CACHE_FILE: &str = "cache.json";
 
-/// One cached definition outcome: the closed scheme and its SAT class.
-#[derive(Clone, Debug)]
-pub struct CachedDef {
-    /// Definition name.
-    pub name: Symbol,
-    /// The closed scheme (safe to instantiate from any engine).
-    pub scheme: Scheme,
-    /// SAT class of the closed flow.
-    pub sat_class: SatClass,
-}
-
 /// An in-memory view of the persistent cache.
 #[derive(Debug, Default)]
 pub struct Cache {
-    entries: BTreeMap<u64, Vec<CachedDef>>,
+    entries: BTreeMap<u64, Vec<DefReport>>,
     touched: BTreeSet<u64>,
     /// Lookups that found an entry.
     pub hits: u64,
@@ -102,27 +90,11 @@ impl Cache {
         cache
     }
 
-    /// Computes a group's cache key from its rendered content.
-    pub fn key(options_fingerprint: &str, group_source: &str, deps: &[(Symbol, Scheme)]) -> u64 {
-        let rendered: Vec<(Symbol, String)> = deps
-            .iter()
-            .map(|(name, scheme)| (*name, codec::scheme_to_json(scheme).render()))
-            .collect();
-        let refs: Vec<(Symbol, &str)> = rendered.iter().map(|(n, s)| (*n, s.as_str())).collect();
-        Cache::key_prerendered(options_fingerprint, group_source, &refs)
-    }
-
-    /// [`Cache::key`] over dependency schemes that are already rendered
-    /// to their canonical JSON. The batch pipeline renders each closed
-    /// scheme once when its group publishes and hashes the stored
-    /// string per dependent, instead of re-serialising every scheme
-    /// for every dependent group; keys are identical to [`Cache::key`]
-    /// by construction (it delegates here).
-    pub fn key_prerendered(
-        options_fingerprint: &str,
-        group_source: &str,
-        deps: &[(Symbol, &str)],
-    ) -> u64 {
+    /// Computes a group's cache key from its pretty-printed members
+    /// and its dependencies' closed schemes, already rendered to their
+    /// canonical JSON (each dependency renders once, however many
+    /// dependents key on it).
+    pub fn key(options_fingerprint: &str, group_source: &str, deps: &[(Symbol, &str)]) -> u64 {
         let mut h = FxHash64::default();
         h.write(FORMAT.as_bytes());
         h.write(options_fingerprint.as_bytes());
@@ -135,7 +107,7 @@ impl Cache {
     }
 
     /// Looks up a key, counting the hit or miss.
-    pub fn lookup(&mut self, key: u64) -> Option<Vec<CachedDef>> {
+    pub fn lookup(&mut self, key: u64) -> Option<Vec<DefReport>> {
         match self.entries.get(&key) {
             Some(defs) => {
                 self.hits += 1;
@@ -150,7 +122,7 @@ impl Cache {
     }
 
     /// Stores a fully-successful group outcome.
-    pub fn insert(&mut self, key: u64, defs: Vec<CachedDef>) {
+    pub fn insert(&mut self, key: u64, defs: Vec<DefReport>) {
         self.touched.insert(key);
         self.entries.insert(key, defs);
     }
@@ -267,13 +239,13 @@ impl Sharded {
     }
 
     /// Looks up a key in its stripe, counting the hit or miss there.
-    pub fn lookup(&self, key: u64) -> Option<Vec<CachedDef>> {
+    pub fn lookup(&self, key: u64) -> Option<Vec<DefReport>> {
         let _mem = CACHE_MEM.scope();
         self.stripe(key).lookup(key)
     }
 
     /// Stores a fully-successful group outcome in the key's stripe.
-    pub fn insert(&self, key: u64, defs: Vec<CachedDef>) {
+    pub fn insert(&self, key: u64, defs: Vec<DefReport>) {
         let _mem = CACHE_MEM.scope();
         self.stripe(key).insert(key, defs);
     }
@@ -316,7 +288,7 @@ fn stripe_of(key: u64) -> usize {
     (key >> (64 - STRIPES.trailing_zeros())) as usize
 }
 
-fn encode_entry(key: u64, defs: &[CachedDef]) -> Json {
+fn encode_entry(key: u64, defs: &[DefReport]) -> Json {
     Json::obj(vec![
         ("key", Json::Str(format!("{key:016x}"))),
         (
@@ -336,14 +308,14 @@ fn encode_entry(key: u64, defs: &[CachedDef]) -> Json {
     ])
 }
 
-fn decode_entry(entry: &Json) -> Option<Vec<CachedDef>> {
+fn decode_entry(entry: &Json) -> Option<Vec<DefReport>> {
     let defs = entry.get("defs")?.as_arr()?;
     let mut out = Vec::with_capacity(defs.len());
     for d in defs {
         let name = Symbol::intern(d.get("name")?.as_str()?);
         let sat_class = codec::sat_class_from_json(d.get("class")?).ok()?;
         let scheme = codec::scheme_from_json(d.get("scheme")?).ok()?;
-        out.push(CachedDef {
+        out.push(DefReport {
             name,
             scheme,
             sat_class,
@@ -392,10 +364,11 @@ impl FxHash64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rowpoly_types::Ty;
+    use rowpoly_boolfun::SatClass;
+    use rowpoly_types::{Scheme, Ty};
 
-    fn defs() -> Vec<CachedDef> {
-        vec![CachedDef {
+    fn defs() -> Vec<DefReport> {
+        vec![DefReport {
             name: Symbol::intern("one"),
             scheme: Scheme::new(vec![], Ty::Int),
             sat_class: SatClass::Trivial,
@@ -404,15 +377,14 @@ mod tests {
 
     #[test]
     fn keys_separate_source_options_and_deps() {
-        let dep = (Symbol::intern("d"), Scheme::new(vec![], Ty::Int));
-        let dep2 = (Symbol::intern("d"), Scheme::new(vec![], Ty::Str));
-        let base = Cache::key("fp", "def a = 1", std::slice::from_ref(&dep));
-        assert_ne!(
-            base,
-            Cache::key("fp", "def a = 2", std::slice::from_ref(&dep))
-        );
-        assert_ne!(base, Cache::key("fp2", "def a = 1", &[dep]));
-        assert_ne!(base, Cache::key("fp", "def a = 1", &[dep2]));
+        let json = |ty| codec::scheme_to_json(&Scheme::new(vec![], ty)).render();
+        let (int, string) = (json(Ty::Int), json(Ty::Str));
+        let dep = [(Symbol::intern("d"), int.as_str())];
+        let dep2 = [(Symbol::intern("d"), string.as_str())];
+        let base = Cache::key("fp", "def a = 1", &dep);
+        assert_ne!(base, Cache::key("fp", "def a = 2", &dep));
+        assert_ne!(base, Cache::key("fp2", "def a = 1", &dep));
+        assert_ne!(base, Cache::key("fp", "def a = 1", &dep2));
         assert_ne!(base, Cache::key("fp", "def a = 1", &[]));
     }
 

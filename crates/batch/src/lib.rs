@@ -11,7 +11,9 @@
 //! * [`cache`] keys each group by the content that determines its
 //!   outcome — pretty-printed source, options, and the closed schemes
 //!   of its dependencies — and persists results across runs;
-//! * [`rowpoly_core::DefJob`] (the per-group unit of work) honours a
+//! * [`step`] is how one group gets its verdicts — gather dependency
+//!   schemes, key, replay or infer, hand back the entry to store. The
+//!   serve daemon takes the same step. Inference honours a
 //!   per-definition SAT step budget, so one pathological definition
 //!   degrades to a `timeout` verdict while the rest of the batch
 //!   completes.
@@ -42,24 +44,23 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use rowpoly_boolfun::SatClass;
-use rowpoly_core::{
-    group_source_into, run_group_spec, DefVerdict, EngineScratch, GroupSpec, Options,
-};
-use rowpoly_lang::{parse_program, Program, Symbol};
+use rowpoly_core::{DefReport, DefVerdict, Options};
+use rowpoly_lang::{parse_program, Program};
 use rowpoly_obs as obs;
 use rowpoly_obs::json::Json;
 use rowpoly_obs::timeline::{JobRecord, Profiler, WorkerTimeline};
-use rowpoly_types::Scheme;
 
 pub mod cache;
 pub mod codec;
 pub mod graph;
 pub mod pool;
 pub mod profile;
+pub mod step;
 
-use cache::{Cache, CachedDef, Sharded};
+use cache::Sharded;
 use graph::ProgramGraph;
 use profile::ProfileReport;
+use step::{Answer, GroupResult, GroupStep, Lookup, StepScratch};
 
 /// Batch configuration.
 #[derive(Clone, Debug)]
@@ -515,46 +516,6 @@ struct ParsedFile {
     job_base: usize,
 }
 
-/// One group's outcome, published for dependent jobs.
-struct GroupResult {
-    /// `(def index, verdict)` per member, in group order.
-    items: Vec<(usize, DefVerdict)>,
-    /// Canonical JSON of each `Ok` member's closed scheme, aligned
-    /// with `items`. Rendered once when the group publishes (and only
-    /// when a cache is in play) so every dependent hashes its cache
-    /// key from these strings instead of re-serialising the schemes.
-    scheme_json: Vec<Option<String>>,
-}
-
-impl GroupResult {
-    /// Publishes `items`, pre-rendering the closed schemes' JSON when
-    /// `render` is set (i.e. when dependents will compute cache keys).
-    fn publish(items: Vec<(usize, DefVerdict)>, render: bool) -> GroupResult {
-        let scheme_json = if render {
-            items
-                .iter()
-                .map(|(_, v)| {
-                    v.report()
-                        .map(|r| codec::scheme_to_json(&r.scheme).render())
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        GroupResult { items, scheme_json }
-    }
-}
-
-/// Per-worker scratch threaded through the pool: reusable engine
-/// allocations plus the content-key string buffer. Nothing in here
-/// affects results — only allocation traffic.
-#[derive(Default)]
-struct WorkerScratch {
-    engine: EngineScratch,
-    /// Buffer for the pretty-printed group source (the content key).
-    content: String,
-}
-
 /// Checks a batch of in-memory sources. This is the whole engine; the
 /// CLI's `check` command is a thin wrapper that reads files into
 /// [`FileInput`]s and renders the result.
@@ -627,7 +588,7 @@ pub fn check_sources(mut inputs: Vec<FileInput>, options: &BatchOptions) -> Batc
         &deps,
         threads,
         profiler.as_ref(),
-        |_| WorkerScratch::default(),
+        |_| StepScratch::default(),
         |j, ws, tl| {
             let (f, g) = jobs[j];
             let pf = parsed[f].as_ref().expect("jobs index parsed files");
@@ -718,9 +679,11 @@ fn group_label(pf: &ParsedFile, group: &graph::Group) -> String {
     format!("{}:{}", pf.path, names.join("+"))
 }
 
-/// Runs (or replays) one definition group. `job` is the group's global
-/// scheduler id; `ws` is the executing worker's private scratch; `tl`
-/// is its timeline (inert unless profiling).
+/// Runs (or replays) one definition group through the shared
+/// [`step`], counting cache hits and storing fresh all-ok entries.
+/// `job` is the group's global scheduler id; `scratch` is the executing
+/// worker's private scratch; `tl` is its timeline (inert unless
+/// profiling).
 #[allow(clippy::too_many_arguments)]
 fn run_group(
     pf: &ParsedFile,
@@ -730,14 +693,45 @@ fn run_group(
     cache: Option<&Sharded>,
     fingerprint: &str,
     options: &BatchOptions,
-    ws: &mut WorkerScratch,
+    scratch: &mut StepScratch,
     tl: &mut WorkerTimeline,
 ) -> GroupResult {
     let group = &pf.graph.groups[g];
     tl.begin_with(|| group_label(pf, group));
     let start_ns = tl.now_ns();
-    let (result, cached, phases) =
-        run_group_inner(pf, group, results, cache, fingerprint, options, ws, tl);
+    let step = GroupStep {
+        program: &pf.program,
+        graph: &pf.graph,
+        group: g,
+        opts: &options.opts,
+        fingerprint,
+    };
+    let mut lookup = |key, fits: &dyn Fn(&[DefReport]) -> bool| {
+        let defs = cache?.lookup(key).filter(|defs| fits(defs))?;
+        Some((Answer::Disk, defs))
+    };
+    let out = step.run(
+        |d| {
+            results[pf.job_base + d]
+                .get()
+                .expect("dependency not finished")
+        },
+        cache.map(|_| &mut lookup as &mut Lookup),
+        scratch,
+    );
+    match (out.result.answer, cache) {
+        (Answer::Disk, _) => {
+            obs::counter_add("batch.cache.hits", 1);
+            tl.instant("cache-hit");
+        }
+        (Answer::Recomputed, Some(cache)) => {
+            obs::counter_add("batch.cache.misses", 1);
+            if let Some((key, defs)) = out.store {
+                cache.insert(key, defs);
+            }
+        }
+        _ => {}
+    }
     let end_ns = tl.now_ns();
     tl.end();
     if tl.enabled() {
@@ -746,138 +740,11 @@ fn run_group(
             label: group_label(pf, group),
             start_ns,
             end_ns,
-            cached,
-            phases,
+            cached: out.result.answer.is_hit(),
+            phases: out.phases,
         });
     }
-    result
-}
-
-/// The body of [`run_group`]; returns the result plus the profile
-/// attributes (replayed-from-cache flag, inference-phase breakdown).
-#[allow(clippy::too_many_arguments)]
-fn run_group_inner(
-    pf: &ParsedFile,
-    group: &graph::Group,
-    results: &[OnceLock<GroupResult>],
-    cache: Option<&Sharded>,
-    fingerprint: &str,
-    options: &BatchOptions,
-    ws: &mut WorkerScratch,
-    tl: &mut WorkerTimeline,
-) -> (GroupResult, bool, Vec<(&'static str, u64)>) {
-    // Collect dependency schemes from already-finished groups — by
-    // reference: nothing is cloned unless the group actually has to
-    // run. The pool guarantees dependencies completed; a failed one
-    // poisons this group into `Skipped`.
-    let render = cache.is_some();
-    let mut dep_schemes: Vec<(Symbol, &Scheme)> = Vec::with_capacity(group.deps.len());
-    let mut dep_json: Vec<(Symbol, &str)> =
-        Vec::with_capacity(if render { group.deps.len() } else { 0 });
-    for (&name, &def_idx) in &group.deps {
-        let dep_job = pf.job_base + pf.graph.group_of[def_idx];
-        let dep_result = results[dep_job].get().expect("dependency not finished");
-        let pos = dep_result
-            .items
-            .iter()
-            .position(|(i, _)| *i == def_idx)
-            .expect("dependency definition missing from its group");
-        match &dep_result.items[pos].1 {
-            DefVerdict::Ok(report) => {
-                dep_schemes.push((name, &report.scheme));
-                if render {
-                    let json = dep_result.scheme_json[pos]
-                        .as_deref()
-                        .expect("Ok member published without scheme JSON");
-                    dep_json.push((name, json));
-                }
-            }
-            _ => {
-                let items = group
-                    .def_indices
-                    .iter()
-                    .map(|&i| (i, DefVerdict::Skipped { after: name }))
-                    .collect();
-                return (GroupResult::publish(items, render), false, Vec::new());
-            }
-        }
-    }
-
-    // Content-addressed lookup: options + pretty-printed group source +
-    // dependency schemes (hashed from the JSON their groups already
-    // rendered — nothing is re-serialised here).
-    let mut key = None;
-    if let Some(cache) = cache {
-        group_source_into(&mut ws.content, &pf.program, &group.def_indices);
-        let k = Cache::key_prerendered(fingerprint, &ws.content, &dep_json);
-        if let Some(cached) = cache.lookup(k) {
-            if let Some(items) = replay(group, &cached, pf) {
-                obs::counter_add("batch.cache.hits", 1);
-                tl.instant("cache-hit");
-                return (GroupResult::publish(items, render), true, Vec::new());
-            }
-            // Undecodable or mismatched entry: fall through and re-run.
-        }
-        obs::counter_add("batch.cache.misses", 1);
-        key = Some(k);
-    }
-
-    let spec = GroupSpec {
-        opts: &options.opts,
-        program: &pf.program,
-        def_indices: &group.def_indices,
-        deps: &dep_schemes,
-        free_names: Some(&group.free_names),
-    };
-    let outcome = run_group_spec(&spec, &mut ws.engine);
-    let phases = outcome.stats.phase_durations();
-
-    if outcome.all_ok() {
-        if let (Some(cache), Some(key)) = (cache, key) {
-            let defs = outcome
-                .items
-                .iter()
-                .map(|(_, v)| {
-                    let report = v.report().expect("all_ok");
-                    CachedDef {
-                        name: report.name,
-                        scheme: report.scheme.clone(),
-                        sat_class: report.sat_class,
-                    }
-                })
-                .collect();
-            cache.insert(key, defs);
-        }
-    }
-    (GroupResult::publish(outcome.items, render), false, phases)
-}
-
-/// Rebuilds a group's verdicts from a cache entry. Returns `None` when
-/// the entry does not line up with the program (hash collision or a
-/// stale decode) — the caller then re-infers.
-fn replay(
-    group: &graph::Group,
-    cached: &[CachedDef],
-    pf: &ParsedFile,
-) -> Option<Vec<(usize, DefVerdict)>> {
-    if cached.len() != group.def_indices.len() {
-        return None;
-    }
-    let mut items = Vec::with_capacity(cached.len());
-    for (&i, c) in group.def_indices.iter().zip(cached) {
-        if pf.program.defs[i].name != c.name {
-            return None;
-        }
-        items.push((
-            i,
-            DefVerdict::Ok(rowpoly_core::DefReport {
-                name: c.name,
-                scheme: c.scheme.clone(),
-                sat_class: c.sat_class,
-            }),
-        ));
-    }
-    Some(items)
+    out.result
 }
 
 /// Sews the per-group results back into per-file, source-ordered
@@ -919,13 +786,7 @@ fn assemble(
                 let mut defs = Vec::with_capacity(pf.program.defs.len());
                 for (i, def) in pf.program.defs.iter().enumerate() {
                     let job = pf.job_base + pf.graph.group_of[i];
-                    let result = results[job].get().expect("group never ran");
-                    let verdict = result
-                        .items
-                        .iter()
-                        .find(|(idx, _)| *idx == i)
-                        .map(|(_, v)| v)
-                        .expect("definition missing from its group");
+                    let verdict = results[job].get().expect("group never ran").verdict(i);
                     stats.defs += 1;
                     let rendered = match verdict {
                         DefVerdict::Ok(report) => {

@@ -123,17 +123,6 @@ pub(crate) struct ClauseDb {
     /// Set once the empty clause is derived; the database then denotes
     /// `⊥` and all further work is skipped.
     unsat: bool,
-    /// When tracing, `origins[slot]` is the sorted set of *pre-projection*
-    /// clause ids (indices into the caller's clause vector) whose
-    /// conjunction entails the clause in that slot. Initial clauses carry
-    /// their own id; a resolvent carries the union of its parents'
-    /// origins; subsumption only ever drops clauses, so the invariant is
-    /// preserved without touching the survivors. Empty and unused when
-    /// tracing is off.
-    origins: Vec<Vec<u32>>,
-    /// Origins of the derived empty clause, when `unsat` and tracing.
-    unsat_origins: Vec<u32>,
-    tracing: bool,
     pub(crate) stats: ProjectStats,
 }
 
@@ -166,21 +155,8 @@ impl ClauseDb {
             sigs: Vec::new(),
             occ: LitMap::default(),
             unsat: false,
-            origins: Vec::new(),
-            unsat_origins: Vec::new(),
-            tracing: false,
             stats: ProjectStats::default(),
         }
-    }
-
-    /// An empty database with origin tracing enabled: every stored
-    /// clause remembers which pre-projection clauses entail it, so a
-    /// post-projection unsat core can be mapped back to input clause
-    /// ids. Initial clauses go in via [`ClauseDb::attach_traced`].
-    pub(crate) fn traced() -> ClauseDb {
-        let mut db = ClauseDb::empty();
-        db.tracing = true;
-        db
     }
 
     /// Whether the database has derived the empty clause.
@@ -218,22 +194,13 @@ impl ClauseDb {
     /// candidates are drawn from the occurrence lists of the clause's
     /// own literals and filtered by signature before any literal-level
     /// comparison.
-    #[cfg(test)]
     pub(crate) fn insert(&mut self, c: Clause) {
-        self.insert_with(c, Vec::new());
-    }
-
-    /// [`ClauseDb::insert`] carrying the clause's origin set (ignored
-    /// unless tracing). A clause dropped by forward subsumption sheds
-    /// its origins — the surviving subsumer is entailed by its own.
-    fn insert_with(&mut self, c: Clause, org: Vec<u32>) {
         if self.unsat {
             return;
         }
         if c.is_empty() {
             // ⊥ subsumes the whole database.
             self.unsat = true;
-            self.unsat_origins = org;
             return;
         }
         let sig = sig_of(&c);
@@ -297,23 +264,13 @@ impl ClauseDb {
             self.remove(s as usize);
             self.stats.subsumed += 1;
         }
-        self.attach_with(c, org);
+        self.attach(c);
     }
 
     /// Registers a clause in the slot table and occurrence lists with no
     /// subsumption checks. See [`ClauseDb::new`] for why the initial set
     /// is attached rather than inserted.
     pub(crate) fn attach(&mut self, c: Clause) {
-        self.attach_with(c, Vec::new());
-    }
-
-    /// [`ClauseDb::attach`] for an initial clause under tracing: its
-    /// origin set is the singleton of its own pre-projection id.
-    pub(crate) fn attach_traced(&mut self, c: Clause, origin: u32) {
-        self.attach_with(c, vec![origin]);
-    }
-
-    fn attach_with(&mut self, c: Clause, org: Vec<u32>) {
         let id = self.slots.len() as u32;
         for &l in c.lits() {
             let o = self.occ.entry(l).or_default();
@@ -322,72 +279,33 @@ impl ClauseDb {
         }
         self.sigs.push(sig_of(&c));
         self.slots.push(Some(c));
-        if self.tracing {
-            self.origins.push(org);
-        }
     }
 
     /// Tombstones a slot, keeping occurrence counts exact. The slot id
     /// stays in the occurrence lists until they are next walked.
-    fn remove(&mut self, slot: usize) -> Option<(Clause, Vec<u32>)> {
+    fn remove(&mut self, slot: usize) -> Option<Clause> {
         let c = self.slots[slot].take()?;
         for &l in c.lits() {
             if let Some(o) = self.occ.get_mut(&l) {
                 o.live -= 1;
             }
         }
-        let org = if self.tracing {
-            std::mem::take(&mut self.origins[slot])
-        } else {
-            Vec::new()
-        };
-        Some((c, org))
+        Some(c)
     }
 
-    /// Detaches (removes and returns) every live clause containing `l`
-    /// together with its origin set (empty unless tracing), compacting
-    /// the occurrence list on the way.
-    fn detach(&mut self, l: Lit) -> Vec<(Clause, Vec<u32>)> {
+    /// Detaches (removes and returns) every live clause containing `l`,
+    /// compacting the occurrence list on the way.
+    fn detach(&mut self, l: Lit) -> Vec<Clause> {
         let slots = match self.occ.get_mut(&l) {
             Some(o) => std::mem::take(&mut o.slots),
             None => return Vec::new(),
         };
         let mut out = Vec::with_capacity(slots.len());
         for s in slots {
-            if let Some(pair) = self.remove(s as usize) {
-                out.push(pair);
+            if let Some(c) = self.remove(s as usize) {
+                out.push(c);
             }
         }
-        out
-    }
-
-    /// Union of two sorted origin sets; empty (no allocation) unless
-    /// tracing.
-    fn union_origins(&self, a: &[u32], b: &[u32]) -> Vec<u32> {
-        if !self.tracing {
-            return Vec::new();
-        }
-        let mut out = Vec::with_capacity(a.len() + b.len());
-        let (mut i, mut j) = (0, 0);
-        while i < a.len() && j < b.len() {
-            match a[i].cmp(&b[j]) {
-                std::cmp::Ordering::Less => {
-                    out.push(a[i]);
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    out.push(b[j]);
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    out.push(a[i]);
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        out.extend_from_slice(&a[i..]);
-        out.extend_from_slice(&b[j..]);
         out
     }
 
@@ -409,7 +327,7 @@ impl ClauseDb {
         // pivot can be spliced out of the implication graph; wider
         // clauses (symmetric concat, `when` guards) need general
         // resolution.
-        let binary_only = pos.iter().chain(&neg).all(|(c, _)| c.len() <= 2);
+        let binary_only = pos.iter().chain(&neg).all(|c| c.len() <= 2);
         if binary_only {
             self.stats.fastpath += 1;
         } else {
@@ -426,33 +344,28 @@ impl ClauseDb {
             let other = |c: &Clause, pivot: Lit| -> Option<Lit> {
                 c.lits().iter().copied().find(|&l| l != pivot)
             };
-            for (pc, porg) in &pos {
+            for pc in &pos {
                 let p = other(pc, Lit::pos(f));
-                for (sc, sorg) in &neg {
+                for sc in &neg {
                     let s = other(sc, Lit::neg(f));
                     match (p, s) {
                         (None, None) => {
                             self.stats.resolvents += 1;
                             self.unsat = true;
-                            self.unsat_origins = self.union_origins(porg, sorg);
                             return;
                         }
                         (Some(x), None) | (None, Some(x)) => {
                             self.stats.resolvents += 1;
-                            let org = self.union_origins(porg, sorg);
-                            self.insert_with(Clause::unit(x), org);
+                            self.insert(Clause::unit(x));
                         }
                         (Some(x), Some(y)) if x == y => {
                             self.stats.resolvents += 1;
-                            let org = self.union_origins(porg, sorg);
-                            self.insert_with(Clause::unit(x), org);
+                            self.insert(Clause::unit(x));
                         }
                         (Some(x), Some(y)) => {
                             if x != y.negate() {
                                 self.stats.resolvents += 1;
-                                let c = Clause::binary(x, y).expect("x ≠ ¬y");
-                                let org = self.union_origins(porg, sorg);
-                                self.insert_with(c, org);
+                                self.insert(Clause::binary(x, y).expect("x ≠ ¬y"));
                             }
                         }
                     }
@@ -462,12 +375,11 @@ impl ClauseDb {
                 }
             }
         } else {
-            for (p, porg) in &pos {
-                for (n, norg) in &neg {
+            for p in &pos {
+                for n in &neg {
                     if let Some(r) = p.resolve(n, Lit::pos(f)) {
                         self.stats.resolvents += 1;
-                        let org = self.union_origins(porg, norg);
-                        self.insert_with(r, org);
+                        self.insert(r);
                     }
                     if self.unsat {
                         return;
@@ -483,26 +395,6 @@ impl ClauseDb {
             return vec![Clause::empty()];
         }
         self.slots.into_iter().flatten().collect()
-    }
-
-    /// Drains the live clauses together with their origin sets. On an
-    /// unsat database the single empty clause carries the origins of the
-    /// conflict, so the caller's unsat core is already a subset of the
-    /// *input* clause ids.
-    pub(crate) fn into_clauses_traced(self) -> (Vec<Clause>, Vec<Vec<u32>>) {
-        debug_assert!(self.tracing, "into_clauses_traced on an untraced db");
-        if self.unsat {
-            return (vec![Clause::empty()], vec![self.unsat_origins]);
-        }
-        let mut clauses = Vec::new();
-        let mut origins = Vec::new();
-        for (slot, org) in self.slots.into_iter().zip(self.origins) {
-            if let Some(c) = slot {
-                clauses.push(c);
-                origins.push(org);
-            }
-        }
-        (clauses, origins)
     }
 }
 

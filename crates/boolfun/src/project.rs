@@ -21,14 +21,12 @@ use crate::lit::{Flag, FlagSet, Lit};
 
 /// Attribution site for bytes allocated by the occurrence-indexed
 /// [`ClauseDb`] — slot table, occurrence lists, signatures, resolvents
-/// (see `rowpoly-obs::mem`). Covers both the plain and traced
-/// projection entry points.
+/// (see `rowpoly-obs::mem`).
 static CLAUSE_DB_MEM: obs::MemSite = obs::MemSite::new("boolfun.clause_db");
 
 /// Drives a [`ClauseDb`] through the elimination worklist, cheapest
-/// pivot first under a lazily revalidated greedy order. Shared by the
-/// plain and origin-traced projection entry points; `worklist` must be
-/// sorted and deduplicated.
+/// pivot first under a lazily revalidated greedy order. `worklist`
+/// must be sorted and deduplicated.
 ///
 /// Almost every call eliminates a handful of flags from a small touched
 /// set, where an argmin scan over a vector of cached counts beats any
@@ -155,93 +153,6 @@ impl Cnf {
         } else {
             self.eliminate_where(|f| dead.binary_search(&f).is_ok())
         }
-    }
-
-    /// [`Cnf::project_out_sorted`] with clause-lineage tracing: also
-    /// returns, parallel to the resulting clause vector, the sorted
-    /// sets of *pre-projection* clause indices (into `self.clauses()`
-    /// as it stood at call time) whose conjunction entails each
-    /// surviving clause. An unsat core computed over the projected
-    /// formula therefore maps back to an unsatisfiable subset of the
-    /// original clauses by unioning the origin sets of its members; if
-    /// projection itself derives `⊥`, the single empty clause carries
-    /// the origins of the conflict.
-    ///
-    /// Tracing pays for an origin-set union on every resolvent, so the
-    /// hot inference paths keep using the untraced [`Cnf::project_out`];
-    /// this entry point serves diagnostics that must explain a
-    /// post-projection verdict in terms of pre-projection clause ids.
-    pub fn project_out_traced(&mut self, dead: &[Flag]) -> (ProjectStats, Vec<Vec<u32>>) {
-        debug_assert!(dead.windows(2).all(|w| w[0] < w[1]), "sorted + deduped");
-        let _mem = CLAUSE_DB_MEM.scope();
-        let is_dead = |f: Flag| dead.binary_search(&f).is_ok();
-        let mut passive: Vec<(Clause, u32)> = Vec::new();
-        let mut db = ClauseDb::traced();
-        let mut touched = 0usize;
-        let mut worklist: Vec<Flag> = Vec::new();
-        for (i, c) in std::mem::take(&mut self.clauses).into_iter().enumerate() {
-            let mut hit = false;
-            for l in c.lits() {
-                if is_dead(l.flag()) {
-                    hit = true;
-                    worklist.push(l.flag());
-                }
-            }
-            if hit {
-                db.attach_traced(c, i as u32);
-                touched += 1;
-            } else {
-                passive.push((c, i as u32));
-            }
-        }
-        if touched == 0 {
-            // Order preserved, every clause its own origin.
-            let mut origins = Vec::with_capacity(passive.len());
-            self.clauses = passive
-                .into_iter()
-                .map(|(c, i)| {
-                    origins.push(vec![i]);
-                    c
-                })
-                .collect();
-            return (ProjectStats::default(), origins);
-        }
-        worklist.sort_unstable();
-        worklist.dedup();
-        run_elimination(&mut db, worklist);
-        let stats = db.stats;
-        if db.is_unsat() {
-            let (clauses, origins) = db.into_clauses_traced();
-            self.clauses = clauses;
-            self.normalized = true;
-            self.note_structural_change();
-            self.record_obs(&stats);
-            return (stats, origins);
-        }
-        let (fresh, fresh_origins) = db.into_clauses_traced();
-        // Origins must travel with their clauses through the final
-        // renormalisation, so sort pairs instead of the linear
-        // `merge_dedup` of the untraced engine. On a duplicate the
-        // first pair survives — either origin set entails the clause.
-        let mut pairs: Vec<(Clause, Vec<u32>)> = passive
-            .into_iter()
-            .map(|(c, i)| (c, vec![i]))
-            .chain(fresh.into_iter().zip(fresh_origins))
-            .collect();
-        pairs.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        pairs.dedup_by(|a, b| a.0 == b.0);
-        let mut origins = Vec::with_capacity(pairs.len());
-        self.clauses = pairs
-            .into_iter()
-            .map(|(c, o)| {
-                origins.push(o);
-                c
-            })
-            .collect();
-        self.normalized = true;
-        self.note_structural_change();
-        self.record_obs(&stats);
-        (stats, origins)
     }
 
     fn record_obs(&self, stats: &ProjectStats) {
@@ -556,142 +467,6 @@ mod tests {
         a.project_out(&dead);
         b.project_out_dp(&dead);
         assert!(a.equivalent(&b), "indexed {a:?} vs reference {b:?}");
-    }
-
-    #[test]
-    fn traced_projection_matches_untraced_result() {
-        let mut a = Cnf::top();
-        a.add_lits(vec![p(0), p(1), n(2)]);
-        a.add_lits(vec![n(0), p(3)]);
-        a.imply(p(3), p(4));
-        a.assert_lit(p(1));
-        a.normalize();
-        let mut b = a.clone();
-        a.project_out(&set(&[0, 3]));
-        let (_, origins) = b.project_out_traced(&[Flag(0), Flag(3)]);
-        assert!(a.equivalent(&b), "traced {b:?} vs untraced {a:?}");
-        assert_eq!(origins.len(), b.len(), "one origin set per clause");
-    }
-
-    #[test]
-    fn traced_origins_entail_each_surviving_clause() {
-        let mut b = Cnf::top();
-        b.imply(p(0), p(1));
-        b.imply(p(1), p(2));
-        b.imply(p(2), p(3));
-        b.assert_lit(p(4));
-        b.normalize();
-        let before = b.clone();
-        let (_, origins) = b.project_out_traced(&[Flag(1), Flag(2)]);
-        assert_eq!(origins.len(), b.len());
-        for (c, org) in b.clauses().iter().zip(&origins) {
-            let sub = Cnf::from_clauses(org.iter().map(|&i| before.clauses()[i as usize].clone()));
-            assert!(sub.entails_clause(c), "origins {org:?} do not entail {c:?}");
-        }
-        // The passive unit f4 kept its own id as sole origin.
-        let unit = Clause::unit(p(4));
-        let idx = b
-            .clauses()
-            .iter()
-            .position(|c| *c == unit)
-            .expect("f4 survives");
-        let own = before
-            .clauses()
-            .iter()
-            .position(|c| *c == unit)
-            .expect("f4 in input") as u32;
-        assert_eq!(origins[idx], vec![own]);
-    }
-
-    #[test]
-    fn traced_unsat_core_maps_to_input_subset() {
-        // f0 → f1, f0, ¬f1: eliminating f0 and f1 derives ⊥; the empty
-        // clause's origins must name an unsatisfiable input subset.
-        let mut b = Cnf::top();
-        b.imply(p(0), p(1));
-        b.assert_lit(p(0));
-        b.assert_lit(n(1));
-        b.add_lits(vec![p(5), p(6)]); // irrelevant bystander
-        b.normalize();
-        let before = b.clone();
-        let (_, origins) = b.project_out_traced(&[Flag(0), Flag(1)]);
-        assert!(b.has_empty_clause());
-        assert_eq!(origins.len(), 1);
-        let core = &origins[0];
-        let sub = Cnf::from_clauses(core.iter().map(|&i| before.clauses()[i as usize].clone()));
-        assert!(!sub.is_sat(), "origin subset {core:?} is satisfiable");
-        let bystander = Clause::new(vec![p(5), p(6)]).expect("clause");
-        let by = before
-            .clauses()
-            .iter()
-            .position(|c| *c == bystander)
-            .expect("present") as u32;
-        assert!(
-            !core.contains(&by),
-            "bystander clause dragged into the conflict origins"
-        );
-    }
-
-    #[test]
-    fn traced_projection_with_no_dead_mention_is_identity() {
-        let mut b = Cnf::top();
-        b.imply(p(0), p(2));
-        b.normalize();
-        let before = b.clone();
-        let (stats, origins) = b.project_out_traced(&[Flag(7)]);
-        assert_eq!(stats, ProjectStats::default());
-        assert_eq!(b, before);
-        assert_eq!(origins, vec![vec![0]]);
-    }
-
-    /// Randomized lineage soundness: every surviving clause is entailed
-    /// by the input clauses its origin set names.
-    #[test]
-    fn traced_origins_sound_on_random_formulas() {
-        let mut state: u64 = 0x0123456789ABCDEF;
-        let mut rand = move |m: u64| {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 33) % m
-        };
-        for _case in 0..120 {
-            let nflags = 3 + rand(5) as u32;
-            let mut cnf = Cnf::top();
-            for _ in 0..(2 + rand(8)) {
-                let len = 1 + rand(3) as usize;
-                let mut lits = Vec::new();
-                for _ in 0..len {
-                    let f = Flag(rand(nflags as u64) as u32);
-                    lits.push(if rand(2) == 0 { p(f.0) } else { n(f.0) });
-                }
-                cnf.add_lits(lits);
-            }
-            cnf.normalize();
-            let before = cnf.clone();
-            let ndead = 1 + rand(2) as usize;
-            let mut dead: Vec<Flag> = (0..ndead)
-                .map(|_| Flag(rand(nflags as u64) as u32))
-                .collect();
-            dead.sort_unstable();
-            dead.dedup();
-            let mut untraced = cnf.clone();
-            untraced.project_out_sorted(&dead);
-            let (_, origins) = cnf.project_out_traced(&dead);
-            assert!(
-                cnf.equivalent(&untraced),
-                "traced/untraced disagree on {before:?}"
-            );
-            assert_eq!(origins.len(), cnf.len());
-            for (c, org) in cnf.clauses().iter().zip(&origins) {
-                let sub =
-                    Cnf::from_clauses(org.iter().map(|&i| before.clauses()[i as usize].clone()));
-                assert!(
-                    sub.entails_clause(c),
-                    "origins {org:?} of {c:?} not entailed (input {before:?})"
-                );
-            }
-        }
     }
 
     #[test]

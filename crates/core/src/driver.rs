@@ -256,7 +256,7 @@ pub(crate) fn flush_stats_metrics(stats: &Stats) {
 /// Binds every free variable of the program or expression (`needed`)
 /// not already bound to a fresh monomorphic type, so that open programs
 /// (like the paper's `some_condition`) check.
-fn bind_free_vars(
+pub(crate) fn bind_free_vars(
     engine: &mut FlowInfer,
     env: &mut TyEnv,
     needed: &std::collections::BTreeSet<Symbol>,

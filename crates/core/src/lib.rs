@@ -58,7 +58,4 @@ pub use config::{CheckPolicy, Compaction, Options, Stats, SAT_CLASSES, SAT_CLASS
 pub use driver::{DefReport, ProgramReport, Session, SessionError};
 pub use error::{FlagOrigin, ProofInfo, Provenance, TypeError, TypeErrorKind};
 pub use flow::{alpha_eq_skeleton, FlowInfer, Infer};
-pub use unit::{
-    close_scheme, group_source, group_source_into, run_group_spec, DefJob, DefVerdict,
-    EngineScratch, GroupOutcome, GroupSpec,
-};
+pub use unit::{close_scheme, run_group_spec, DefVerdict, EngineScratch, GroupOutcome, GroupSpec};

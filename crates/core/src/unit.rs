@@ -3,13 +3,14 @@
 //! [`crate::Session`] threads one engine and one environment through a
 //! whole program, which is the paper's presentation but pins checking
 //! to a single thread. This module carves the same work into
-//! [`DefJob`]s — contiguous *groups* of top-level definitions that a
+//! *groups* of contiguous top-level definitions ([`GroupSpec`]) that a
 //! scheduler (see the `rowpoly-batch` crate) can run concurrently:
 //!
-//! * Every job owns its engine, so flag/variable numbering — and hence
-//!   rendered schemes — depend only on the job's inputs, never on
-//!   scheduling order. This is what makes batch output deterministic.
-//! * A job receives the schemes of the definitions it depends on in
+//! * Every group runs in its own engine, so flag/variable numbering —
+//!   and hence rendered schemes — depend only on the group's inputs,
+//!   never on scheduling order. This is what makes batch output
+//!   deterministic.
+//! * A group receives the schemes of the definitions it depends on in
 //!   *closed* form ([`close_scheme`]): the stored flow is projected
 //!   onto the flags of the scheme's own type, so instantiation renames
 //!   every literal into the consuming engine and no clause can leak a
@@ -28,42 +29,15 @@
 //! globals) — the price of checking definitions in isolation.
 
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 use rowpoly_boolfun::{classify, Clause, Cnf, FlagSet, ProjectStats};
 use rowpoly_lang::{Program, Symbol};
-use rowpoly_types::{import_scheme, Binding, Scheme, Ty};
+use rowpoly_types::{import_scheme, Binding, Scheme};
 
 use crate::config::{Options, Stats};
-use crate::driver::{builtin_env, flush_stats_metrics, DefReport};
+use crate::driver::{bind_free_vars, builtin_env, flush_stats_metrics, DefReport};
 use crate::error::TypeError;
 use crate::flow::FlowInfer;
-
-/// The canonical *content key* of a definition group: its members
-/// pretty-printed in index order, joined by newlines. Whitespace and
-/// comments in the original source never change it, so it is the right
-/// thing to hash for content-addressed memoization — the batch cache
-/// and the serve daemon's verdict query both key on it (together with
-/// [`Options::fingerprint`] and the dependencies' closed schemes).
-pub fn group_source(program: &Program, def_indices: &[usize]) -> String {
-    let mut out = String::new();
-    group_source_into(&mut out, program, def_indices);
-    out
-}
-
-/// [`group_source`] written into a caller-owned buffer, so batch
-/// workers computing one content key per job can reuse one string
-/// instead of allocating per group. Clears `out` first; the result is
-/// byte-identical to [`group_source`].
-pub fn group_source_into(out: &mut String, program: &Program, def_indices: &[usize]) {
-    out.clear();
-    for (k, &i) in def_indices.iter().enumerate() {
-        if k > 0 {
-            out.push('\n');
-        }
-        out.push_str(&rowpoly_lang::pretty_def(&program.defs[i]));
-    }
-}
 
 /// Closes a definition's published interface: projects the scheme's
 /// stored flow onto the flags of its own type. The result mentions no
@@ -77,11 +51,11 @@ pub fn close_scheme(scheme: &mut Scheme) -> ProjectStats {
     outcome
 }
 
-/// The outcome of one definition within a [`DefJob`] run.
+/// The outcome of one definition within a group run.
 #[derive(Clone, Debug)]
 pub enum DefVerdict {
     /// Inference succeeded. The report's scheme is *closed* (see
-    /// [`close_scheme`]), ready for dependent jobs.
+    /// [`close_scheme`]), ready for dependent groups.
     Ok(DefReport),
     /// Inference rejected the definition.
     Error(TypeError),
@@ -110,14 +84,14 @@ impl DefVerdict {
     }
 }
 
-/// Result of running one [`DefJob`]: a verdict per group member (in
+/// Result of running one group: a verdict per group member (in
 /// group order, tagged with the member's index into `program.defs`)
 /// plus the engine's phase statistics.
 #[derive(Clone, Debug)]
 pub struct GroupOutcome {
     /// `(index into program.defs, verdict)` per group member.
     pub items: Vec<(usize, DefVerdict)>,
-    /// Phase statistics of the job's engine run.
+    /// Phase statistics of the group's engine run.
     pub stats: Stats,
 }
 
@@ -125,54 +99,6 @@ impl GroupOutcome {
     /// Whether every member checked successfully.
     pub fn all_ok(&self) -> bool {
         self.items.iter().all(|(_, v)| v.is_ok())
-    }
-}
-
-/// A `Send` unit of inference work: a contiguous group of top-level
-/// definitions checked in one fresh engine, given the closed schemes
-/// of the earlier definitions they reference.
-#[derive(Clone, Debug)]
-pub struct DefJob {
-    /// Inference options (shared across the batch; may carry a SAT
-    /// budget and a cancellation flag).
-    pub opts: Options,
-    /// The parsed program the group belongs to.
-    pub program: Arc<Program>,
-    /// Indices into `program.defs`, ascending and contiguous in
-    /// dependency order.
-    pub def_indices: Vec<usize>,
-    /// Closed schemes of out-of-group definitions the group references,
-    /// sorted by name so environment construction is deterministic.
-    pub deps: Vec<(Symbol, Scheme)>,
-}
-
-// A `DefJob` must stay shippable to worker threads; this fails to
-// compile if any field regresses to a thread-bound type.
-const _: fn() = || {
-    fn assert_send<T: Send>() {}
-    assert_send::<DefJob>();
-    assert_send::<GroupOutcome>();
-};
-
-impl DefJob {
-    /// Runs the group: builds the environment (built-ins, dependency
-    /// schemes, fresh monomorphic ambient variables), then infers each
-    /// member serially exactly like the whole-program driver. The first
-    /// error or timeout stops the group; later members are `Skipped`.
-    ///
-    /// Convenience wrapper over [`run_group_spec`] with one-shot
-    /// scratch; schedulers running many groups per worker should call
-    /// [`run_group_spec`] directly with a reused [`EngineScratch`].
-    pub fn run(&self) -> GroupOutcome {
-        let deps: Vec<(Symbol, &Scheme)> = self.deps.iter().map(|(n, s)| (*n, s)).collect();
-        let spec = GroupSpec {
-            opts: &self.opts,
-            program: &self.program,
-            def_indices: &self.def_indices,
-            deps: &deps,
-            free_names: None,
-        };
-        run_group_spec(&spec, &mut EngineScratch::default())
     }
 }
 
@@ -200,9 +126,8 @@ impl std::fmt::Debug for EngineScratch {
     }
 }
 
-/// A borrowed description of one group inference — the same work as
-/// [`DefJob`] without requiring the scheduler to clone options,
-/// definition indices, or dependency schemes into the job.
+/// A borrowed description of one group inference: nothing is cloned
+/// into it, so a scheduler can describe a group by reference.
 #[derive(Clone, Copy, Debug)]
 pub struct GroupSpec<'a> {
     /// Inference options (may carry a SAT budget and a cancellation
@@ -216,10 +141,9 @@ pub struct GroupSpec<'a> {
     /// Closed schemes of out-of-group definitions the group
     /// references, sorted by name.
     pub deps: &'a [(Symbol, &'a Scheme)],
-    /// The union of the members' free variables, when the caller has
-    /// it precomputed (the batch graph does, from dependency
-    /// resolution); `None` re-walks the member bodies.
-    pub free_names: Option<&'a [Symbol]>,
+    /// The union of the members' free variables, sorted (the batch
+    /// graph computes it during dependency resolution).
+    pub free_names: &'a [Symbol],
 }
 
 /// Runs one definition group per [`GroupSpec`]: builds the environment
@@ -247,16 +171,7 @@ pub fn run_group_spec(spec: &GroupSpec<'_>, scratch: &mut EngineScratch) -> Grou
         .iter()
         .map(|&i| spec.program.defs[i].name)
         .collect();
-    let needed: BTreeSet<Symbol> = match spec.free_names {
-        Some(names) => names.iter().copied().collect(),
-        None => {
-            let mut walked = BTreeSet::new();
-            for &i in spec.def_indices {
-                walked.extend(spec.program.defs[i].body.free_vars());
-            }
-            walked
-        }
-    };
+    let needed: BTreeSet<Symbol> = spec.free_names.iter().copied().collect();
     let mut env = builtin_env(&mut engine, &needed);
     // Dependency schemes come from other engines; rename them into
     // this engine's variable and flag spaces before binding (see
@@ -269,13 +184,7 @@ pub fn run_group_spec(spec: &GroupSpec<'_>, scratch: &mut EngineScratch) -> Grou
     // Ambient free variables (neither built-in, dependency, nor a
     // group member) get fresh monomorphic types, like the serial
     // driver's treatment of open programs.
-    for &x in &needed {
-        if !env.contains(x) && !group_names.contains(&x) {
-            let v = engine.vars.fresh();
-            let f = engine.fresh_flag_public();
-            env.insert(x, Binding::Mono(Ty::Var(v, f)));
-        }
-    }
+    bind_free_vars(&mut engine, &mut env, &(&needed - &group_names));
     env.freeze();
 
     let mut items: Vec<(usize, DefVerdict)> = Vec::with_capacity(spec.def_indices.len());
@@ -337,19 +246,28 @@ mod tests {
     use super::*;
     use rowpoly_lang::parse_program;
 
-    fn job(program: &str, indices: Vec<usize>, deps: Vec<(Symbol, Scheme)>) -> DefJob {
-        DefJob {
-            opts: Options::default(),
-            program: Arc::new(parse_program(program).expect("parses")),
+    /// Runs `indices` of `src` as one group over `deps`, with the free
+    /// names walked from the member bodies.
+    fn run(src: &str, indices: &[usize], deps: &[(Symbol, &Scheme)]) -> GroupOutcome {
+        let program = parse_program(src).expect("parses");
+        let free: BTreeSet<Symbol> = indices
+            .iter()
+            .flat_map(|&i| program.defs[i].body.free_vars())
+            .collect();
+        let free_names: Vec<Symbol> = free.into_iter().collect();
+        let spec = GroupSpec {
+            opts: &Options::default(),
+            program: &program,
             def_indices: indices,
             deps,
-        }
+            free_names: &free_names,
+        };
+        run_group_spec(&spec, &mut EngineScratch::default())
     }
 
     #[test]
     fn single_def_matches_session() {
-        let src = "def inc x = x + 1";
-        let out = job(src, vec![0], Vec::new()).run();
+        let out = run("def inc x = x + 1", &[0], &[]);
         assert!(out.all_ok());
         let report = out.items[0].1.report().expect("ok");
         assert_eq!(report.render(false), "Int -> Int");
@@ -358,30 +276,16 @@ mod tests {
     #[test]
     fn dependency_scheme_feeds_the_group() {
         let src = "def inc x = x + 1\ndef use = inc 41";
-        let program = Arc::new(parse_program(src).expect("parses"));
-        let first = DefJob {
-            opts: Options::default(),
-            program: program.clone(),
-            def_indices: vec![0],
-            deps: Vec::new(),
-        }
-        .run();
-        let inc = first.items[0].1.report().expect("ok").clone();
-        let second = DefJob {
-            opts: Options::default(),
-            program,
-            def_indices: vec![1],
-            deps: vec![(inc.name, inc.scheme.clone())],
-        }
-        .run();
+        let first = run(src, &[0], &[]);
+        let inc = first.items[0].1.report().expect("ok");
+        let second = run(src, &[1], &[(inc.name, &inc.scheme)]);
         let report = second.items[0].1.report().expect("ok");
         assert_eq!(report.render(false), "Int");
     }
 
     #[test]
     fn closed_scheme_mentions_only_its_own_flags() {
-        let src = "def mk = @{foo = 1} {}\ndef use = #foo mk";
-        let out = job(src, vec![0, 1], Vec::new()).run();
+        let out = run("def mk = @{foo = 1} {}\ndef use = #foo mk", &[0, 1], &[]);
         assert!(out.all_ok());
         for (_, v) in &out.items {
             let scheme = &v.report().expect("ok").scheme;
@@ -394,8 +298,7 @@ mod tests {
 
     #[test]
     fn group_stops_after_first_error() {
-        let src = "def bad = #foo {}\ndef fine = 1";
-        let out = job(src, vec![0, 1], Vec::new()).run();
+        let out = run("def bad = #foo {}\ndef fine = 1", &[0, 1], &[]);
         assert!(matches!(out.items[0].1, DefVerdict::Error(_)));
         assert!(matches!(out.items[1].1, DefVerdict::Skipped { .. }));
     }

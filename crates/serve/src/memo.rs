@@ -23,8 +23,8 @@
 
 use std::collections::HashMap;
 
-use rowpoly_batch::cache::CachedDef;
 use rowpoly_batch::codec;
+use rowpoly_core::DefReport;
 use rowpoly_obs::MemSite;
 
 /// Attribution site for the memo table's allocations (see
@@ -38,7 +38,7 @@ static MEMO_MEM: MemSite = MemSite::new("serve.memo");
 /// next keystroke).
 #[derive(Debug)]
 struct Entry {
-    defs: Vec<CachedDef>,
+    defs: Vec<DefReport>,
     last_used: u64,
     /// Deterministic size estimate of this entry (see [`entry_bytes`]).
     bytes: u64,
@@ -67,7 +67,7 @@ pub struct Memo {
 /// plus the canonical-JSON length of each scheme — the same rendering
 /// [`rowpoly_batch::cache::Cache::key`] hashes, so the estimate tracks
 /// the scheme's real complexity without depending on allocator state.
-fn entry_bytes(defs: &[CachedDef]) -> u64 {
+fn entry_bytes(defs: &[DefReport]) -> u64 {
     let fixed = std::mem::size_of::<Entry>() + std::mem::size_of_val(defs);
     let schemes: usize = defs
         .iter()
@@ -98,7 +98,7 @@ impl Memo {
 
     /// Looks up `key`, stamping the entry with `revision` and counting
     /// the hit or miss.
-    pub fn lookup(&mut self, key: u64, revision: u64) -> Option<&[CachedDef]> {
+    pub fn lookup(&mut self, key: u64, revision: u64) -> Option<&[DefReport]> {
         let _mem = MEMO_MEM.scope();
         match self.entries.get_mut(&key) {
             Some(entry) => {
@@ -114,7 +114,7 @@ impl Memo {
     }
 
     /// Stores a group outcome under `key`.
-    pub fn insert(&mut self, key: u64, defs: Vec<CachedDef>, revision: u64) {
+    pub fn insert(&mut self, key: u64, defs: Vec<DefReport>, revision: u64) {
         let _mem = MEMO_MEM.scope();
         let bytes = entry_bytes(&defs);
         let old = self.entries.insert(
@@ -199,8 +199,8 @@ mod tests {
     use rowpoly_lang::Symbol;
     use rowpoly_types::{Scheme, Ty};
 
-    fn defs(tag: &str) -> Vec<CachedDef> {
-        vec![CachedDef {
+    fn defs(tag: &str) -> Vec<DefReport> {
+        vec![DefReport {
             name: Symbol::intern(tag),
             scheme: Scheme::new(vec![], Ty::Int),
             sat_class: SatClass::Trivial,

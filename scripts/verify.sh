@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Full local verification: what CI runs, in the order CI runs it.
+# Full verification: every check, in one list. CI's `verify` job runs
+# this script; its remaining steps only produce the uploaded artifacts.
 # Zero network required — the workspace has no external dependencies.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -22,12 +23,14 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
-echo "==> fig9 smoke (--quick --phases --json)"
+echo "==> fig9 smoke (--quick --phases --json + Chrome trace)"
 out=$(cargo run --release -p rowpoly-bench --bin fig9 -- --quick --phases --json)
-case "$out" in
-  '{'*'}') echo "    JSON output OK (${#out} bytes)" ;;
-  *) echo "    fig9 --json did not emit a JSON object" >&2; exit 1 ;;
-esac
+FIG9="$out" python3 -c "import json, os; d=json.loads(os.environ['FIG9']); assert d['bench']=='fig9' and d['workloads']"
+echo "    JSON output OK (${#out} bytes)"
+trace_dir=$(mktemp -d)
+ROWPOLY_TRACE="$trace_dir/trace.json" cargo run --release -p rowpoly-bench --bin fig9 -- --quick > /dev/null
+python3 -c "import json, sys; d=json.load(open(sys.argv[1])); assert d['traceEvents']" "$trace_dir/trace.json"
+rm -rf "$trace_dir"
 
 echo "==> projection regression smoke (phase budget + fast-path accounting)"
 # Three quick runs; the gate takes the cleanest one (noise only ever
@@ -69,6 +72,7 @@ two = json.loads(os.environ['RUN2'])
 assert one['stats']['defs'] > 0, one
 assert one['stats']['errors'] == 1, one          # bad_select.rp only
 assert two['stats']['cache_hits'] > 0, two
+assert [f['path'] for f in one['files']] == [f['path'] for f in two['files']]
 print(f"    {one['stats']['defs']} defs, warm run hit {two['stats']['cache_hits']} cached groups")
 PY
 
@@ -80,6 +84,12 @@ python3 scripts/check_profile.py "$profile_dir/profile.json" "$profile_dir/profi
 cargo run --release --bin rowpoly -- profile programs/ --jobs 2 --no-cache --json \
   > "$profile_dir/profile-cmd.json" || true
 python3 scripts/check_profile.py "$profile_dir/profile-cmd.json"
+# One profiled `check` per worker count over the same corpus.
+for j in 1 2 4 8; do
+  cargo run --release --bin rowpoly -- check programs/ --jobs "$j" --no-cache \
+    --profile "$profile_dir/profile-j$j.json" > /dev/null 2> /dev/null || true
+  python3 scripts/check_profile.py "$profile_dir/profile-j$j.json" "$profile_dir/profile-j$j.trace.json"
+done
 rm -rf "$profile_dir"
 
 echo "==> batch scaling gate (committed BENCH_batch.json + quick live sweep)"
@@ -110,6 +120,21 @@ assert 'lang.interner' in mem['sites'], sorted(mem['sites'])
 print(f"    live mem block OK: {mem['alloc_bytes']} bytes allocated, "
       f"sites {sorted(mem['sites'])}")
 PY
+# The memory twin of the batch sweep: a quick profiled run with the
+# counting allocator on must sample its waves with a watermark peak.
+mem_sweep=$(cargo run --release -p rowpoly-bench --bin batch -- --quick --mem --json)
+MEM_SWEEP="$mem_sweep" python3 - <<'PY'
+import json, os
+doc = json.loads(os.environ['MEM_SWEEP'])
+mem = doc['mem']
+assert mem['enabled'] is True, mem
+assert mem['alloc_bytes'] > 0, mem
+waves = doc['mem_waves']
+assert waves, 'profiled mem run must sample waves'
+peaks = [w['peak_bytes'] for w in waves]
+assert peaks == sorted(peaks), f'peak must be a watermark: {peaks}'
+print(f"    batch mem sweep OK: {len(waves)} waves sampled")
+PY
 
 echo "==> serve smoke (20-edit trace replay, checked proofs) + BENCH_serve gate"
 # The committed full-scale report must clear the >= 10x p99 floor; the
@@ -120,6 +145,18 @@ serve_dir=$(mktemp -d)
 ROWPOLY_CHECK_PROOFS=1 cargo run --release -p rowpoly-bench --bin edits -- --quick --edits 20 --json \
   > "$serve_dir/serve.json"
 python3 scripts/check_serve.py "$serve_dir/serve.json" --quick
+# With accounting on, every workload must finish with the memo's live
+# bytes inside its configured bound (the eviction loop actually evicts).
+cargo run --release -p rowpoly-bench --bin edits -- --quick --edits 20 --mem --json \
+  > "$serve_dir/serve-mem.json"
+python3 - "$serve_dir/serve-mem.json" <<'PY'
+import json, sys
+doc = json.load(open(sys.argv[1]))
+for w in doc['workloads']:
+    live, cap = w['mem']['memo_live_bytes'], w['mem']['memo_max_bytes']
+    assert cap and live <= cap, f"{w['name']}: memo {live} over bound {cap}"
+print('    memo live bytes within bound for', len(doc['workloads']), 'workloads')
+PY
 rm -rf "$serve_dir"
 
 echo "==> all checks passed"

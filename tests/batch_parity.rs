@@ -1,7 +1,9 @@
-//! Batch-vs-serial parity on generated decoder workloads.
+//! Batch-vs-serial and serve-vs-batch parity on generated decoder
+//! workloads.
 //!
 //! The batch engine must agree with the serial [`Session`] driver on
-//! both verdicts and rendered schemes. This is the regression net for
+//! both verdicts and rendered schemes, and the serve daemon must agree
+//! with the batch engine after any edit history. This is the regression net for
 //! cross-engine scheme transport: dependency schemes travel between
 //! engines in closed form and are renamed into the consumer's flag and
 //! variable spaces (`import_scheme`); a bug there shows up as a
@@ -11,6 +13,8 @@
 use rowpoly::batch::{check_sources, BatchOptions, FileInput, Verdict};
 use rowpoly::core::Session;
 use rowpoly::gen::generate_with_lines;
+use rowpoly::gen::rng::SplitMix64;
+use rowpoly::serve::{Analysis, DefStatus, ServeConfig, ServeEngine};
 
 #[test]
 fn batch_matches_serial_on_generated_decoders() {
@@ -49,5 +53,179 @@ fn batch_matches_serial_on_generated_decoders() {
                 ),
             }
         }
+    }
+}
+
+/// One definition's outcome as both front ends can render it: the
+/// status word plus its payload (scheme, explained diagnostic, timeout
+/// message, or the shadowing definition).
+fn batch_outcomes(source: &str, jobs: usize) -> Vec<(String, &'static str, String)> {
+    let mut options = BatchOptions::in_memory(jobs);
+    options.explain = true;
+    let report = check_sources(
+        vec![FileInput {
+            path: "gen.rp".to_string(),
+            source: source.to_string(),
+        }],
+        &options,
+    );
+    let defs = report.files[0].defs.as_ref().expect("source parses");
+    defs.iter()
+        .map(|d| {
+            let (word, payload) = match &d.verdict {
+                Verdict::Ok { scheme, .. } => ("ok", scheme.clone()),
+                Verdict::Error { diagnostic, .. } => ("error", diagnostic.clone()),
+                Verdict::Timeout { message } => ("timeout", message.clone()),
+                Verdict::Skipped { after } => ("skipped", after.clone()),
+            };
+            (d.name.clone(), word, payload)
+        })
+        .collect()
+}
+
+fn serve_outcomes(engine: &ServeEngine, path: &str) -> Vec<(String, &'static str, String)> {
+    let doc = engine.document(path).expect("document open");
+    let Analysis::Checked { defs } = &doc.analysis else {
+        panic!("serve failed to parse its document");
+    };
+    defs.iter()
+        .map(|d| {
+            let payload = match &d.status {
+                DefStatus::Ok { scheme, .. } => scheme.clone(),
+                DefStatus::Error { rendered, .. } => rendered.clone(),
+                DefStatus::Timeout { message, .. } => message.clone(),
+                DefStatus::Skipped { after } => after.clone(),
+            };
+            (d.name.clone(), d.status.word(), payload)
+        })
+        .collect()
+}
+
+/// Byte ranges of standalone integer literals (digit runs not embedded
+/// in an identifier).
+fn literal_spans(text: &str) -> Vec<(usize, usize)> {
+    let bytes = text.as_bytes();
+    let mut spans = Vec::new();
+    let mut i = 0;
+    while i < bytes.len() {
+        let start = i;
+        while i < bytes.len() && bytes[i].is_ascii_digit() {
+            i += 1;
+        }
+        if i == start {
+            i += 1;
+        } else if start == 0
+            || !(bytes[start - 1].is_ascii_alphanumeric() || bytes[start - 1] == b'_')
+        {
+            spans.push((start, i));
+        }
+    }
+    spans
+}
+
+#[derive(Clone, Copy)]
+enum Edit {
+    /// Rewrite an integer literal.
+    Literal,
+    /// Add a field to the shared `mk_state` helper.
+    Field,
+    /// Break a `#opcode` select in `main`.
+    Break,
+    /// Undo the last `Break`.
+    Fix,
+}
+
+const ABSENT: &str = "#absent_field ";
+
+/// A seeded script of 20 edits: 10 literals, 4 helper fields and 3
+/// breaks, shuffled, each break directly followed by its fix.
+fn script(rng: &mut SplitMix64) -> Vec<Edit> {
+    let mut units = [
+        [Edit::Literal; 10].as_slice(),
+        &[Edit::Field; 4],
+        &[Edit::Break; 3],
+    ]
+    .concat();
+    rng.shuffle(&mut units);
+    units
+        .into_iter()
+        .flat_map(|e| match e {
+            Edit::Break => vec![Edit::Break, Edit::Fix],
+            e => vec![e],
+        })
+        .collect()
+}
+
+/// Applies one scripted edit to `text`; `n` numbers the edit.
+fn apply(edit: Edit, text: &str, rng: &mut SplitMix64, n: usize) -> String {
+    let splice =
+        |start: usize, end: usize, with: &str| format!("{}{with}{}", &text[..start], &text[end..]);
+    match edit {
+        Edit::Literal => {
+            let spans = literal_spans(text);
+            let (start, end) = spans[rng.gen_range(0..spans.len())];
+            let old: u64 = text[start..end].parse().expect("digit run");
+            let new = (old + 1 + rng.gen_range(0..7u64)) % 100;
+            splice(start, end, &new.to_string())
+        }
+        Edit::Field => {
+            const HELPER: &str = "def mk_state x = ";
+            let start = text.find(HELPER).expect("decoder has the shared helper") + HELPER.len();
+            let end = start + text[start..].find('\n').expect("helper ends its line");
+            splice(
+                start,
+                end,
+                &format!("@{{extra_{n} = x}} ({})", &text[start..end]),
+            )
+        }
+        Edit::Break => {
+            let main = text.find("\ndef main").expect("decoder has main");
+            let sites: Vec<usize> = text[main..]
+                .match_indices("#opcode ")
+                .map(|(i, _)| main + i)
+                .collect();
+            let at = sites[rng.gen_range(0..sites.len())];
+            splice(at, at + "#opcode ".len(), ABSENT)
+        }
+        Edit::Fix => {
+            let at = text.find(ABSENT).expect("a break precedes its fix");
+            splice(at, at + ABSENT.len(), "#opcode ")
+        }
+    }
+}
+
+#[test]
+fn serve_matches_batch_after_an_edit_history() {
+    for seed in [1u64, 7, 42] {
+        let (_, mut src) = generate_with_lines(200, true, seed);
+        let mut engine = ServeEngine::new(ServeConfig::default());
+        engine.open("gen.rp", src.clone(), 0);
+        let mut rng = SplitMix64::seed_from_u64(seed);
+        let edits = script(&mut rng);
+        let mut errors = 0;
+        for version in 0..=edits.len() {
+            if version > 0 {
+                src = apply(edits[version - 1], &src, &mut rng, version);
+                engine
+                    .change_full("gen.rp", src.clone(), version as i64)
+                    .expect("document open");
+            }
+            let served = serve_outcomes(&engine, "gen.rp");
+            errors += served
+                .iter()
+                .filter(|(_, word, _)| *word == "error")
+                .count();
+            for jobs in [1, 2] {
+                let batch = batch_outcomes(&src, jobs);
+                assert_eq!(batch.len(), served.len());
+                for (b, s) in batch.iter().zip(&served) {
+                    assert_eq!(
+                        b, s,
+                        "serve and `check --jobs {jobs}` disagree after edit {version} (seed {seed})"
+                    );
+                }
+            }
+        }
+        assert_eq!(errors, 3, "each break rejects `main` once (seed {seed})");
     }
 }
