@@ -17,8 +17,9 @@
 //!    us" (`critical/wall ≪ 1` while `wall ≈ serial`).
 //!
 //! The report renders three ways: a text table for humans, JSON for
-//! the bench harness and CI schema checks, and a Chrome trace with one
-//! named track per worker for `chrome://tracing` / Perfetto.
+//! the bench harness and CI schema checks, and a Chrome trace of the
+//! run's recorder, with one named track per worker, for
+//! `chrome://tracing` / Perfetto.
 
 use std::path::Path;
 
@@ -94,7 +95,7 @@ pub struct ProfileReport {
     pub jobs: Vec<JobProfile>,
     /// Longest weighted dependency chain vs wall.
     pub critical: CriticalPath,
-    /// The raw snapshot, kept for Chrome-trace export.
+    /// The raw snapshot; its recorder `trace` is the Chrome trace.
     pub snapshot: TimelineSnapshot,
 }
 
@@ -122,7 +123,7 @@ impl ProfileReport {
         let critical = critical_path(&jobs, deps, snapshot.wall_ns);
         ProfileReport {
             workers: snapshot.utilization(),
-            locks: snapshot.locks.clone(),
+            locks: snapshot.trace.locks.clone(),
             jobs,
             critical,
             snapshot,
@@ -357,7 +358,7 @@ impl ProfileReport {
 
     /// Writes the per-worker Chrome trace next to the JSON profile.
     pub fn write_trace(&self, path: &Path) -> std::io::Result<()> {
-        rowpoly_obs::chrome::write_chrome_trace_timelines(&self.snapshot, path)
+        rowpoly_obs::chrome::write_chrome_trace(&self.snapshot.trace, path)
     }
 }
 

@@ -90,7 +90,7 @@ fn main() {
     if args.iter().any(|a| a == "--mem") {
         mem::enable();
     }
-    let mem_baseline = mem::tracking().then(|| (mem::snapshot(), mem::site_snapshot()));
+    let mem_baseline = mem::tracking().then(mem::snapshot);
 
     if !json {
         println!("serve: per-edit latency vs one-shot re-check (trace of {edits} literal edits)");
@@ -116,10 +116,10 @@ fn main() {
         results.push(result);
     }
 
-    let mem_block = mem_baseline.map(|(base_snap, base_sites)| {
+    let mem_block = mem_baseline.map(|base_snap| {
         let now = mem::snapshot();
         let delta = now.delta_since(&base_snap);
-        let sites = mem::site_delta(&mem::site_snapshot(), &base_sites);
+        let sites = rowpoly_obs::snapshot().sites;
         let defs: u64 = results.iter().map(|r| r.defs as u64).sum();
         mem::report_json(&delta, &base_snap, &now, &sites, defs)
     });

@@ -100,7 +100,7 @@ fn main() {
     // leg); `ROWPOLY_MEM=1` turns it on for the whole process.
     let mem_on = mem_flag || mem::tracking();
     // Baseline for the process-wide `mem` block in the JSON report.
-    let mem_baseline = mem_on.then(|| (mem::snapshot(), mem::site_snapshot()));
+    let mem_baseline = mem_on.then(mem::snapshot);
 
     // The human-readable table goes to stdout, or to stderr next to a
     // `--json` report, so one run yields both views of the same numbers.
@@ -190,10 +190,10 @@ fn main() {
         measurements.push(m);
     }
 
-    let mem_block = mem_baseline.map(|(base_snap, base_sites)| {
+    let mem_block = mem_baseline.map(|base_snap| {
         let now = mem::snapshot();
         let delta = now.delta_since(&base_snap);
-        let sites = mem::site_delta(&mem::site_snapshot(), &base_sites);
+        let sites = rowpoly_obs::snapshot().sites;
         let defs: u64 = measurements
             .iter()
             .map(|m| (m.rep_with.defs.len() + m.rep_without.defs.len()) as u64)

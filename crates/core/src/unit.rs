@@ -195,6 +195,7 @@ pub fn run_group_spec(spec: &GroupSpec<'_>, scratch: &mut EngineScratch) -> Grou
             items.push((i, DefVerdict::Skipped { after }));
             continue;
         }
+        let _def_span = rowpoly_obs::span_lazy(|| format!("def {}", def.name));
         let step = (|| -> Result<DefReport, TypeError> {
             // Group members see the scheme as the serial driver
             // would; the published report carries the closed copy.

@@ -173,7 +173,7 @@ mod tests {
                 ev("inner", 40, EventKind::End),
                 ev("outer", 100, EventKind::End),
             ],
-            metrics: Default::default(),
+            ..Snapshot::default()
         };
         let stats = aggregate_spans(&snap);
         assert_eq!(stats["outer"].total_ns, 100);

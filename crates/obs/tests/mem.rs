@@ -3,15 +3,17 @@
 //! This test binary installs [`CountingAlloc`] as its global
 //! allocator, so the hooks genuinely fire — unlike the crate's unit
 //! tests, which only exercise the bookkeeping. Tests here run
-//! concurrently in one process, so every assertion is phrased over
-//! *thread-local* deltas or test-unique sites; process-global
+//! concurrently in one process, and each counts only on the threads of
+//! its own recorder, but the process ledger still sums every slot, so
+//! every assertion is phrased over *thread-local* deltas, floors, or
+//! the test thread's own recorder; process-global
 //! exact-equality invariants live in `crates/batch/tests/mem_stress.rs`,
 //! whose binary runs a single test.
 
 use std::hint::black_box;
 
 use rowpoly_obs::mem::{self, CountingAlloc, MemSite};
-use rowpoly_obs::{Phase, PhaseClock};
+use rowpoly_obs::{Phase, PhaseClock, Recorder};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -85,7 +87,7 @@ fn scopes_attribute_bytes_exclusively() {
         }
         drop(black_box(a));
     }
-    let sites = mem::site_snapshot();
+    let sites = rowpoly_obs::snapshot().sites;
     let outer = sites.iter().find(|s| s.name == "test.scope.outer").unwrap();
     let inner = sites.iter().find(|s| s.name == "test.scope.inner").unwrap();
     assert!(
@@ -129,10 +131,15 @@ fn phase_clock_attributes_bytes_exclusively() {
 #[test]
 fn worker_slots_survive_their_threads() {
     let _session = mem::accounting_session();
+    let recorder = Recorder::current();
     let before = mem::slots_snapshot();
     let handles: Vec<_> = (0..4)
         .map(|i| {
+            let recorder = recorder.clone();
             std::thread::spawn(move || {
+                // Workers count while they are in a recorder that
+                // accounts, as batch workers are.
+                let _in = recorder.enter_worker(i);
                 let v = black_box(vec![i as u8; 100_000]);
                 drop(black_box(v));
             })

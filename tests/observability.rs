@@ -1,25 +1,17 @@
-//! End-to-end observability: a real inference session drives the global
-//! collector, and the exporters produce well-formed artifacts.
+//! End-to-end observability: a real inference session drives the
+//! recorder, and the exporters produce well-formed artifacts.
 //!
-//! Everything here shares the process-wide collector, so the tests
-//! serialize on a mutex and reset collected state up front.
+//! Every test records into its own thread's recorder, so they run
+//! concurrently without sharing any data.
 
-use std::sync::Mutex;
 use std::time::Instant;
 
+use rowpoly::batch::{check_sources, BatchOptions, FileInput};
 use rowpoly::core::Session;
 use rowpoly::lang::parse_program;
 use rowpoly::obs;
 use rowpoly::obs::json::Json;
-
-static GLOBAL_COLLECTOR: Mutex<()> = Mutex::new(());
-
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    match GLOBAL_COLLECTOR.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
+use rowpoly::obs::{EventKind, Recorder};
 
 fn state_monad_source() -> String {
     std::fs::read_to_string(format!(
@@ -29,7 +21,7 @@ fn state_monad_source() -> String {
     .expect("programs/state_monad.rp ships with the repository")
 }
 
-/// Runs the state-monad sample with global collection on and returns the
+/// Runs the state-monad sample with recording on and returns the
 /// snapshot of everything it recorded.
 fn traced_state_monad_snapshot() -> obs::Snapshot {
     obs::reset();
@@ -47,7 +39,6 @@ fn traced_state_monad_snapshot() -> obs::Snapshot {
 /// timestamps monotone, and balances every `B` with an `E`.
 #[test]
 fn chrome_trace_of_session_is_well_formed() {
-    let _g = lock();
     let snap = traced_state_monad_snapshot();
 
     let dir = std::env::temp_dir();
@@ -103,7 +94,6 @@ fn chrome_trace_of_session_is_well_formed() {
 /// the flushed structural counters.
 #[test]
 fn session_report_names_all_four_phases() {
-    let _g = lock();
     let snap = traced_state_monad_snapshot();
     let report = obs::report::text_report(&snap);
     for phase in ["unify", "applys", "project", "sat"] {
@@ -132,7 +122,6 @@ fn session_report_names_all_four_phases() {
 /// SAT checks run inside definition finishing.
 #[test]
 fn phase_buckets_sum_to_at_most_wall() {
-    let _g = lock();
     let program = parse_program(&state_monad_source()).expect("parses");
     let start = Instant::now();
     let report = Session::default().infer_program(&program).expect("checks");
@@ -156,7 +145,6 @@ fn phase_buckets_sum_to_at_most_wall() {
 /// elimination stays on the binary-implication fast path.
 #[test]
 fn projection_engine_counters_are_recorded() {
-    let _g = lock();
     let snap = traced_state_monad_snapshot();
     let fastpath = snap.metrics.counter("project.elim.fastpath");
     let fallback = snap.metrics.counter("project.elim.fallback");
@@ -183,11 +171,6 @@ fn projection_engine_counters_are_recorded() {
 /// events for wave boundaries (plus steals/cache hits when they occur).
 #[test]
 fn profiled_batch_trace_has_stable_worker_tracks() {
-    use rowpoly::batch::{check_sources, BatchOptions, FileInput};
-    // The batch's inference writes to the global collector whenever a
-    // sibling test has collection enabled, so it serializes too.
-    let _g = lock();
-
     // Two files over a dependency chain each, so the run has several
     // groups and more than one wave.
     let inputs = vec![
@@ -206,7 +189,7 @@ fn profiled_batch_trace_has_stable_worker_tracks() {
     assert!(report.ok());
     let profile = report.profile.as_ref().expect("profile requested");
 
-    let text = obs::chrome::chrome_trace_timelines(&profile.snapshot);
+    let text = obs::chrome::chrome_trace_json(&profile.snapshot.trace);
     let doc = obs::json::parse(&text).expect("trace is valid JSON");
     let events = doc
         .get("traceEvents")
@@ -295,7 +278,6 @@ fn profiled_batch_trace_has_stable_worker_tracks() {
 /// metrics behind.
 #[test]
 fn disabled_collection_records_nothing() {
-    let _g = lock();
     obs::disable();
     obs::reset();
     let program = parse_program(&state_monad_source()).expect("parses");
@@ -303,4 +285,85 @@ fn disabled_collection_records_nothing() {
     let snap = obs::snapshot();
     assert!(snap.events.is_empty(), "events recorded while disabled");
     assert!(snap.metrics.is_empty(), "metrics recorded while disabled");
+}
+
+/// Two threads check the same program at once, one recording and one
+/// not: the silent thread's recorder stays empty, and the recording
+/// thread's counters are exactly its own session's statistics.
+#[test]
+fn concurrent_sessions_record_only_into_their_own_recorder() {
+    let program = parse_program(&state_monad_source()).expect("parses");
+    let barrier = std::sync::Barrier::new(2);
+    let (silent, (traced, stats)) = std::thread::scope(|s| {
+        let silent = s.spawn(|| {
+            barrier.wait();
+            Session::default().infer_program(&program).expect("checks");
+            obs::snapshot()
+        });
+        let traced = s.spawn(|| {
+            obs::enable();
+            barrier.wait();
+            let report = Session::default().infer_program(&program).expect("checks");
+            (obs::snapshot(), report.stats)
+        });
+        (silent.join().unwrap(), traced.join().unwrap())
+    });
+    assert!(silent.events.is_empty(), "silent thread recorded spans");
+    assert!(silent.metrics.is_empty(), "silent thread recorded metrics");
+    assert!(!traced.events.is_empty());
+    assert_eq!(
+        traced.metrics.counter("unify.calls"),
+        stats.unify_calls as u64,
+        "the recording thread saw another session's unify calls"
+    );
+}
+
+fn batch_inputs() -> Vec<FileInput> {
+    vec![
+        FileInput {
+            path: "a.rp".to_string(),
+            source: "def base = {x = 1}\ndef mid = #x base\ndef top = mid + 1".to_string(),
+        },
+        FileInput {
+            path: "b.rp".to_string(),
+            source: state_monad_source(),
+        },
+    ]
+}
+
+/// Batch workers inherit the caller's recorder: under recording,
+/// `--jobs 2` puts `def <name>` spans on worker tracks (tid `w + 1`),
+/// and its inference counters equal a `--jobs 1` run's in a fresh
+/// recorder.
+#[test]
+fn batch_workers_inherit_the_recorder() {
+    let counters = |jobs: usize| {
+        let recorder = Recorder::new();
+        let _in = recorder.enter();
+        obs::enable();
+        assert!(check_sources(batch_inputs(), &BatchOptions::in_memory(jobs)).ok());
+        recorder.snapshot()
+    };
+    let parallel = counters(2);
+    let serial = counters(1);
+
+    let def_tids: std::collections::BTreeSet<u32> = parallel
+        .events
+        .iter()
+        .filter(|e| e.kind == EventKind::Begin && e.name.starts_with("def "))
+        .map(|e| e.tid)
+        .collect();
+    assert!(!def_tids.is_empty(), "no def spans recorded");
+    assert!(
+        def_tids.iter().all(|t| (1..=2).contains(t)),
+        "def spans must sit on worker tracks: {def_tids:?}"
+    );
+    for name in ["unify.calls", "sat.checks", "project.resolutions"] {
+        assert!(serial.metrics.counter(name) > 0, "{name} not recorded");
+        assert_eq!(
+            parallel.metrics.counter(name),
+            serial.metrics.counter(name),
+            "{name} differs between --jobs 2 and --jobs 1"
+        );
+    }
 }
