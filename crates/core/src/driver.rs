@@ -231,8 +231,8 @@ impl FlowInfer {
     }
 }
 
-/// Pushes a run's aggregate [`Stats`] into the global metrics registry
-/// (no-ops when collection is disabled). Counters accumulate across
+/// Pushes a run's aggregate [`Stats`] into the calling thread's
+/// recorder (no-ops when recording is off). Counters accumulate across
 /// runs; maxima keep the largest run.
 pub(crate) fn flush_stats_metrics(stats: &Stats) {
     if !obs::enabled() {
