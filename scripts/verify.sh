@@ -14,6 +14,12 @@ cargo test --workspace -q
 echo "==> cargo test (checked proofs: every SAT verdict replayed)"
 ROWPOLY_CHECK_PROOFS=1 cargo test --workspace -q
 
+echo "==> cargo test, five more runs (the suite must pass on every run)"
+for run in 1 2 3 4 5; do
+  echo "    run $run/5"
+  cargo test --workspace -q
+done
+
 echo "==> boolfun suite, exhaustive sampling, checked proofs"
 ROWPOLY_CHECK_PROOFS=1 cargo test -p rowpoly-boolfun --release --features rowpoly-obs/exhaustive -q
 
