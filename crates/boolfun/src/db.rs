@@ -12,6 +12,15 @@
 //! maintained live-occurrence counts (so the elimination *order* can
 //! stay greedy as counts change, instead of being frozen up front).
 //!
+//! The occurrence lists are indexed densely by a literal's position in
+//! the sorted literal universe of the clauses loaded at build time.
+//! Resolution never adds a literal its parents lack, so that universe
+//! is fixed for the life of one projection. A database is meant to be
+//! reused: [`ClauseDb::clear`] empties it but keeps the capacity of the
+//! slot table, the signatures, every occurrence list and the buffers
+//! `eliminate` works in, so a projection that fits in what an earlier
+//! one grew allocates nothing.
+//!
 //! Elimination itself is class-aware: when every clause touching the
 //! pivot is a binary implication or a unit — the dominant case, since
 //! select/update/removal/renaming only ever emit two-variable Horn
@@ -21,34 +30,8 @@
 //! CNF fragment produced by symmetric concatenation and `when` falls
 //! back to general Davis–Putnam resolution.
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-
 use crate::clause::Clause;
 use crate::lit::{Flag, Lit};
-
-/// Multiply-shift hasher for literal codes. The occurrence map is keyed
-/// by [`Lit`] (one dense `u32`), gets hit on every insert/remove on the
-/// hottest inference path, and needs no DoS resistance — SipHash is
-/// pure overhead here.
-#[derive(Default)]
-struct LitHasher(u64);
-
-impl Hasher for LitHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100_0000_01B3);
-        }
-    }
-    fn write_u32(&mut self, i: u32) {
-        self.0 = u64::from(i).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-}
-
-type LitMap<V> = HashMap<Lit, V, BuildHasherDefault<LitHasher>>;
 
 /// Counters describing the work of one projection call.
 ///
@@ -112,50 +95,104 @@ fn sig_of(c: &Clause) -> u64 {
     c.lits().iter().map(|&l| sig_bit(l)).fold(0, |a, b| a | b)
 }
 
-/// The occurrence-indexed clause store. Lives for the duration of one
-/// projection call: built from a CNF's clauses, driven through a
-/// sequence of [`ClauseDb::eliminate`] steps, then drained back into a
-/// clause vector.
+/// The occurrence-indexed clause store. One projection call loads the
+/// clauses it touches ([`ClauseDb::load`]), indexes them
+/// ([`ClauseDb::index`]), drives a sequence of [`ClauseDb::eliminate`]
+/// steps and drains the survivors ([`ClauseDb::drain_into`]); the next
+/// call on the same database starts with [`ClauseDb::clear`].
+#[derive(Default)]
 pub(crate) struct ClauseDb {
     slots: Vec<Option<Clause>>,
     sigs: Vec<u64>,
-    occ: LitMap<Occ>,
+    /// The sorted, deduplicated literals of the loaded clauses.
+    universe: Vec<Lit>,
+    /// Occurrence lists by universe position. Lists past
+    /// `universe.len()` are spare, kept for their capacity.
+    occ: Vec<Occ>,
+    /// `eliminate`'s detached positive and negative occurrences.
+    pos: Vec<Clause>,
+    neg: Vec<Clause>,
+    /// The empty list `detach` swaps in for the one it walks.
+    spare: Vec<u32>,
+    /// Slots `insert` found subsumed by the new clause.
+    victims: Vec<u32>,
     /// Set once the empty clause is derived; the database then denotes
     /// `⊥` and all further work is skipped.
     unsat: bool,
     pub(crate) stats: ProjectStats,
 }
 
+/// Position of `l` in the sorted `universe`, if it occurs there.
+fn position(universe: &[Lit], l: Lit) -> Option<usize> {
+    universe.binary_search(&l).ok()
+}
+
 impl ClauseDb {
-    /// Builds the index. The initial clauses are attached without
-    /// subsumption checks — they come from a normalised CNF (no exact
-    /// duplicates), and a redundant weaker clause is only a size cost,
-    /// not a correctness one. Subsumption runs where it pays: against
-    /// the resolvents [`ClauseDb::eliminate`] inserts.
+    /// Builds an indexed database over `clauses`. The initial clauses
+    /// are attached without subsumption checks — they come from a
+    /// normalised CNF (no exact duplicates), and a redundant weaker
+    /// clause is only a size cost, not a correctness one. Subsumption
+    /// runs where it pays: against the resolvents
+    /// [`ClauseDb::eliminate`] inserts.
     ///
-    /// The projection engine partitions and attaches in one pass (see
-    /// `Cnf::eliminate_where`), so this constructor is test scaffolding.
+    /// The projection engine loads clauses during its partition scan
+    /// (see `Cnf::eliminate_where`), so this constructor is test
+    /// scaffolding.
     #[cfg(test)]
     pub(crate) fn new(clauses: impl IntoIterator<Item = Clause>) -> ClauseDb {
-        let mut db = ClauseDb::empty();
+        let mut db = ClauseDb::default();
         for c in clauses {
             if c.is_empty() {
                 db.unsat = true;
                 break;
             }
-            db.attach(c);
+            db.load(c);
         }
+        db.index();
         db
     }
 
-    /// An empty database; clauses are added with [`ClauseDb::attach`].
-    pub(crate) fn empty() -> ClauseDb {
-        ClauseDb {
-            slots: Vec::new(),
-            sigs: Vec::new(),
-            occ: LitMap::default(),
-            unsat: false,
-            stats: ProjectStats::default(),
+    /// Empties the database for the next projection, keeping every
+    /// buffer's capacity.
+    pub(crate) fn clear(&mut self) {
+        self.slots.clear();
+        self.sigs.clear();
+        for o in &mut self.occ[..self.universe.len()] {
+            o.slots.clear();
+            o.live = 0;
+        }
+        self.universe.clear();
+        self.unsat = false;
+        self.stats = ProjectStats::default();
+    }
+
+    /// Adds a clause before [`ClauseDb::index`] runs.
+    pub(crate) fn load(&mut self, c: Clause) {
+        self.universe.extend_from_slice(c.lits());
+        self.slots.push(Some(c));
+    }
+
+    /// Whether no clause was loaded.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.slots.is_empty()
+    }
+
+    /// Fixes the literal universe of the loaded clauses and builds
+    /// their occurrence lists and signatures, in load order.
+    pub(crate) fn index(&mut self) {
+        self.universe.sort_unstable();
+        self.universe.dedup();
+        if self.occ.len() < self.universe.len() {
+            self.occ.resize_with(self.universe.len(), Occ::default);
+        }
+        for (id, slot) in self.slots.iter().enumerate() {
+            let c = slot.as_ref().expect("loaded clauses are live");
+            for &l in c.lits() {
+                let o = &mut self.occ[position(&self.universe, l).expect("loaded literal")];
+                o.slots.push(id as u32);
+                o.live += 1;
+            }
+            self.sigs.push(sig_of(c));
         }
     }
 
@@ -175,18 +212,25 @@ impl ClauseDb {
     #[cfg(test)]
     pub(crate) fn mentioned_flags(&self) -> Vec<Flag> {
         let mut flags: Vec<Flag> = self
-            .occ
+            .universe
             .iter()
+            .zip(&self.occ)
             .filter(|(_, o)| o.live > 0)
             .map(|(l, _)| l.flag())
             .collect();
-        flags.sort_unstable();
         flags.dedup();
         flags
     }
 
     fn live(&self, l: Lit) -> usize {
-        self.occ.get(&l).map_or(0, |o| o.live as usize)
+        position(&self.universe, l).map_or(0, |i| self.occ[i].live as usize)
+    }
+
+    /// The occurrence list of `l`, which resolution keeps inside the
+    /// universe.
+    fn occ_mut(&mut self, l: Lit) -> &mut Occ {
+        let i = position(&self.universe, l).expect("literal outside the universe");
+        &mut self.occ[i]
     }
 
     /// Inserts a clause, discarding it if an existing clause subsumes
@@ -209,8 +253,10 @@ impl ClauseDb {
         let (mut checks, mut pruned) = (0usize, 0usize);
         let mut subsumed_by_existing = false;
         'fwd: for &l in c.lits() {
-            let Some(o) = self.occ.get(&l) else { continue };
-            for &s in &o.slots {
+            let Some(i) = position(&self.universe, l) else {
+                continue;
+            };
+            for &s in &self.occ[i].slots {
                 let s = s as usize;
                 let Some(existing) = &self.slots[s] else {
                     continue;
@@ -241,9 +287,9 @@ impl ClauseDb {
             .copied()
             .min_by_key(|&l| self.live(l))
             .expect("non-empty clause");
-        let mut victims: Vec<u32> = Vec::new();
-        if let Some(o) = self.occ.get(&anchor) {
-            for &s in &o.slots {
+        let mut victims = std::mem::take(&mut self.victims);
+        if let Some(i) = position(&self.universe, anchor) {
+            for &s in &self.occ[i].slots {
                 let si = s as usize;
                 let Some(existing) = &self.slots[si] else {
                     continue;
@@ -260,20 +306,21 @@ impl ClauseDb {
         }
         self.stats.sig_checks += checks;
         self.stats.sig_pruned += pruned;
-        for s in victims {
+        for &s in &victims {
             self.remove(s as usize);
             self.stats.subsumed += 1;
         }
+        victims.clear();
+        self.victims = victims;
         self.attach(c);
     }
 
     /// Registers a clause in the slot table and occurrence lists with no
-    /// subsumption checks. See [`ClauseDb::new`] for why the initial set
-    /// is attached rather than inserted.
-    pub(crate) fn attach(&mut self, c: Clause) {
+    /// subsumption checks.
+    fn attach(&mut self, c: Clause) {
         let id = self.slots.len() as u32;
         for &l in c.lits() {
-            let o = self.occ.entry(l).or_default();
+            let o = self.occ_mut(l);
             o.slots.push(id);
             o.live += 1;
         }
@@ -286,27 +333,26 @@ impl ClauseDb {
     fn remove(&mut self, slot: usize) -> Option<Clause> {
         let c = self.slots[slot].take()?;
         for &l in c.lits() {
-            if let Some(o) = self.occ.get_mut(&l) {
-                o.live -= 1;
-            }
+            self.occ_mut(l).live -= 1;
         }
         Some(c)
     }
 
-    /// Detaches (removes and returns) every live clause containing `l`,
-    /// compacting the occurrence list on the way.
-    fn detach(&mut self, l: Lit) -> Vec<Clause> {
-        let slots = match self.occ.get_mut(&l) {
-            Some(o) => std::mem::take(&mut o.slots),
-            None => return Vec::new(),
+    /// Moves every live clause containing `l` into `out`, compacting the
+    /// occurrence list on the way.
+    fn detach(&mut self, l: Lit, out: &mut Vec<Clause>) {
+        let Some(i) = position(&self.universe, l) else {
+            return;
         };
-        let mut out = Vec::with_capacity(slots.len());
-        for s in slots {
+        let mut slots = std::mem::take(&mut self.spare);
+        std::mem::swap(&mut slots, &mut self.occ[i].slots);
+        for &s in &slots {
             if let Some(c) = self.remove(s as usize) {
                 out.push(c);
             }
         }
-        out
+        slots.clear();
+        self.spare = slots;
     }
 
     /// Eliminates `f` by resolution: every clause mentioning `f` is
@@ -317,8 +363,19 @@ impl ClauseDb {
         if self.unsat {
             return;
         }
-        let pos = self.detach(Lit::pos(f));
-        let neg = self.detach(Lit::neg(f));
+        let mut pos = std::mem::take(&mut self.pos);
+        let mut neg = std::mem::take(&mut self.neg);
+        self.detach(Lit::pos(f), &mut pos);
+        self.detach(Lit::neg(f), &mut neg);
+        self.resolve_pivot(f, &pos, &neg);
+        pos.clear();
+        neg.clear();
+        self.pos = pos;
+        self.neg = neg;
+    }
+
+    /// Inserts the resolvents of the detached occurrences of `f`.
+    fn resolve_pivot(&mut self, f: Flag, pos: &[Clause], neg: &[Clause]) {
         if pos.is_empty() && neg.is_empty() {
             return;
         }
@@ -327,7 +384,7 @@ impl ClauseDb {
         // pivot can be spliced out of the implication graph; wider
         // clauses (symmetric concat, `when` guards) need general
         // resolution.
-        let binary_only = pos.iter().chain(&neg).all(|c| c.len() <= 2);
+        let binary_only = pos.iter().chain(neg).all(|c| c.len() <= 2);
         if binary_only {
             self.stats.fastpath += 1;
         } else {
@@ -344,9 +401,9 @@ impl ClauseDb {
             let other = |c: &Clause, pivot: Lit| -> Option<Lit> {
                 c.lits().iter().copied().find(|&l| l != pivot)
             };
-            for pc in &pos {
+            for pc in pos {
                 let p = other(pc, Lit::pos(f));
-                for sc in &neg {
+                for sc in neg {
                     let s = other(sc, Lit::neg(f));
                     match (p, s) {
                         (None, None) => {
@@ -375,8 +432,8 @@ impl ClauseDb {
                 }
             }
         } else {
-            for p in &pos {
-                for n in &neg {
+            for p in pos {
+                for n in neg {
                     if let Some(r) = p.resolve(n, Lit::pos(f)) {
                         self.stats.resolvents += 1;
                         self.insert(r);
@@ -389,12 +446,10 @@ impl ClauseDb {
         }
     }
 
-    /// Drains the live clauses out of the database.
-    pub(crate) fn into_clauses(self) -> Vec<Clause> {
-        if self.unsat {
-            return vec![Clause::empty()];
-        }
-        self.slots.into_iter().flatten().collect()
+    /// Moves the live clauses out of the database into `out`, in slot
+    /// order.
+    pub(crate) fn drain_into(&mut self, out: &mut Vec<Clause>) {
+        out.extend(self.slots.drain(..).flatten());
     }
 }
 
@@ -450,7 +505,6 @@ mod tests {
         let mut db = ClauseDb::new(vec![Clause::unit(p(0)), Clause::unit(n(0))]);
         db.eliminate(Flag(0));
         assert!(db.is_unsat());
-        assert_eq!(db.into_clauses(), vec![Clause::empty()]);
     }
 
     #[test]
@@ -479,6 +533,34 @@ mod tests {
         db.eliminate(Flag(1));
         // The resolvent set is empty (pure literal), so nothing is live.
         assert_eq!(db.mentioned_flags(), Vec::<Flag>::new());
+    }
+
+    #[test]
+    fn cleared_database_matches_a_fresh_one() {
+        let mut db = ClauseDb::new(vec![
+            clause(&[p(0), p(1), p(2)]),
+            clause(&[n(0), p(3)]),
+            clause(&[n(3), p(4)]),
+        ]);
+        db.eliminate(Flag(0));
+        db.eliminate(Flag(3));
+        db.clear();
+        // A smaller universe next: stale lists past it must stay unread.
+        for c in [clause(&[n(5), p(6)]), clause(&[n(6), p(7)])] {
+            db.load(c);
+        }
+        db.index();
+        assert_eq!(db.mentioned_flags(), vec![Flag(5), Flag(6), Flag(7)]);
+        assert_eq!(db.occurrences(Flag(4)), 0);
+        db.eliminate(Flag(6));
+        let mut fresh = ClauseDb::new(vec![clause(&[n(5), p(6)]), clause(&[n(6), p(7)])]);
+        fresh.eliminate(Flag(6));
+        assert_eq!(db.stats, fresh.stats);
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        db.drain_into(&mut got);
+        fresh.drain_into(&mut want);
+        assert_eq!(got, want);
+        assert_eq!(got, vec![clause(&[n(5), p(7)])]);
     }
 
     impl ClauseDb {

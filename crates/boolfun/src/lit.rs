@@ -124,7 +124,7 @@ impl Lit {
     }
 
     /// Inverse of [`Lit::code`].
-    pub fn from_code(code: usize) -> Lit {
+    pub const fn from_code(code: usize) -> Lit {
         Lit(code as u32)
     }
 }

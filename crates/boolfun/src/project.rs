@@ -9,8 +9,9 @@
 //! candidates instead of as a full quadratic rescan afterwards. See
 //! `DESIGN.md` ("Projection engine") for the index layout.
 
+use std::cell::Cell;
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap, HashSet};
+use std::collections::{BinaryHeap, HashSet};
 
 use rowpoly_obs as obs;
 
@@ -19,50 +20,69 @@ use crate::cnf::Cnf;
 use crate::db::{ClauseDb, ProjectStats};
 use crate::lit::{Flag, FlagSet, Lit};
 
-/// Attribution site for bytes allocated by the occurrence-indexed
-/// [`ClauseDb`] — slot table, occurrence lists, signatures, resolvents
-/// (see `rowpoly-obs::mem`).
+/// Attribution site for bytes allocated by the projection engine. Its
+/// buffers are recycled across calls, so after warm-up this mostly
+/// counts their one-time growth plus clauses of more than three
+/// literals (see `rowpoly-obs::mem`).
 static CLAUSE_DB_MEM: obs::MemSite = obs::MemSite::new("boolfun.clause_db");
+
+/// The buffers one projection call works in. Each thread keeps one set
+/// and every call on that thread reuses it, so a projection no larger
+/// than an earlier one allocates nothing.
+#[derive(Default)]
+struct Scratch {
+    db: ClauseDb,
+    /// Dead flags mentioned by a touched clause.
+    worklist: Vec<Flag>,
+    /// Cached occurrence counts of the flags still to eliminate.
+    queue: Vec<Reverse<(usize, Flag)>>,
+    /// Clauses surviving elimination.
+    fresh: Vec<Clause>,
+    /// The passive and surviving clauses, merged.
+    merged: Vec<Clause>,
+}
+
+thread_local! {
+    static SCRATCH: Cell<Scratch> = Cell::default();
+}
 
 /// Drives a [`ClauseDb`] through the elimination worklist, cheapest
 /// pivot first under a lazily revalidated greedy order. `worklist`
-/// must be sorted and deduplicated.
+/// must be sorted and deduplicated; `queue` is working storage.
 ///
 /// Almost every call eliminates a handful of flags from a small touched
 /// set, where an argmin scan over a vector of cached counts beats any
 /// priority queue; the heap with lazy revalidation only pays for itself
-/// on wholesale sweeps (`finish_def`, `close_scheme`).
-fn run_elimination(db: &mut ClauseDb, mut worklist: Vec<Flag>) {
+/// on wholesale sweeps (`finish_def`, `close_scheme`). Both pick the
+/// same pivots: the least `(count, flag)` whose cached count is current.
+fn run_elimination(db: &mut ClauseDb, worklist: &[Flag], queue: &mut Vec<Reverse<(usize, Flag)>>) {
     const SCAN_LIMIT: usize = 32;
-    if worklist.len() <= SCAN_LIMIT {
-        let mut rem: Vec<(Flag, usize)> =
-            worklist.iter().map(|&f| (f, db.occurrences(f))).collect();
-        while !rem.is_empty() && !db.is_unsat() {
-            let (best, &(f, cached)) = rem
+    debug_assert!(
+        worklist.windows(2).all(|w| w[0] < w[1]),
+        "worklist must be sorted and deduplicated"
+    );
+    queue.clear();
+    queue.extend(worklist.iter().map(|&f| Reverse((db.occurrences(f), f))));
+    if queue.len() <= SCAN_LIMIT {
+        while !queue.is_empty() && !db.is_unsat() {
+            let (best, &Reverse((cached, f))) = queue
                 .iter()
                 .enumerate()
-                .min_by_key(|&(_, &(f, c))| (c, f))
-                .expect("non-empty remaining");
+                .max_by_key(|&(_, &entry)| entry)
+                .expect("non-empty queue");
             // Counts go stale as resolvents appear and subsumption
             // bites; revalidate only the chosen minimum.
             let current = db.occurrences(f);
             if current != cached {
-                rem[best].1 = current;
+                queue[best] = Reverse((current, f));
                 continue;
             }
-            rem.swap_remove(best);
+            queue.swap_remove(best);
             db.eliminate(f);
         }
     } else {
-        let mut remaining: BTreeSet<Flag> = worklist.drain(..).collect();
-        let mut heap: BinaryHeap<Reverse<(usize, Flag)>> = remaining
-            .iter()
-            .map(|&f| Reverse((db.occurrences(f), f)))
-            .collect();
+        let mut heap = BinaryHeap::from(std::mem::take(queue));
         while let Some(Reverse((count, f))) = heap.pop() {
-            if !remaining.contains(&f) {
-                continue;
-            }
             let current = db.occurrences(f);
             if current != count {
                 // Stale priority: resolvents or subsumption changed
@@ -72,44 +92,33 @@ fn run_elimination(db: &mut ClauseDb, mut worklist: Vec<Flag>) {
                 heap.push(Reverse((current, f)));
                 continue;
             }
-            remaining.remove(&f);
             db.eliminate(f);
             if db.is_unsat() {
                 break;
             }
         }
+        *queue = heap.into_vec();
     }
 }
 
-/// Merges two sorted, deduplicated clause runs into one, dropping
-/// duplicates across the runs.
-fn merge_dedup(a: Vec<Clause>, b: Vec<Clause>) -> Vec<Clause> {
-    if b.is_empty() {
-        return a;
-    }
-    if a.is_empty() {
-        return b;
-    }
-    let mut out: Vec<Clause> = Vec::with_capacity(a.len() + b.len());
-    let mut ia = a.into_iter().peekable();
-    let mut ib = b.into_iter().peekable();
+/// Merges two sorted, deduplicated clause runs into `out`, dropping
+/// duplicates across the runs and leaving both inputs empty.
+fn merge_dedup_into(a: &mut Vec<Clause>, b: &mut Vec<Clause>, out: &mut Vec<Clause>) {
+    out.reserve(a.len() + b.len());
+    let mut ia = a.drain(..).peekable();
+    let mut ib = b.drain(..).peekable();
     loop {
-        let take_a = match (ia.peek(), ib.peek()) {
-            (Some(x), Some(y)) => x <= y,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (None, None) => break,
+        let next = match (ia.peek(), ib.peek()) {
+            (Some(x), Some(y)) if x <= y => ia.next(),
+            (Some(_), Some(_)) => ib.next(),
+            (Some(_), None) => ia.next(),
+            (None, _) => ib.next(),
         };
-        let c = if take_a {
-            ia.next().expect("peeked")
-        } else {
-            ib.next().expect("peeked")
-        };
+        let Some(c) = next else { break };
         if out.last() != Some(&c) {
             out.push(c);
         }
     }
-    out
 }
 
 impl Cnf {
@@ -195,19 +204,38 @@ impl Cnf {
     /// are exact for every pivot; resolvents are subsumption-checked
     /// against the indexed set, and one final renormalisation — a linear
     /// merge when the input was already normalised — dedupes them
-    /// against the passive clauses.
+    /// against the passive clauses. All working storage comes from the
+    /// thread's [`Scratch`].
     fn eliminate_where(&mut self, is_dead: impl Fn(Flag) -> bool) -> ProjectStats {
         let _mem = CLAUSE_DB_MEM.scope();
+        // Taken out for the call, so a `keep` predicate that itself
+        // projected would find empty buffers instead of these.
+        let mut scratch = SCRATCH.take();
+        let stats = self.eliminate_in(&mut scratch, is_dead);
+        SCRATCH.set(scratch);
+        stats
+    }
+
+    fn eliminate_in(
+        &mut self,
+        scratch: &mut Scratch,
+        is_dead: impl Fn(Flag) -> bool,
+    ) -> ProjectStats {
+        let Scratch {
+            db,
+            worklist,
+            queue,
+            fresh,
+            merged,
+        } = scratch;
+        db.clear();
+        worklist.clear();
         let was_normalized = self.normalized;
-        let mut passive: Vec<Clause> = Vec::new();
-        let mut db = ClauseDb::empty();
-        let mut touched = 0usize;
-        // The partition scan visits every literal anyway, so it also
-        // collects the dead flags that are actually mentioned — the
-        // elimination worklist — sparing a walk over the occurrence
-        // index afterwards.
-        let mut worklist: Vec<Flag> = Vec::new();
-        for c in std::mem::take(&mut self.clauses) {
+        // Partition in place: touched clauses move into the database
+        // (an inline empty clause takes each one's place) and the
+        // passive ones keep their order. The scan visits every literal
+        // anyway, so it also collects the elimination worklist.
+        self.clauses.retain_mut(|c| {
             let mut hit = false;
             for l in c.lits() {
                 if is_dead(l.flag()) {
@@ -216,40 +244,44 @@ impl Cnf {
                 }
             }
             if hit {
-                db.attach(c);
-                touched += 1;
-            } else {
-                passive.push(c);
+                db.load(std::mem::replace(c, Clause::empty()));
             }
-        }
-        if touched == 0 {
-            // Nothing dead is mentioned: the single partition pass above
-            // doubled as the no-op check, and `passive` preserved the
-            // original clause order, so the CNF is exactly as it was.
-            self.clauses = passive;
+            !hit
+        });
+        if db.is_empty() {
+            // Nothing dead is mentioned: the partition pass doubled as
+            // the no-op check and moved nothing, so the CNF is exactly
+            // as it was.
             return ProjectStats::default();
         }
-        run_elimination(&mut db, worklist);
+        db.index();
+        worklist.sort_unstable();
+        worklist.dedup();
+        run_elimination(db, worklist, queue);
         let stats = db.stats;
         if db.is_unsat() {
-            self.clauses = vec![Clause::empty()];
+            self.clauses.clear();
+            self.clauses.push(Clause::empty());
             self.normalized = false;
             self.normalize();
         } else {
-            let mut fresh = db.into_clauses();
+            db.drain_into(fresh);
             fresh.sort_unstable();
             fresh.dedup();
             if was_normalized {
-                // The partition preserved clause order, so `passive` is
-                // still a sorted, deduplicated run: a linear merge with
-                // the (small, just-sorted) survivors renormalises the
-                // whole vector without re-sorting the untouched bulk.
-                self.clauses = merge_dedup(passive, fresh);
+                // The partition preserved clause order, so the passive
+                // clauses are still a sorted, deduplicated run: a linear
+                // merge with the (small, just-sorted) survivors
+                // renormalises the whole vector without re-sorting the
+                // untouched bulk.
+                if !fresh.is_empty() {
+                    merge_dedup_into(&mut self.clauses, fresh, merged);
+                    self.clauses.append(merged);
+                }
                 self.normalized = true;
                 self.note_structural_change();
             } else {
-                self.clauses = passive;
-                self.clauses.extend(fresh);
+                self.clauses.append(fresh);
                 self.normalized = false;
                 self.normalize();
             }

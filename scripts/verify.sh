@@ -165,4 +165,21 @@ print('    memo live bytes within bound for', len(doc['workloads']), 'workloads'
 PY
 rm -rf "$serve_dir"
 
+echo "==> perfbench smoke (build + known answers, one second per workload)"
+# The benchmark is a package of its own, so nothing above builds or runs
+# it: without this step a library change that breaks its build or its
+# known answers would first show in the benchmark pipeline. Each run
+# checks every answer it gets; the last line must report failed == 0.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+for workload in batch fig9; do
+  line=$(cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)
+  LINE="$line" WORKLOAD="$workload" python3 - <<'PY'
+import json, os
+doc = json.loads(os.environ['LINE'])
+assert doc['failed'] == 0, doc
+print(f"    {os.environ['WORKLOAD']}: {doc['attempted']} checked operations, 0 failed")
+PY
+done
+
 echo "==> all checks passed"
