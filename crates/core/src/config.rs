@@ -32,25 +32,11 @@ pub enum Compaction {
     PerDef,
 }
 
-/// When to run the SAT check on β.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CheckPolicy {
-    /// After every rule that asserts a field requirement (best errors,
-    /// slowest).
-    Eager,
-    /// After each top-level definition (default).
-    PerDef,
-    /// Once, at the end of the program.
-    Final,
-}
-
 /// Options controlling the flow inference.
 #[derive(Clone, Debug)]
 pub struct Options {
     /// Stale-flag projection strategy.
     pub compaction: Compaction,
-    /// Satisfiability checking strategy.
-    pub check: CheckPolicy,
     /// Iteration bound for the Milner–Mycroft fixpoint.
     pub max_letrec_iters: usize,
     /// Whether to track field flows at all. With `false` the engine
@@ -62,11 +48,11 @@ pub struct Options {
     /// the same version tag (the Section 6 optimisation). Disabled only
     /// by the `gci_versioning` ablation benchmark.
     pub env_versions: bool,
-    /// CDCL step budget per SAT check (`None` = unlimited). With the
-    /// default per-definition [`CheckPolicy`] this bounds the search a
-    /// single definition may spend: only the general-CNF class — the
-    /// one symmetric concatenation `@@` and `when` generate — can blow
-    /// up, and exceeding the budget surfaces as
+    /// CDCL step budget per SAT check (`None` = unlimited). An accepted
+    /// definition is checked once, so this bounds the search it may
+    /// spend: only the general-CNF class — the one symmetric
+    /// concatenation `@@` and `when` generate — can blow up, and
+    /// exceeding the budget surfaces as
     /// [`crate::TypeErrorKind::SatGaveUp`] instead of a hang.
     pub sat_budget: Option<u64>,
     /// Cooperative cancellation flag shared with a batch scheduler;
@@ -78,7 +64,6 @@ impl Default for Options {
     fn default() -> Options {
         Options {
             compaction: Compaction::Aggressive,
-            check: CheckPolicy::PerDef,
             max_letrec_iters: 50,
             track_fields: true,
             env_versions: true,
@@ -98,9 +83,8 @@ impl Options {
     /// never which).
     pub fn fingerprint(&self) -> String {
         format!(
-            "compaction={:?};check={:?};letrec={};track={};envv={};budget={:?}",
+            "compaction={:?};letrec={};track={};envv={};budget={:?}",
             self.compaction,
-            self.check,
             self.max_letrec_iters,
             self.track_fields,
             self.env_versions,

@@ -1,7 +1,7 @@
 //! High-level inference sessions over whole programs.
 
 use rowpoly_boolfun::{classify, Lit, SatClass};
-use rowpoly_lang::{parse_program, Diag, Expr, Program, Span, Symbol};
+use rowpoly_lang::{parse_program, Diag, Expr, Program, Symbol};
 use rowpoly_obs as obs;
 use rowpoly_types::{render_scheme, Binding, Scheme, Ty, TyEnv};
 use std::time::Instant;
@@ -171,7 +171,6 @@ impl Session {
         env.freeze();
 
         let mut defs = Vec::new();
-        let mut sat_class = SatClass::Trivial;
         for def in &program.defs {
             let _def_span = obs::span_lazy(|| format!("def {}", def.name));
             let scheme = engine.fold_def(&mut env, def)?;
@@ -182,11 +181,7 @@ impl Session {
                 sat_class: def_class,
             });
         }
-        let final_span = program.defs.last().map(|d| d.span).unwrap_or(Span::dummy());
-        engine.check_sat(final_span, None)?;
-        sat_class = sat_class
-            .max(classify(&engine.beta))
-            .max(engine.worst_class);
+        let sat_class = classify(&engine.beta).max(engine.worst_class);
         let mut stats = engine.stats();
         stats.wall = wall_start.elapsed();
         flush_stats_metrics(&stats);
@@ -213,9 +208,7 @@ impl Session {
         let mut env = builtin_env(&mut engine, &needed);
         bind_free_vars(&mut engine, &mut env, &needed);
         env.freeze();
-        let (ty, env1) = engine.infer(&env, expr)?;
-        engine.check_sat(expr.span, None)?;
-        Ok((ty, env1))
+        engine.infer_checked(expr.span, |e| e.infer(&env, expr))
     }
 }
 

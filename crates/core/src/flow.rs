@@ -35,7 +35,7 @@ use rowpoly_types::{
     Scheme, Subst, Ty, TyEnv, Var, VarAlloc, NO_FLAG,
 };
 
-use crate::config::{CheckPolicy, Compaction, Options, Stats};
+use crate::config::{Compaction, Options, Stats};
 use crate::error::{FlagOrigin, Provenance, TypeError, TypeErrorKind};
 
 /// Attribution site for bytes allocated while growing or projecting the
@@ -73,6 +73,14 @@ pub struct FlowInfer {
     /// Flags that have been dropped from some structure and await
     /// projection once no live structure mentions them.
     pending_dead: FlagSet,
+    /// Set while [`Self::infer_checked`] replays a rejected step: β is
+    /// then checked after every rule that asserts a field requirement,
+    /// before compaction can resolve the conflict away from its source.
+    replaying: bool,
+    /// How many `when` branches enclose the current rule. Inside one, β
+    /// carries the branch's guard as an assumption, so ⊥ there refutes
+    /// only the guard.
+    guarded: u32,
     /// The hardest satisfiability class β has reached so far (projection
     /// can simplify formulas back down, so this is sampled before each
     /// projection and each SAT check).
@@ -99,6 +107,8 @@ impl FlowInfer {
             opts,
             held: Vec::new(),
             pending_dead: FlagSet::new(),
+            replaying: false,
+            guarded: 0,
             worst_class: rowpoly_boolfun::SatClass::Trivial,
             sat_session: rowpoly_boolfun::Session::new(),
         }
@@ -447,17 +457,16 @@ impl FlowInfer {
     }
 
     /// Checks one top-level definition and folds it into `env`: infers
-    /// it, runs the per-definition SAT check (unless
-    /// [`CheckPolicy::Final`]), moves its flow into the scheme, binds the
-    /// scheme and freezes. Both the serial driver and the group runner
-    /// take this step, so `env` is the sole owner of its global layer at
-    /// the freeze and the layer is extended in place. On error `env` is
-    /// left as it was. Returns the bound scheme (its flow not yet closed).
+    /// and SAT-checks it (see [`Self::infer_checked`]), moves its flow
+    /// into the scheme, binds the scheme and freezes. Both the serial
+    /// driver and the group runner take this step, so `env` is the sole
+    /// owner of its global layer at the freeze and the layer is extended
+    /// in place. On error `env` is left as it was. Returns the bound
+    /// scheme (its flow not yet closed).
     pub(crate) fn fold_def(&mut self, env: &mut TyEnv, def: &Def) -> Infer<Scheme> {
-        let (mut scheme, env_after) = self.infer_def(env, def.name, &def.body, def.span)?;
-        if self.opts.check != CheckPolicy::Final {
-            self.check_sat(def.span, None)?;
-        }
+        let (mut scheme, env_after) = self.infer_checked(def.span, |s| {
+            s.infer_def(env, def.name, &def.body, def.span)
+        })?;
         // Move the definition's flow into its scheme, keeping the
         // working β proportional to one definition.
         self.finish_def(&mut scheme, &env_after);
@@ -599,8 +608,42 @@ impl FlowInfer {
         (Box::new(info), chain)
     }
 
+    /// Runs `step`, an inference from the current state, and checks β
+    /// once at `span`. A `FieldMissing` rejection is replayed once from
+    /// the same β with a check after every field-requirement rule, which
+    /// catches the conflict at the access before compaction resolves it
+    /// to a bare empty clause. The replay's `FieldMissing` error is
+    /// returned if it finds one, the first error otherwise. Accepted
+    /// steps, unification errors and SAT give-ups run once.
+    pub(crate) fn infer_checked<R>(
+        &mut self,
+        span: Span,
+        mut step: impl FnMut(&mut Self) -> Infer<R>,
+    ) -> Infer<R> {
+        let beta = self.beta.clone();
+        let pending = self.pending_dead.clone();
+        let mut run = |s: &mut Self| -> Infer<R> {
+            let r = step(s)?;
+            s.check_sat(span, None)?;
+            Ok(r)
+        };
+        let first = match run(self) {
+            Err(e) if matches!(e.kind, TypeErrorKind::FieldMissing { .. }) => e,
+            result => return result,
+        };
+        self.beta = beta;
+        self.pending_dead = pending;
+        self.replaying = true;
+        let replay = run(self);
+        self.replaying = false;
+        match replay {
+            Err(e) if matches!(e.kind, TypeErrorKind::FieldMissing { .. }) => Err(e),
+            _ => Err(first),
+        }
+    }
+
     fn check_eager(&mut self, span: Span, field: Option<FieldName>) -> Infer<()> {
-        if self.opts.check == CheckPolicy::Eager {
+        if self.replaying {
             self.check_sat(span, field)
         } else {
             Ok(())
@@ -620,6 +663,24 @@ impl FlowInfer {
 
     /// Infers `e` under `env`: the judgement `ρ|β ⊢ e : t; ρ'|β'`.
     pub fn infer(&mut self, env: &TyEnv, e: &Expr) -> Infer<(Ty, TyEnv)> {
+        let judgement = self.infer_rule(env, e)?;
+        // Compaction's unsat exit collapses β to the single empty clause,
+        // which no later rule can satisfy again: stop, and leave locating
+        // the access to the replay of `infer_checked`. The replay itself
+        // runs on, as its per-rule checks report the conflict. Inside a
+        // `when` branch ⊥ refutes only the branch's guard.
+        let bottom = matches!(self.beta.clauses(), [c] if c.is_empty());
+        if bottom && !self.replaying && self.guarded == 0 {
+            return Err(TypeError::new(
+                TypeErrorKind::FieldMissing { field: None },
+                e.span,
+            ));
+        }
+        Ok(judgement)
+    }
+
+    /// Dispatches `e` to its inference rule.
+    fn infer_rule(&mut self, env: &TyEnv, e: &Expr) -> Infer<(Ty, TyEnv)> {
         match &e.kind {
             ExprKind::Var(x) => self.rule_var(env, *x, e.span),
             ExprKind::Int(_) => Ok((Ty::Int, env.clone())),
@@ -1311,7 +1372,10 @@ impl FlowInfer {
         saved.normalize();
         // The guard is assumed while inferring the branch (βs ∧ ff).
         self.beta.assert_lit(guard);
-        let result = self.infer(env, e)?;
+        self.guarded += 1;
+        let result = self.infer(env, e);
+        self.guarded -= 1;
+        let result = result?;
         let mut branch = std::mem::replace(&mut self.beta, saved);
         branch.normalize();
         // Guard everything the branch added (including the assumption,

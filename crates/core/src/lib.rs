@@ -16,7 +16,7 @@
 //!   Section 5 extensions: removal, renaming, asymmetric/symmetric
 //!   concatenation, `when N in x` conditionals);
 //! * [`Options`] — field tracking on/off (the two columns of the paper's
-//!   Fig. 9), stale-flag compaction and SAT-checking policies;
+//!   Fig. 9), stale-flag compaction and a SAT step budget;
 //! * [`remy`] — the flag-unification baseline of the paper's
 //!   introduction (Rémy-style `Pre`/`Abs` flags), which rejects programs
 //!   the flow inference accepts;
@@ -54,7 +54,7 @@ pub mod hm;
 pub mod remy;
 pub mod smt;
 
-pub use config::{CheckPolicy, Compaction, Options, Stats, SAT_CLASSES, SAT_CLASS_COUNT};
+pub use config::{Compaction, Options, Stats, SAT_CLASSES, SAT_CLASS_COUNT};
 pub use driver::{DefReport, ProgramReport, Session, SessionError};
 pub use error::{FlagOrigin, ProofInfo, Provenance, TypeError, TypeErrorKind};
 pub use flow::{alpha_eq_skeleton, FlowInfer, Infer};

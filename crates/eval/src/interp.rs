@@ -2,10 +2,10 @@
 //! path-exploring evaluation that mirrors the paper's abstraction of
 //! conditionals to non-deterministic choice.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
-use rowpoly_lang::{BinOp, Expr, ExprKind, Program, Symbol};
+use rowpoly_lang::{BinOp, Expr, ExprKind, FieldName, Program, Symbol};
 
 use crate::value::{Env, Prim, RuntimeError, Value};
 
@@ -46,6 +46,8 @@ pub struct PathSummary {
     /// Paths that hit a field error (missing field, duplicate field,
     /// rename clash) — the paper's `Ω`.
     pub field_errors: usize,
+    /// The fields those paths failed on.
+    pub failing_fields: BTreeSet<FieldName>,
     /// Paths that got stuck for any other reason (dynamic type error,
     /// unbound variable, empty list).
     pub other_errors: usize,
@@ -82,8 +84,13 @@ pub fn explore_paths(expr: &Expr, fuel: u64, max_paths: u32) -> PathSummary {
         match interp.eval(&env, expr) {
             Ok(_) => summary.ok += 1,
             Err(RuntimeError::OutOfFuel) => summary.unknown += 1,
-            Err(e) if e.is_field_error() => summary.field_errors += 1,
-            Err(_) => summary.other_errors += 1,
+            Err(e) => match e.failing_field() {
+                Some(n) => {
+                    summary.field_errors += 1;
+                    summary.failing_fields.insert(n);
+                }
+                None => summary.other_errors += 1,
+            },
         }
         width = width.max(interp.oracle_used.min(63) as u32);
         // Enumerate oracle bit strings of the observed width.

@@ -161,11 +161,16 @@ impl RuntimeError {
     /// Whether this is the field-error class that the flow inference is
     /// designed to rule out (Observation 1's notion of going wrong).
     pub fn is_field_error(&self) -> bool {
-        matches!(
-            self,
-            RuntimeError::MissingField(_)
-                | RuntimeError::DuplicateField(_)
-                | RuntimeError::RenameClash(_)
-        )
+        self.failing_field().is_some()
+    }
+
+    /// The field a field error failed on; `None` for other errors.
+    pub fn failing_field(&self) -> Option<FieldName> {
+        match self {
+            RuntimeError::MissingField(n)
+            | RuntimeError::DuplicateField(n)
+            | RuntimeError::RenameClash(n) => Some(*n),
+            _ => None,
+        }
     }
 }

@@ -201,17 +201,19 @@ mod tests {
         let run = Recorder::new();
         let _in = run.enter();
         let _profiling = crate::Profiler::new();
+        let (locked_tx, locked_rx) = std::sync::mpsc::channel();
         let holder = {
             let (m, run) = (m.clone(), run.clone());
             std::thread::spawn(move || {
                 let _in = run.enter_worker(0);
                 let guard = TEST_LOCK.lock(&m);
+                locked_tx.send(()).expect("the test thread waits for it");
                 std::thread::sleep(std::time::Duration::from_millis(hold_ms));
                 drop(guard);
             })
         };
-        // Give the holder time to take the lock, then contend.
-        std::thread::sleep(std::time::Duration::from_millis(5));
+        // Contend only once the holder has the lock.
+        locked_rx.recv().expect("the holder took the lock");
         take_thread_wait_ns(); // clear any residue
         drop(TEST_LOCK.lock(m));
         holder.join().unwrap();

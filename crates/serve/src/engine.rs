@@ -853,7 +853,7 @@ mod tests {
         let DefStatus::Error { rendered, .. } = &defs[0].status else {
             panic!("expected error, got {:?}", defs[0].status);
         };
-        assert!(rendered.contains("never added"), "{rendered}");
+        assert!(rendered.contains("field `foo`"), "{rendered}");
         assert!(matches!(defs[1].status, DefStatus::Ok { .. }));
 
         // Same text again: the fine def hits, the bad def re-runs.

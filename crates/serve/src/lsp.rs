@@ -446,15 +446,14 @@ mod tests {
             .and_then(|d| d.get("rendered"))
             .and_then(Json::as_str)
             .expect("rendered")
-            .contains("never added"));
-        let range = diags[0].get("range").expect("range");
-        assert_eq!(
-            range
-                .get("start")
-                .and_then(|s| s.get("line"))
-                .and_then(Json::as_i64),
-            Some(0)
-        );
+            .contains("field `foo`"));
+        // The range starts at the access `#foo`, not at the definition.
+        let start = diags[0]
+            .get("range")
+            .and_then(|r| r.get("start"))
+            .expect("range start");
+        assert_eq!(start.get("line").and_then(Json::as_i64), Some(0));
+        assert_eq!(start.get("character").and_then(Json::as_i64), Some(10));
     }
 
     #[test]

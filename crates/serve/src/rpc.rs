@@ -390,7 +390,7 @@ mod tests {
             .get("rendered")
             .and_then(Json::as_str)
             .expect("rendered")
-            .contains("never added"));
+            .contains("field `foo`"));
         let hover = responses[2].get("result").expect("result");
         assert_eq!(hover.get("status").and_then(Json::as_str), Some("error"));
     }

@@ -82,6 +82,22 @@ assert [f['path'] for f in one['files']] == [f['path'] for f in two['files']]
 print(f"    {one['stats']['defs']} defs, warm run hit {two['stats']['cache_hits']} cached groups")
 PY
 
+echo "==> diagnostic smoke (explain and check --explain print the same error)"
+# programs/bad_select.rp is rejected (exit 1). Both commands must name
+# the field, point at the access and print the minimal core.
+for cmd in "explain" "check --explain --no-cache"; do
+  # shellcheck disable=SC2086 # $cmd is a command plus its flags
+  diag=$(cargo run --release --quiet --bin rowpoly -- $cmd programs/bad_select.rp 2>&1) || true
+  for want in 'field `colour` may not exist' '--> 3:12' '3 of 10 β clauses'; do
+    if ! grep -qF -- "$want" <<< "$diag"; then
+      echo "rowpoly $cmd: missing '$want' in:"
+      echo "$diag"
+      exit 1
+    fi
+  done
+  echo "    rowpoly $cmd: field \`colour\` at 3:12, 3 of 10 β clauses"
+done
+
 echo "==> profile smoke (concurrency profile + worker-track trace)"
 profile_dir=$(mktemp -d)
 cargo run --release --bin rowpoly -- check programs/ --jobs 2 --no-cache \

@@ -455,15 +455,6 @@ fn cmd_single_file(cmd: &str, args: &[String]) -> ExitCode {
 
     let session = Session::new(Options {
         track_fields: !no_fields,
-        // `explain` trades speed for diagnostics: checking after every
-        // field-requirement assertion catches the conflict before
-        // stale-flag projection can collapse the offending clauses, so
-        // the minimal core still maps to source spans.
-        check: if cmd == "explain" {
-            rowpoly::core::CheckPolicy::Eager
-        } else {
-            Options::default().check
-        },
         ..Options::default()
     });
 

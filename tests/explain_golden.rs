@@ -1,16 +1,15 @@
 //! Byte-for-byte golden rendering of `--explain` diagnostics.
 //!
-//! Each ill-typed program is checked under three configurations — the
-//! eager policy `rowpoly explain` uses, the default per-definition
-//! policy `rowpoly check --explain` uses, and per-definition compaction
-//! — and the rendered error (span-anchored notes plus the minimal-core
-//! summary) is compared with `tests/golden/explain.txt`. The programs
+//! Each ill-typed program is checked under two configurations — the
+//! default options every entry point uses, and per-definition
+//! compaction — and the rendered error (span-anchored notes plus the
+//! minimal-core summary) is compared with `tests/golden/explain.txt`. The programs
 //! cover every SAT class the diagnostics come from: 2-SAT (an
 //! Observation 1 select-after-remove pipeline, a rename target, the
 //! shipped `bad_select.rp`), dual-Horn (asymmetric `@`), and general CNF
 //! (`@@`, `when`).
 
-use rowpoly::core::{CheckPolicy, Compaction, Options, Session};
+use rowpoly::core::{Compaction, Options, Session};
 
 const PROGRAMS: &[(&str, &str)] = &[
     (
@@ -30,15 +29,8 @@ const PROGRAMS: &[(&str, &str)] = &[
     ("bad_select.rp", include_str!("../programs/bad_select.rp")),
 ];
 
-fn configs() -> [(&'static str, Options); 3] {
+fn configs() -> [(&'static str, Options); 2] {
     [
-        (
-            "eager",
-            Options {
-                check: CheckPolicy::Eager,
-                ..Options::default()
-            },
-        ),
         ("default", Options::default()),
         (
             "perdef",

@@ -112,6 +112,15 @@ def b = read {}";
 }
 
 #[test]
+fn when_branch_conflict_refutes_only_its_guard() {
+    // The then-branch cannot run on a record without `foo`: a conflict
+    // inside the branch refutes its guard, not the definition.
+    let src = r"def read s = when foo in s then #bar {} else 0
+def b = read {}";
+    assert!(flow().infer_source(src).is_ok(), "the branch is dead");
+}
+
+#[test]
 fn when_requires_general_sat() {
     use rowpoly::boolfun::SatClass;
     // With Int-typed branches the guarded clauses stay Horn; the general

@@ -5,7 +5,7 @@
 //! engine into its own referee — a bogus proof panics inside the solver).
 
 use rowpoly::boolfun::{minimize_core, Clause, Cnf, Lit, ProofChecker, SatBudget};
-use rowpoly::core::{CheckPolicy, Options, Session};
+use rowpoly::core::Session;
 use rowpoly::gen::{random_pipeline, FuzzParams};
 
 /// Every test in this binary turns on inline proof checking before its
@@ -15,16 +15,9 @@ fn check_proofs_on() {
     std::env::set_var("ROWPOLY_CHECK_PROOFS", "1");
 }
 
-fn eager_session() -> Session {
-    Session::new(Options {
-        check: CheckPolicy::Eager,
-        ..Options::default()
-    })
-}
-
 /// Renders the first error of `src` the way `rowpoly explain` does.
 fn explain(src: &str) -> String {
-    let err = eager_session()
+    let err = Session::default()
         .infer_source(src)
         .expect_err("program has a type error");
     err.render_explained(src)
@@ -156,7 +149,7 @@ fn proof_checker_accepts_every_fuzz_verdict() {
     let mut rejected = 0;
     for seed in 0..150 {
         let expr = random_pipeline(seed, FuzzParams::default());
-        if let Err(e) = eager_session().infer_expr(&expr) {
+        if let Err(e) = Session::default().infer_expr(&expr) {
             rejected += 1;
             let info = e.proof.as_ref().expect("rejection carries proof info");
             assert!(!info.minimized_core_clauses.is_empty());

@@ -2,7 +2,7 @@
 //! and land in the satisfiability class their operations predict.
 
 use rowpoly::boolfun::SatClass;
-use rowpoly::core::{CheckPolicy, Options, Session};
+use rowpoly::core::{Options, Session, SessionError};
 use rowpoly::eval::{eval_program, Value};
 use rowpoly::gen::{generate_guarded, generate_with_lines, GuardedParams};
 
@@ -38,27 +38,21 @@ fn decoder_workloads_stay_two_sat() {
 }
 
 #[test]
-fn eager_checking_reports_the_access_site() {
-    // With eager checking, the error is raised at the offending select's
-    // application, not at the end of the definition.
+fn default_checking_reports_the_access_site() {
+    // The error is raised at the offending select's application, not at
+    // the end of the definition.
     let src = "def b = #foo {}";
-    let opts = Options {
-        check: CheckPolicy::Eager,
-        ..Options::default()
+    let Err(SessionError::Type(err)) = Session::default().infer_source(src) else {
+        panic!("`{src}` is rejected with a type error");
     };
-    let err = Session::new(opts).infer_source(src).expect_err("rejected");
-    let rendered = err.render(src);
-    assert!(rendered.contains("foo"), "{rendered}");
-}
-
-#[test]
-fn final_checking_still_rejects() {
-    let src = "def a = #foo {}\ndef b = 1";
-    let opts = Options {
-        check: CheckPolicy::Final,
-        ..Options::default()
-    };
-    assert!(Session::new(opts).infer_source(src).is_err());
+    let rendered = err.to_diag().render(src);
+    assert!(rendered.contains("field `foo`"), "{rendered}");
+    let access = src.find("#foo").expect("access") as u32;
+    assert_eq!(
+        (err.span.start, err.span.end),
+        (access, src.len() as u32),
+        "{rendered}"
+    );
 }
 
 #[test]
