@@ -1,4 +1,5 @@
-//! The content-addressed inference cache.
+//! The content-addressed verdict store, shared by `rowpoly check` and
+//! `rowpoly serve`.
 //!
 //! A cache entry maps the *meaning-relevant content* of a definition
 //! group to the closed schemes it produced. The key hashes, in order:
@@ -23,11 +24,10 @@
 //!
 //! Persistence is one mini-JSON document per cache directory. Loading
 //! tolerates anything — a missing, truncated, corrupted, or
-//! wrong-version file is an empty cache, never an error. Saving writes
-//! only the entries this run touched (hit or inserted), so entries for
-//! deleted code age out instead of accumulating.
+//! wrong-version file is an empty cache, never an error. What saving
+//! writes follows from whether the store is bounded (see [`Cache`]).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
@@ -39,6 +39,7 @@ use rowpoly_obs::json::{self, Json};
 use rowpoly_obs::MemSite;
 
 use crate::codec;
+use crate::step::Answer;
 
 /// Bump when the key derivation or entry layout changes.
 const FORMAT: &str = "rowpoly-batch-cache-v1";
@@ -46,48 +47,88 @@ const FORMAT: &str = "rowpoly-batch-cache-v1";
 /// File name inside the cache directory.
 pub const CACHE_FILE: &str = "cache.json";
 
-/// An in-memory view of the persistent cache.
+/// Entry cap of a bounded store: above it, pruning kicks in.
+pub const BOUNDED_CAP: usize = 4096;
+
+/// Attribution site for the bytes the store holds and clones: loading
+/// `cache.json`, hit clones, and inserted entries all land here (see
+/// `rowpoly-obs::mem`).
+static CACHE_MEM: MemSite = MemSite::new("batch.cache");
+
+/// One stored group outcome: the closed per-definition reports of a
+/// fully-successful group.
+#[derive(Debug)]
+struct Entry {
+    defs: Vec<DefReport>,
+    /// Stamp of the last use: 0 for an entry loaded from disk and not
+    /// used since, otherwise the caller's stamp at its last lookup or
+    /// insert.
+    last_used: u64,
+    /// Deterministic size estimate (see [`entry_bytes`]); 0 in an
+    /// unbounded store, which never computes one.
+    bytes: u64,
+}
+
+/// The keyed store of closed group outcomes, in memory.
+///
+/// A store is either *bounded* ([`Cache::bounded`], the serve daemon's)
+/// or unbounded ([`Cache::default`], one `check` run's). A bounded store
+/// keeps at most [`BOUNDED_CAP`] entries and a byte bound over the
+/// entries' deterministic size estimates — struct sizes plus the
+/// canonical-JSON length of each scheme, so the bound holds identically
+/// whether or not the counting allocator is enabled. Above either bound
+/// [`Cache::insert`] prunes the least-recently-used half.
+///
+/// The bound also decides what [`Cache::save`] writes: a bounded store
+/// writes every entry it holds, since the bound already limits it; an
+/// unbounded store writes only the entries this process used or
+/// inserted, so entries for deleted code age out of `cache.json`.
 #[derive(Debug, Default)]
 pub struct Cache {
-    entries: BTreeMap<u64, Vec<DefReport>>,
-    touched: BTreeSet<u64>,
+    entries: BTreeMap<u64, Entry>,
+    /// `(entry cap, byte bound)`; `None` for an unbounded store.
+    bound: Option<(usize, u64)>,
+    /// Sum of the entries' size estimates.
+    live_bytes: u64,
     /// Lookups that found an entry.
     pub hits: u64,
-    /// Lookups that found nothing (or an undecodable entry).
+    /// Lookups that found nothing.
     pub misses: u64,
+    /// Entries dropped by pruning.
+    pub evicted: u64,
+}
+
+/// Deterministic size estimate of one entry: fixed struct sizes plus
+/// the canonical-JSON length of each scheme — the same rendering
+/// [`Cache::key`] hashes, so the estimate tracks the scheme's real
+/// complexity without depending on allocator state.
+fn entry_bytes(defs: &[DefReport]) -> u64 {
+    let fixed = std::mem::size_of::<Entry>() + std::mem::size_of_val(defs);
+    let schemes: usize = defs
+        .iter()
+        .map(|d| codec::scheme_to_json(&d.scheme).render().len())
+        .sum();
+    (fixed + schemes) as u64
 }
 
 impl Cache {
-    /// Loads the cache from `dir`, treating every failure mode —
-    /// missing directory, unreadable file, corrupt JSON, wrong format
-    /// version — as an empty cache.
-    pub fn load(dir: &Path) -> Cache {
-        let mut cache = Cache::default();
-        let Ok(text) = std::fs::read_to_string(dir.join(CACHE_FILE)) else {
-            return cache;
-        };
-        let Ok(doc) = json::parse(&text) else {
-            return cache;
-        };
-        if doc.get("version").and_then(Json::as_str) != Some(FORMAT) {
-            return cache;
+    /// An empty store bounded to [`BOUNDED_CAP`] entries and
+    /// `max_bytes` of estimated entry weight.
+    pub fn bounded(max_bytes: u64) -> Cache {
+        Cache {
+            bound: Some((BOUNDED_CAP, max_bytes)),
+            ..Cache::default()
         }
-        let Some(entries) = doc.get("entries").and_then(Json::as_arr) else {
-            return cache;
-        };
-        for entry in entries {
-            let Some(defs) = decode_entry(entry) else {
-                continue; // one bad entry must not poison the rest
-            };
-            if let Some(key) = entry
-                .get("key")
-                .and_then(Json::as_str)
-                .and_then(|k| u64::from_str_radix(k, 16).ok())
-            {
-                cache.entries.insert(key, defs);
-            }
+    }
+
+    /// Adds the entries of `dir`'s cache file at stamp 0, treating
+    /// every failure mode — missing directory, unreadable file, corrupt
+    /// JSON, wrong format version — as an empty file.
+    pub fn load(&mut self, dir: &Path) {
+        let _mem = CACHE_MEM.scope();
+        for (key, defs) in read(dir) {
+            self.put(key, defs, 0);
         }
-        cache
     }
 
     /// Computes a group's cache key from its pretty-printed members
@@ -106,13 +147,22 @@ impl Cache {
         h.finish()
     }
 
-    /// Looks up a key, counting the hit or miss.
-    pub fn lookup(&mut self, key: u64) -> Option<Vec<DefReport>> {
-        match self.entries.get(&key) {
-            Some(defs) => {
+    /// Looks up a key, counting the hit or miss and stamping the entry
+    /// with `stamp` (which must be above 0). A hit on an entry still at
+    /// stamp 0 — loaded from disk, unused since — is [`Answer::Disk`];
+    /// any other hit is [`Answer::Memo`].
+    pub fn lookup(&mut self, key: u64, stamp: u64) -> Option<(Answer, Vec<DefReport>)> {
+        let _mem = CACHE_MEM.scope();
+        match self.entries.get_mut(&key) {
+            Some(entry) => {
                 self.hits += 1;
-                self.touched.insert(key);
-                Some(defs.clone())
+                let answer = if entry.last_used == 0 {
+                    Answer::Disk
+                } else {
+                    Answer::Memo
+                };
+                entry.last_used = stamp;
+                Some((answer, entry.defs.clone()))
             }
             None => {
                 self.misses += 1;
@@ -121,48 +171,153 @@ impl Cache {
         }
     }
 
-    /// Stores a fully-successful group outcome.
-    pub fn insert(&mut self, key: u64, defs: Vec<DefReport>) {
-        self.touched.insert(key);
-        self.entries.insert(key, defs);
+    /// Stores a fully-successful group outcome under `key`, stamped
+    /// `stamp`, then prunes a bounded store back under its bounds.
+    pub fn insert(&mut self, key: u64, defs: Vec<DefReport>, stamp: u64) {
+        let _mem = CACHE_MEM.scope();
+        self.put(key, defs, stamp);
+        self.prune();
     }
 
-    /// Writes the entries touched this run to `dir`, creating it if
-    /// needed. Best-effort: IO failures are reported, not fatal.
+    fn put(&mut self, key: u64, defs: Vec<DefReport>, last_used: u64) {
+        let bytes = if self.bound.is_some() {
+            entry_bytes(&defs)
+        } else {
+            0
+        };
+        let entry = Entry {
+            defs,
+            last_used,
+            bytes,
+        };
+        self.live_bytes += bytes;
+        if let Some(old) = self.entries.insert(key, entry) {
+            self.live_bytes -= old.bytes;
+        }
+    }
+
+    /// Drops least-recently-used halves of the entries while either
+    /// bound (entry cap or byte bound) is exceeded; a no-op in an
+    /// unbounded store. Amortized O(1) per insert for the cap: pruning
+    /// halves the table, so it runs at most once per cap/2 inserts. The
+    /// byte bound iterates because one halving may not shed enough
+    /// weight; every pass removes at least one entry, so it terminates
+    /// (an over-bound *single* entry is kept — the store never evicts
+    /// below one entry).
+    fn prune(&mut self) {
+        let Some((cap, max_bytes)) = self.bound else {
+            return;
+        };
+        loop {
+            let over = self.entries.len() > cap || self.live_bytes > max_bytes;
+            if !over || self.entries.len() <= 1 {
+                return;
+            }
+            let mut stamps: Vec<u64> = self.entries.values().map(|e| e.last_used).collect();
+            stamps.sort_unstable();
+            let cutoff = stamps[stamps.len() / 2];
+            let before = self.entries.len();
+            // Keep entries used strictly after the median stamp.
+            let mut freed = 0u64;
+            self.entries.retain(|_, e| {
+                let keep = e.last_used > cutoff;
+                if !keep {
+                    freed += e.bytes;
+                }
+                keep
+            });
+            self.live_bytes -= freed;
+            let dropped = before - self.entries.len();
+            self.evicted += dropped as u64;
+            if dropped == 0 {
+                return;
+            }
+        }
+    }
+
+    /// Writes the store to `dir` (see [`Cache`] for which entries),
+    /// creating it if needed.
     pub fn save(&self, dir: &Path) -> std::io::Result<()> {
-        std::fs::create_dir_all(dir)?;
-        let mut entries = Vec::new();
-        for &key in &self.touched {
-            let Some(defs) = self.entries.get(&key) else {
-                continue;
-            };
-            entries.push(encode_entry(key, defs));
-        }
-        let doc = Json::obj(vec![
-            ("version", Json::Str(FORMAT.to_string())),
-            ("entries", Json::Arr(entries)),
-        ]);
-        // Write-then-rename so a crashed run leaves either the old
-        // cache or the new one, never a torn file.
-        let tmp = dir.join(format!("{CACHE_FILE}.tmp.{}", std::process::id()));
-        let target = dir.join(CACHE_FILE);
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(doc.render().as_bytes())?;
-            f.write_all(b"\n")?;
-        }
-        std::fs::rename(&tmp, &target)
+        write(dir, self.saved())
     }
 
-    /// Number of entries currently loaded or inserted.
+    /// The entries [`Cache::save`] writes, in key order.
+    fn saved(&self) -> impl Iterator<Item = (u64, &[DefReport])> {
+        self.entries
+            .iter()
+            .filter(|(_, e)| self.bound.is_some() || e.last_used > 0)
+            .map(|(&key, e)| (key, e.defs.as_slice()))
+    }
+
+    /// Number of entries held.
     pub fn len(&self) -> usize {
         self.entries.len()
     }
 
-    /// Whether the cache holds no entries.
+    /// Whether the store holds no entries.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
+
+    /// Summed size estimate of the entries (0 in an unbounded store).
+    pub fn live_bytes(&self) -> u64 {
+        self.live_bytes
+    }
+
+    /// The byte bound of a bounded store.
+    pub fn max_bytes(&self) -> Option<u64> {
+        self.bound.map(|(_, max_bytes)| max_bytes)
+    }
+}
+
+/// Reads the entries of `dir`'s cache file; any failure reads as none.
+fn read(dir: &Path) -> Vec<(u64, Vec<DefReport>)> {
+    let Ok(text) = std::fs::read_to_string(dir.join(CACHE_FILE)) else {
+        return Vec::new();
+    };
+    let Ok(doc) = json::parse(&text) else {
+        return Vec::new();
+    };
+    if doc.get("version").and_then(Json::as_str) != Some(FORMAT) {
+        return Vec::new();
+    }
+    let Some(entries) = doc.get("entries").and_then(Json::as_arr) else {
+        return Vec::new();
+    };
+    entries
+        .iter()
+        .filter_map(|entry| {
+            // One bad entry must not poison the rest.
+            let defs = decode_entry(entry)?;
+            let key = entry.get("key")?.as_str()?;
+            Some((u64::from_str_radix(key, 16).ok()?, defs))
+        })
+        .collect()
+}
+
+/// Writes `entries`, in key order, as `dir`'s cache file.
+fn write<'a>(
+    dir: &Path,
+    entries: impl Iterator<Item = (u64, &'a [DefReport])>,
+) -> std::io::Result<()> {
+    std::fs::create_dir_all(dir)?;
+    let doc = Json::obj(vec![
+        ("version", Json::Str(FORMAT.to_string())),
+        (
+            "entries",
+            Json::Arr(entries.map(|(key, defs)| encode_entry(key, defs)).collect()),
+        ),
+    ]);
+    // Write-then-rename so a crashed run leaves either the old
+    // cache or the new one, never a torn file.
+    let tmp = dir.join(format!("{CACHE_FILE}.tmp.{}", std::process::id()));
+    let target = dir.join(CACHE_FILE);
+    {
+        let mut f = std::fs::File::create(&tmp)?;
+        f.write_all(doc.render().as_bytes())?;
+        f.write_all(b"\n")?;
+    }
+    std::fs::rename(&tmp, &target)
 }
 
 /// The default cache directory under a workspace root.
@@ -178,11 +333,6 @@ pub const STRIPES: usize = 8;
 /// site (`lock.wait.batch.cache.s0` … `.s7`), so a profile shows not
 /// just that cache waiting went down after sharding but how evenly the
 /// fingerprints spread across stripes.
-/// Attribution site for the bytes the in-memory cache holds and clones:
-/// loading `cache.json`, hit clones, and inserted entries all land here
-/// (see `rowpoly-obs::mem`).
-static CACHE_MEM: MemSite = MemSite::new("batch.cache");
-
 static STRIPE_LOCKS: [LockTimer; STRIPES] = [
     LockTimer::new("batch.cache.s0"),
     LockTimer::new("batch.cache.s1"),
@@ -221,14 +371,12 @@ impl Sharded {
     /// and deals the entries out across the stripes.
     pub fn load(dir: &Path) -> Sharded {
         let _mem = CACHE_MEM.scope();
-        let whole = Cache::load(dir);
         let sharded = Sharded::new();
-        for (key, defs) in whole.entries {
+        for (key, defs) in read(dir) {
             sharded.stripes[stripe_of(key)]
                 .lock()
-                .unwrap()
-                .entries
-                .insert(key, defs);
+                .expect("no other thread holds the stripes yet")
+                .put(key, defs, 0);
         }
         sharded
     }
@@ -238,16 +386,15 @@ impl Sharded {
         STRIPE_LOCKS[i].lock(&self.stripes[i])
     }
 
-    /// Looks up a key in its stripe, counting the hit or miss there.
-    pub fn lookup(&self, key: u64) -> Option<Vec<DefReport>> {
-        let _mem = CACHE_MEM.scope();
-        self.stripe(key).lookup(key)
+    /// Looks up a key in its stripe, counting the hit or miss there. A
+    /// `check` run is one revision: every use stamps 1.
+    pub fn lookup(&self, key: u64) -> Option<(Answer, Vec<DefReport>)> {
+        self.stripe(key).lookup(key, 1)
     }
 
     /// Stores a fully-successful group outcome in the key's stripe.
     pub fn insert(&self, key: u64, defs: Vec<DefReport>) {
-        let _mem = CACHE_MEM.scope();
-        self.stripe(key).insert(key, defs);
+        self.stripe(key).insert(key, defs, 1);
     }
 
     /// Total hits across stripes.
@@ -260,19 +407,17 @@ impl Sharded {
         self.stripes.iter().map(|s| s.lock().unwrap().misses).sum()
     }
 
-    /// Merges every stripe's touched entries and writes one
+    /// Writes every stripe's used or inserted entries as one
     /// `cache.json`, with [`Cache::save`]'s write-then-rename safety.
     pub fn save(&self, dir: &Path) -> std::io::Result<()> {
-        let mut merged = Cache::default();
-        for stripe in &self.stripes {
-            let cache = stripe.lock().unwrap();
-            for &key in &cache.touched {
-                if let Some(defs) = cache.entries.get(&key) {
-                    merged.insert(key, defs.clone());
-                }
-            }
-        }
-        merged.save(dir)
+        let stripes: Vec<_> = self
+            .stripes
+            .iter()
+            .map(|s| s.lock().expect("a worker panicked holding a cache stripe"))
+            .collect();
+        // Stripes split the keys by their top bits, so walking the
+        // stripes in order walks the keys in order.
+        write(dir, stripes.iter().flat_map(|cache| cache.saved()))
     }
 }
 
@@ -367,12 +512,24 @@ mod tests {
     use rowpoly_boolfun::SatClass;
     use rowpoly_types::{Scheme, Ty};
 
-    fn defs() -> Vec<DefReport> {
+    fn defs(tag: &str) -> Vec<DefReport> {
         vec![DefReport {
-            name: Symbol::intern("one"),
+            name: Symbol::intern(tag),
             scheme: Scheme::new(vec![], Ty::Int),
             sat_class: SatClass::Trivial,
         }]
+    }
+
+    fn temp_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("rowpoly-cache-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    fn loaded(dir: &Path) -> Cache {
+        let mut cache = Cache::default();
+        cache.load(dir);
+        cache
     }
 
     #[test]
@@ -390,27 +547,26 @@ mod tests {
 
     #[test]
     fn roundtrips_through_disk_and_counts_hits() {
-        let dir = std::env::temp_dir().join(format!("rowpoly-cache-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = temp_dir("roundtrip");
         let mut cache = Cache::default();
-        cache.insert(42, defs());
+        cache.insert(42, defs("one"), 1);
         cache.save(&dir).expect("saves");
 
-        let mut back = Cache::load(&dir);
+        let mut back = loaded(&dir);
         assert_eq!(back.len(), 1);
-        let got = back.lookup(42).expect("hit");
-        assert_eq!(got[0].name, Symbol::intern("one"));
-        assert_eq!(back.hits, 1);
-        assert!(back.lookup(7).is_none());
+        let (answer, got) = back.lookup(42, 1).expect("hit");
+        assert_eq!((answer, got[0].name), (Answer::Disk, Symbol::intern("one")));
+        let (answer, _) = back.lookup(42, 2).expect("hit");
+        assert_eq!(answer, Answer::Memo, "a used entry is no longer a disk hit");
+        assert_eq!(back.hits, 2);
+        assert!(back.lookup(7, 2).is_none());
         assert_eq!(back.misses, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn corrupted_or_alien_files_load_as_empty() {
-        let dir =
-            std::env::temp_dir().join(format!("rowpoly-cache-corrupt-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = temp_dir("corrupt");
         std::fs::create_dir_all(&dir).unwrap();
         for bad in [
             "",
@@ -419,28 +575,77 @@ mod tests {
             "[1,2]",
         ] {
             std::fs::write(dir.join(CACHE_FILE), bad).unwrap();
-            assert!(Cache::load(&dir).is_empty(), "loaded entries from {bad:?}");
+            assert!(loaded(&dir).is_empty(), "loaded entries from {bad:?}");
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn save_prunes_untouched_entries() {
-        let dir =
-            std::env::temp_dir().join(format!("rowpoly-cache-prune-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+    fn unbounded_save_drops_unused_entries() {
+        let dir = temp_dir("unbounded");
         let mut cache = Cache::default();
-        cache.insert(1, defs());
-        cache.insert(2, defs());
+        cache.insert(1, defs("a"), 1);
+        cache.insert(2, defs("b"), 1);
         cache.save(&dir).expect("saves");
 
-        let mut second = Cache::load(&dir);
+        let mut second = loaded(&dir);
         assert_eq!(second.len(), 2);
-        let _ = second.lookup(1);
+        let _ = second.lookup(1, 1);
         second.save(&dir).expect("saves");
-
-        let third = Cache::load(&dir);
-        assert_eq!(third.len(), 1, "untouched entry survived the save");
+        assert_eq!(loaded(&dir).len(), 1, "unused entry survived the save");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn bounded_save_keeps_every_entry_it_holds() {
+        let dir = temp_dir("bounded");
+        let mut cache = Cache::default();
+        cache.insert(1, defs("a"), 1);
+        cache.insert(2, defs("b"), 1);
+        cache.save(&dir).expect("saves");
+
+        let mut second = Cache::bounded(u64::MAX);
+        second.load(&dir);
+        second.insert(3, defs("c"), 1);
+        second.save(&dir).expect("saves");
+        assert_eq!(loaded(&dir).len(), 3, "an unused loaded entry was dropped");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn hits_and_misses_are_counted() {
+        let mut m = Cache::bounded(u64::MAX);
+        assert!(m.lookup(1, 1).is_none());
+        m.insert(1, defs("a"), 1);
+        assert!(m.lookup(1, 2).is_some());
+        assert_eq!((m.hits, m.misses), (1, 1));
+    }
+
+    #[test]
+    fn pruning_keeps_recently_used_entries() {
+        let mut m = Cache {
+            bound: Some((8, u64::MAX)),
+            ..Cache::default()
+        };
+        for key in 0..8u64 {
+            m.insert(key, defs("old"), key + 1);
+        }
+        // Refresh key 7 at a late stamp, then overflow the cap.
+        assert!(m.lookup(7, 100).is_some());
+        m.insert(99, defs("new"), 101);
+        assert!(m.len() <= 8, "pruned below cap, got {}", m.len());
+        assert!(m.evicted > 0);
+        assert!(m.lookup(7, 102).is_some(), "recently-used entry survived");
+        assert!(m.lookup(99, 102).is_some(), "new entry survived");
+    }
+
+    #[test]
+    fn byte_bound_holds_after_every_insert() {
+        let mut m = Cache::bounded(4 * entry_bytes(&defs("x")));
+        for key in 0..50u64 {
+            m.insert(key, defs("x"), key + 1);
+            assert!(m.live_bytes() <= m.max_bytes().unwrap(), "over at {key}");
+        }
+        assert!(m.lookup(49, 51).is_some(), "newest entry survived");
     }
 }

@@ -24,11 +24,8 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use rowpoly_core::BUILTINS;
 use rowpoly_lang::{Program, Symbol};
-
-/// Names bound by [`rowpoly_core`]'s built-in environment; references
-/// to them are neither dependencies nor ambient variables.
-const BUILTINS: [&str; 4] = ["null", "head", "tail", "cons"];
 
 /// One schedulable unit: a contiguous run of definitions checked
 /// serially in a single engine.
@@ -46,10 +43,13 @@ pub struct Group {
     /// Topological level: 1 + the maximum wave of any dependency
     /// (wave 0 for independent groups).
     pub wave: usize,
-    /// The union of the members' free variables, sorted. Dependency
-    /// resolution already walked every body, so the per-group union is
-    /// kept here and handed to `rowpoly_core::GroupSpec::free_names` —
-    /// jobs must not re-walk their ASTs on every (re-)run.
+    /// The free names of the members' let-chain, sorted: every name a
+    /// member references that no member at or before it defines. These
+    /// are exactly the names the serial driver's environment supplies,
+    /// so a forward reference to a later member counts. Dependency
+    /// resolution already walked every body, so the set is kept here
+    /// and handed to `rowpoly_core::GroupSpec::free_names` — jobs must
+    /// not re-walk their ASTs on every (re-)run.
     pub free_names: Vec<Symbol>,
 }
 
@@ -73,7 +73,7 @@ impl ProgramGraph {
 
         // Resolve references and find each definition's ambient names,
         // keeping the raw free-variable sets: the groups publish their
-        // union so jobs never re-walk the ASTs.
+        // let-chain's free names so jobs never re-walk the ASTs.
         let mut resolved: Vec<BTreeMap<Symbol, usize>> = Vec::with_capacity(n);
         let mut ambient: Vec<BTreeSet<Symbol>> = Vec::with_capacity(n);
         let mut free_of: Vec<BTreeSet<Symbol>> = Vec::with_capacity(n);
@@ -138,16 +138,20 @@ impl ProgramGraph {
             for slot in &mut group_of[lo..=hi] {
                 *slot = g;
             }
-            let mut free_union: BTreeSet<Symbol> = BTreeSet::new();
-            for free in &free_of[lo..=hi] {
-                free_union.extend(free.iter().copied());
+            // Free in `let d_lo = e_lo in … let d_hi = e_hi in d_hi`
+            // (each `let` is recursive).
+            let mut chain_free: BTreeSet<Symbol> = BTreeSet::new();
+            let mut defined: BTreeSet<Symbol> = BTreeSet::new();
+            for (def, free) in program.defs[lo..=hi].iter().zip(&free_of[lo..=hi]) {
+                defined.insert(def.name);
+                chain_free.extend(free.difference(&defined));
             }
             groups.push(Group {
                 def_indices: (lo..=hi).collect(),
                 deps: BTreeMap::new(),
                 dep_groups: Vec::new(),
                 wave: 0,
-                free_names: free_union.into_iter().collect(),
+                free_names: chain_free.into_iter().collect(),
             });
         }
 

@@ -710,8 +710,7 @@ fn run_group(
         fingerprint,
     };
     let mut lookup = |key, fits: &dyn Fn(&[DefReport]) -> bool| {
-        let defs = cache?.lookup(key).filter(|defs| fits(defs))?;
-        Some((Answer::Disk, defs))
+        cache?.lookup(key).filter(|(_, defs)| fits(defs))
     };
     let out = step.run(
         |d| {
@@ -723,7 +722,7 @@ fn run_group(
         scratch,
     );
     match (out.result.answer, cache) {
-        (Answer::Disk, _) => {
+        (answer, _) if answer.is_hit() => {
             obs::counter_add("batch.cache.hits", 1);
             tl.instant("cache-hit");
         }

@@ -17,8 +17,8 @@
 //!    entry to store when every member checked.
 //!
 //! What the step does not do is count or store: the caller owns its
-//! store (the batch cache, or serve's memo in front of the disk cache)
-//! and its counters, and reads [`GroupResult::answer`] to keep them.
+//! store (a [`Cache`]: sharded for batch, bounded for serve) and its
+//! counters, and reads [`GroupResult::answer`] to keep them.
 
 use std::sync::OnceLock;
 
@@ -35,9 +35,9 @@ use crate::graph::ProgramGraph;
 pub enum Answer {
     /// A dependency failed; every member is `Skipped`.
     Skipped,
-    /// Replayed from a hot in-memory memo.
+    /// Replayed from an entry this process already used or inserted.
     Memo,
-    /// Replayed from the persistent cache.
+    /// Replayed from an entry loaded from disk and not used before.
     Disk,
     /// Inference ran.
     Recomputed,
@@ -89,9 +89,9 @@ impl GroupResult {
 }
 
 /// A store lookup: given a key and a check that an entry lines up with
-/// the group's members, returns which layer answered and the entry.
+/// the group's members, returns how the store answered and the entry.
 /// An entry failing the check (a hash collision or a stale decode) is
-/// not an answer; the lookup may try its next layer.
+/// not an answer.
 pub type Lookup<'a> =
     dyn FnMut(u64, &dyn Fn(&[DefReport]) -> bool) -> Option<(Answer, Vec<DefReport>)> + 'a;
 

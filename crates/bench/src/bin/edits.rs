@@ -6,8 +6,8 @@
 //!
 //! `--mem` (or `ROWPOLY_MEM=1`) turns the counting allocator on for
 //! the replay: each workload reports the allocator delta over its edit
-//! trace and the hot memo's live-byte estimate against its configured
-//! bound, and the JSON gains a process-wide `mem` block.
+//! trace and the verdict store's live-byte estimate against its
+//! configured bound, and the JSON gains a process-wide `mem` block.
 //!
 //! For each Figure 9 decoder workload, the benchmark opens the
 //! generated source in an in-process [`rowpoly_serve::ServeEngine`]
@@ -20,7 +20,7 @@
 //! Each edit rewrites one integer literal, which is the interesting
 //! case for the query graph: the edited definition's group re-keys and
 //! recomputes, but its closed scheme is unchanged, so every dependent
-//! hits the memo — the daemon's per-edit cost is one group, not one
+//! hits the store — the daemon's per-edit cost is one group, not one
 //! file. The cutoff counters in the report prove that: over the whole
 //! trace, `verdict_recomputed` stays at one group per edit while
 //! `verdict_hits` absorbs the rest.
@@ -57,9 +57,10 @@ struct WorkloadResult {
     slices: u64,
     /// Allocator delta summed over the edit trace (accounting on only).
     trace_mem: Option<MemDelta>,
-    /// Hot-memo live-byte estimate after the last edit, and its bound.
+    /// Verdict-store live-byte estimate after the last edit, and its
+    /// bound.
     memo_live_bytes: u64,
-    memo_max_bytes: Option<u64>,
+    memo_max_bytes: u64,
 }
 
 impl WorkloadResult {
@@ -142,8 +143,8 @@ fn replay(
     edits: usize,
     seed: u64,
 ) -> WorkloadResult {
-    // No disk layer: the bench measures the hot path, and a cold disk
-    // cache would only flatter the open time.
+    // No cache directory: the bench measures the hot path, and a
+    // loaded cache would only flatter the open time.
     let mut engine = ServeEngine::new(ServeConfig {
         cache_dir: None,
         ..ServeConfig::default()
@@ -309,10 +310,7 @@ fn render_json(
                     Json::obj(vec![
                         ("trace_delta", d.to_json()),
                         ("memo_live_bytes", Json::Int(r.memo_live_bytes as i64)),
-                        (
-                            "memo_max_bytes",
-                            r.memo_max_bytes.map_or(Json::Null, |v| Json::Int(v as i64)),
-                        ),
+                        ("memo_max_bytes", Json::Int(r.memo_max_bytes as i64)),
                     ]),
                 ));
             }

@@ -26,9 +26,11 @@ pub const SAT_CLASSES: [SatClass; SAT_CLASS_COUNT] = [
 pub enum Compaction {
     /// Project at the end of every structural rule (safe default).
     Aggressive,
-    /// Project only after each top-level definition. Faster, but an
-    /// expansion may alias copies through a stale flag (the Section 6
-    /// bug); exposed for the ablation benchmark.
+    /// No per-rule pass: `applyS` projects the flags it replaces in the
+    /// κ type at once, and the rest wait until the top-level definition
+    /// finishes (`FlowInfer::finish_def`). Faster, but an expansion may
+    /// alias copies through a stale flag (the Section 6 bug); exposed
+    /// for the ablation benchmark.
     PerDef,
 }
 

@@ -263,6 +263,9 @@ pub(crate) fn bind_free_vars(
     }
 }
 
+/// Names bound by the built-in environment: the list primitives.
+pub const BUILTINS: [&str; 4] = ["null", "head", "tail", "cons"];
+
 /// The initial environment: list primitives with simple element flows.
 /// Only the primitives in `needed` are bound (and their flow clauses
 /// added), so programs that never touch lists keep β in the exact clause
@@ -272,66 +275,42 @@ pub(crate) fn builtin_env(
     needed: &std::collections::BTreeSet<Symbol>,
 ) -> TyEnv {
     let mut env = TyEnv::new();
-    let flag = |e: &mut FlowInfer| e.fresh_flag_public();
-
-    if needed.contains(&Symbol::intern("null")) {
-        // null : ∀a . [a] → Int
-        let a = engine.vars.fresh();
-        let f = flag(engine);
-        let ty = Ty::fun(Ty::list(Ty::Var(a, f)), Ty::Int);
-        env.insert(
-            Symbol::intern("null"),
-            Binding::Poly(Scheme::new(vec![a], ty)),
-        );
-    }
-    if needed.contains(&Symbol::intern("head")) {
-        // head : ∀a . [a.f1] → a.f2 with f2 → f1 (fields of the element
-        // were in the list).
-        let a = engine.vars.fresh();
-        let f1 = flag(engine);
-        let f2 = flag(engine);
-        let ty = Ty::fun(Ty::list(Ty::Var(a, f1)), Ty::Var(a, f2));
-        if engine.tracking() {
-            engine.beta.imply(Lit::pos(f2), Lit::pos(f1));
+    for name in BUILTINS {
+        let sym = Symbol::intern(name);
+        if !needed.contains(&sym) {
+            continue;
         }
-        env.insert(
-            Symbol::intern("head"),
-            Binding::Poly(Scheme::new(vec![a], ty)),
-        );
-    }
-    if needed.contains(&Symbol::intern("tail")) {
-        // tail : ∀a . [a.f1] → [a.f2] with f2 → f1.
         let a = engine.vars.fresh();
-        let f1 = flag(engine);
-        let f2 = flag(engine);
-        let ty = Ty::fun(Ty::list(Ty::Var(a, f1)), Ty::list(Ty::Var(a, f2)));
-        if engine.tracking() {
-            engine.beta.imply(Lit::pos(f2), Lit::pos(f1));
+        let mut flag = || engine.fresh_flag_public();
+        let elem = |f| Ty::Var(a, f);
+        let (ty, clause) = match name {
+            // null : ∀a . [a] → Int
+            "null" => (Ty::fun(Ty::list(elem(flag())), Ty::Int), vec![]),
+            // head : ∀a . [a.f1] → a.f2 with f2 → f1 (fields of the
+            // element were in the list).
+            "head" => {
+                let (f1, f2) = (flag(), flag());
+                let ty = Ty::fun(Ty::list(elem(f1)), elem(f2));
+                (ty, vec![Lit::neg(f2), Lit::pos(f1)])
+            }
+            // tail : ∀a . [a.f1] → [a.f2] with f2 → f1.
+            "tail" => {
+                let (f1, f2) = (flag(), flag());
+                let ty = Ty::fun(Ty::list(elem(f1)), Ty::list(elem(f2)));
+                (ty, vec![Lit::neg(f2), Lit::pos(f1)])
+            }
+            // cons : ∀a . a.f1 → [a.f2] → [a.f3] with f3 → f1 ∨ f2.
+            "cons" => {
+                let (f1, f2, f3) = (flag(), flag(), flag());
+                let ty = Ty::fun(elem(f1), Ty::fun(Ty::list(elem(f2)), Ty::list(elem(f3))));
+                (ty, vec![Lit::neg(f3), Lit::pos(f1), Lit::pos(f2)])
+            }
+            _ => unreachable!("every built-in has a type"),
+        };
+        if engine.tracking() && !clause.is_empty() {
+            engine.beta.add_lits(clause);
         }
-        env.insert(
-            Symbol::intern("tail"),
-            Binding::Poly(Scheme::new(vec![a], ty)),
-        );
-    }
-    if needed.contains(&Symbol::intern("cons")) {
-        // cons : ∀a . a.f1 → [a.f2] → [a.f3] with f3 → f1 ∨ f2.
-        let a = engine.vars.fresh();
-        let f1 = flag(engine);
-        let f2 = flag(engine);
-        let f3 = flag(engine);
-        let ty = Ty::fun(
-            Ty::Var(a, f1),
-            Ty::fun(Ty::list(Ty::Var(a, f2)), Ty::list(Ty::Var(a, f3))),
-        );
-        if engine.tracking() {
-            engine
-                .beta
-                .add_lits(vec![Lit::neg(f3), Lit::pos(f1), Lit::pos(f2)]);
-        }
-        env.insert(
-            Symbol::intern("cons"),
-            Binding::Poly(Scheme::new(vec![a], ty)),
-        );
+        env.insert(sym, Binding::Poly(Scheme::new(vec![a], ty)));
     }
     env
 }

@@ -476,26 +476,6 @@ impl FlowInfer {
         Ok(scheme)
     }
 
-    /// Projects β onto the frozen global layer — the definitive cleanup
-    /// between top-level definitions (and the only projection in `PerDef`
-    /// mode). The caller must have frozen the environment first.
-    pub fn compact_per_def(&mut self, env: &TyEnv) {
-        if !self.opts.track_fields {
-            return;
-        }
-        let _span = obs::span(Phase::Project.name());
-        self.clock.enter(Phase::Project);
-        let locals: std::collections::HashSet<Flag> = env.local_flags().into_iter().collect();
-        let global = env.global_flags();
-        let outcome = self
-            .beta
-            .project_unless(|f| global.contains(&f) || locals.contains(&f));
-        self.counts.note_projection(&outcome);
-        self.sat_session.reserve_from_stats(&outcome);
-        self.pending_dead.clear();
-        self.clock.exit();
-    }
-
     /// Satisfiability check; maps a conflict to a located, explained
     /// error.
     pub fn check_sat(&mut self, span: Span, field: Option<FieldName>) -> Infer<()> {

@@ -55,7 +55,7 @@ pub mod remy;
 pub mod smt;
 
 pub use config::{Compaction, Options, Stats, SAT_CLASSES, SAT_CLASS_COUNT};
-pub use driver::{DefReport, ProgramReport, Session, SessionError};
+pub use driver::{DefReport, ProgramReport, Session, SessionError, BUILTINS};
 pub use error::{FlagOrigin, ProofInfo, Provenance, TypeError, TypeErrorKind};
 pub use flow::{alpha_eq_skeleton, FlowInfer, Infer};
 pub use unit::{close_scheme, run_group_spec, DefVerdict, EngineScratch, GroupOutcome, GroupSpec};

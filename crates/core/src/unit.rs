@@ -141,8 +141,10 @@ pub struct GroupSpec<'a> {
     /// Closed schemes of out-of-group definitions the group
     /// references, sorted by name.
     pub deps: &'a [(Symbol, &'a Scheme)],
-    /// The union of the members' free variables, sorted (the batch
-    /// graph computes it during dependency resolution).
+    /// The free names of the members' let-chain, sorted: what the
+    /// serial driver's environment supplies to them, forward
+    /// references to later members included (the batch graph computes
+    /// it during dependency resolution).
     pub free_names: &'a [Symbol],
 }
 
@@ -166,11 +168,6 @@ pub fn run_group_spec(spec: &GroupSpec<'_>, scratch: &mut EngineScratch) -> Grou
         scratch.sat.reset();
     }
     engine.sat_session = std::mem::take(&mut scratch.sat);
-    let group_names: BTreeSet<Symbol> = spec
-        .def_indices
-        .iter()
-        .map(|&i| spec.program.defs[i].name)
-        .collect();
     let needed: BTreeSet<Symbol> = spec.free_names.iter().copied().collect();
     let mut env = builtin_env(&mut engine, &needed);
     // Dependency schemes come from other engines; rename them into
@@ -181,10 +178,10 @@ pub fn run_group_spec(spec: &GroupSpec<'_>, scratch: &mut EngineScratch) -> Grou
         let imported = import_scheme(scheme, &mut engine.vars, &mut engine.flags);
         env.insert(name, Binding::Poly(imported));
     }
-    // Ambient free variables (neither built-in, dependency, nor a
-    // group member) get fresh monomorphic types, like the serial
-    // driver's treatment of open programs.
-    bind_free_vars(&mut engine, &mut env, &(&needed - &group_names));
+    // Ambient free variables (neither built-in nor dependency) get
+    // fresh monomorphic types, like the serial driver's treatment of
+    // open programs; a member referenced before its definition is one.
+    bind_free_vars(&mut engine, &mut env, &needed);
     env.freeze();
 
     let mut items: Vec<(usize, DefVerdict)> = Vec::with_capacity(spec.def_indices.len());
@@ -248,13 +245,15 @@ mod tests {
     use rowpoly_lang::parse_program;
 
     /// Runs `indices` of `src` as one group over `deps`, with the free
-    /// names walked from the member bodies.
+    /// names of the members' let-chain.
     fn run(src: &str, indices: &[usize], deps: &[(Symbol, &Scheme)]) -> GroupOutcome {
         let program = parse_program(src).expect("parses");
-        let free: BTreeSet<Symbol> = indices
-            .iter()
-            .flat_map(|&i| program.defs[i].body.free_vars())
-            .collect();
+        let mut defined = BTreeSet::new();
+        let mut free = BTreeSet::new();
+        for &i in indices {
+            defined.insert(program.defs[i].name);
+            free.extend(program.defs[i].body.free_vars().difference(&defined));
+        }
         let free_names: Vec<Symbol> = free.into_iter().collect();
         let spec = GroupSpec {
             opts: &Options::default(),

@@ -1,9 +1,10 @@
 //! The demand-driven incremental query engine.
 //!
 //! One [`ServeEngine`] owns the daemon's entire state: the open
-//! documents, the hot memo layer, and (optionally) the persistent
-//! content-addressed cache from the batch checker. Each document
-//! revision flows through four memoized queries:
+//! documents and one bounded verdict store — the batch checker's
+//! content-addressed [`Cache`], loaded from the cache directory when
+//! one is configured. Each document revision flows through four
+//! memoized queries:
 //!
 //! 1. **parse** — source text → AST + dependency graph, keyed by a
 //!    hash of the raw text (so undo/redo and re-saves replay for
@@ -45,8 +46,6 @@ use rowpoly_obs as obs;
 use rowpoly_obs::json::Json;
 use rowpoly_obs::metrics::Histogram;
 
-use crate::memo::Memo;
-
 /// Configuration of a serve session.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
@@ -54,15 +53,14 @@ pub struct ServeConfig {
     /// part of every query key, so switching options never replays
     /// stale results).
     pub opts: Options,
-    /// Persistent cache directory; `None` disables the disk layer.
+    /// Cache directory the store is loaded from and saved to; `None`
+    /// keeps the store in memory only.
     pub cache_dir: Option<PathBuf>,
-    /// Hot-memo entry cap (eviction threshold).
-    pub memo_cap: usize,
-    /// Hot-memo byte bound over the entries' deterministic size
-    /// estimates; `None` leaves only the entry cap. Reported (with the
-    /// memo's live estimate) in the `counters` reply so clients can
-    /// assert the memo stays bounded.
-    pub memo_max_bytes: Option<u64>,
+    /// Byte bound over the store's deterministic entry-size estimates
+    /// (the entry cap is [`rowpoly_batch::cache::BOUNDED_CAP`]).
+    /// Reported, with the live estimate, in the `counters` reply so
+    /// clients can assert the store stays bounded.
+    pub memo_max_bytes: u64,
 }
 
 impl Default for ServeConfig {
@@ -70,8 +68,7 @@ impl Default for ServeConfig {
         ServeConfig {
             opts: Options::default(),
             cache_dir: None,
-            memo_cap: 4096,
-            memo_max_bytes: Some(64 << 20),
+            memo_max_bytes: 64 << 20,
         }
     }
 }
@@ -87,9 +84,11 @@ pub struct RevisionStats {
     pub parse_misses: u64,
     /// Dependency-slice queries evaluated (one per definition group).
     pub slices: u64,
-    /// Verdict queries answered by the hot memo.
+    /// Verdict queries answered by an entry this process already used
+    /// or inserted.
     pub verdict_hits: u64,
-    /// Verdict queries answered by the persistent cache.
+    /// Verdict queries answered by an entry loaded from the cache
+    /// directory and not used before.
     pub verdict_disk_hits: u64,
     /// Verdict queries that ran inference.
     pub verdict_recomputed: u64,
@@ -102,8 +101,8 @@ pub struct RevisionStats {
     /// This thread's allocator delta over the revision (all zeros
     /// unless memory accounting is on).
     pub mem: rowpoly_obs::MemDelta,
-    /// Memo size estimate after the revision (see
-    /// [`crate::memo::Memo::live_bytes`]).
+    /// The store's size estimate after the revision (see
+    /// [`Cache::live_bytes`]).
     pub memo_live_bytes: u64,
 }
 
@@ -294,17 +293,15 @@ pub struct FileUpdate {
     pub stats: RevisionStats,
 }
 
-/// The daemon's state: open documents plus the layered query cache.
+/// The daemon's state: open documents plus the verdict store.
 pub struct ServeEngine {
     opts: Options,
     fingerprint: String,
     files: BTreeMap<String, Document>,
-    /// Hot layer: verdict-query memo.
-    memo: Memo,
+    /// The verdict store, stamped with revisions.
+    store: Cache,
     /// Parse memo: source hash → parsed program + graph.
     parsed: BTreeMap<u64, (std::sync::Arc<Program>, std::sync::Arc<ProgramGraph>)>,
-    /// Persistence: the batch checker's content-addressed cache.
-    disk: Option<Cache>,
     cache_dir: Option<PathBuf>,
     revision: u64,
     totals: Totals,
@@ -322,16 +319,19 @@ pub struct ServeEngine {
 }
 
 impl ServeEngine {
-    /// Starts an engine, loading the persistent cache when configured.
+    /// Starts an engine, loading the store from the cache directory
+    /// when one is configured.
     pub fn new(config: ServeConfig) -> ServeEngine {
-        let disk = config.cache_dir.as_deref().map(Cache::load);
+        let mut store = Cache::bounded(config.memo_max_bytes);
+        if let Some(dir) = &config.cache_dir {
+            store.load(dir);
+        }
         ServeEngine {
             fingerprint: config.opts.fingerprint(),
             opts: config.opts,
             files: BTreeMap::new(),
-            memo: Memo::with_bounds(config.memo_cap, config.memo_max_bytes),
+            store,
             parsed: BTreeMap::new(),
-            disk,
             cache_dir: config.cache_dir,
             revision: 0,
             totals: Totals::default(),
@@ -430,17 +430,18 @@ impl ServeEngine {
         })
     }
 
-    /// Persists the disk layer (no-op without a cache directory).
+    /// Saves the store to the cache directory (no-op without one).
     /// Called on `didSave` and at shutdown.
     pub fn persist(&mut self) -> Result<(), String> {
-        let (Some(disk), Some(dir)) = (self.disk.as_ref(), self.cache_dir.as_ref()) else {
+        let Some(dir) = &self.cache_dir else {
             return Ok(());
         };
-        disk.save(dir)
+        self.store
+            .save(dir)
             .map_err(|e| format!("cannot save cache to {}: {e}", dir.display()))
     }
 
-    /// Lifetime counters: query hits/misses per kind, memo occupancy,
+    /// Lifetime counters: query hits/misses per kind, store occupancy,
     /// and the per-edit latency distribution (p50/p90/p99).
     pub fn counters(&self) -> Json {
         let t = &self.totals;
@@ -479,14 +480,14 @@ impl ServeEngine {
             (
                 "memo",
                 Json::obj(vec![
-                    ("entries", Json::Int(self.memo.len() as i64)),
-                    ("hits", Json::Int(self.memo.hits as i64)),
-                    ("misses", Json::Int(self.memo.misses as i64)),
-                    ("evicted", Json::Int(self.memo.evicted as i64)),
-                    ("live_bytes", Json::Int(self.memo.live_bytes() as i64)),
+                    ("entries", Json::Int(self.store.len() as i64)),
+                    ("hits", Json::Int(self.store.hits as i64)),
+                    ("misses", Json::Int(self.store.misses as i64)),
+                    ("evicted", Json::Int(self.store.evicted as i64)),
+                    ("live_bytes", Json::Int(self.store.live_bytes() as i64)),
                     (
                         "max_bytes",
-                        self.memo
+                        self.store
                             .max_bytes()
                             .map_or(Json::Null, |v| Json::Int(v as i64)),
                     ),
@@ -509,13 +510,7 @@ impl ServeEngine {
             ),
             (
                 "disk",
-                Json::obj(vec![
-                    ("enabled", Json::Bool(self.disk.is_some())),
-                    (
-                        "entries",
-                        Json::Int(self.disk.as_ref().map_or(0, Cache::len) as i64),
-                    ),
-                ]),
+                Json::obj(vec![("enabled", Json::Bool(self.cache_dir.is_some()))]),
             ),
             (
                 "edits",
@@ -554,7 +549,7 @@ impl ServeEngine {
             let ok = analysis_ok(&doc.analysis);
             stats.wall_ns = start.elapsed().as_nanos() as u64;
             stats.mem = obs::mem::thread_delta_since(&mem_mark);
-            stats.memo_live_bytes = self.memo.live_bytes();
+            stats.memo_live_bytes = self.store.live_bytes();
             self.note_revision(&stats, is_edit);
             return FileUpdate {
                 path: path.to_string(),
@@ -587,7 +582,7 @@ impl ServeEngine {
         );
         stats.wall_ns = start.elapsed().as_nanos() as u64;
         stats.mem = obs::mem::thread_delta_since(&mem_mark);
-        stats.memo_live_bytes = self.memo.live_bytes();
+        stats.memo_live_bytes = self.store.live_bytes();
         self.note_revision(&stats, is_edit);
         FileUpdate {
             path: path.to_string(),
@@ -621,7 +616,7 @@ impl ServeEngine {
                         let program = std::sync::Arc::new(program);
                         self.parsed.insert(hash, (program.clone(), graph.clone()));
                         // The parse memo is tiny but unbounded input
-                        // could still grow it; cap like the verdict memo.
+                        // could still grow it; cap it like the store.
                         if self.parsed.len() > 64 {
                             let drop_key = *self.parsed.keys().next().expect("non-empty");
                             if drop_key != hash {
@@ -636,8 +631,7 @@ impl ServeEngine {
 
         // Queries 2–4 per group, in interval (= topological) order:
         // the slice gathers the closed schemes (query 4) the group
-        // consumes, the verdict replays the memo, then the disk layer,
-        // then runs inference.
+        // consumes, the verdict replays the store or runs inference.
         let revision = self.revision;
         let mut results: Vec<GroupResult> = Vec::with_capacity(graph.groups.len());
         for g in 0..graph.groups.len() {
@@ -649,12 +643,9 @@ impl ServeEngine {
                 fingerprint: &self.fingerprint,
             };
             let mut lookup = |key, fits: &dyn Fn(&[DefReport]) -> bool| {
-                if let Some(defs) = self.memo.lookup(key, revision).filter(|defs| fits(defs)) {
-                    return Some((Answer::Memo, defs.to_vec()));
-                }
-                let defs = self.disk.as_mut()?.lookup(key).filter(|defs| fits(defs))?;
-                self.memo.insert(key, defs.clone(), revision);
-                Some((Answer::Disk, defs))
+                self.store
+                    .lookup(key, revision)
+                    .filter(|(_, defs)| fits(defs))
             };
             let out = step.run(|d| &results[d], Some(&mut lookup), &mut self.scratch);
             stats.slices += 1;
@@ -669,10 +660,7 @@ impl ServeEngine {
                 Answer::Skipped => {}
             }
             if let Some((key, defs)) = out.store {
-                if let Some(disk) = self.disk.as_mut() {
-                    disk.insert(key, defs.clone());
-                }
-                self.memo.insert(key, defs, revision);
+                self.store.insert(key, defs, revision);
             }
             results.push(out.result);
         }

@@ -12,9 +12,9 @@
 //! answers to an editor in editor time rather than batch time.
 //!
 //! * [`engine`] — the [`ServeEngine`]: open documents, the four-query
-//!   pipeline (parse → slice → verdict → scheme), the hot memo layer
-//!   ([`memo`]) over the persistent batch cache, and the per-revision
-//!   cutoff accounting.
+//!   pipeline (parse → slice → verdict → scheme), one bounded verdict
+//!   store (the batch checker's `Cache`, loaded from and saved to its
+//!   cache directory), and the per-revision cutoff accounting.
 //! * [`rpc`] — the newline-delimited JSON protocol (`rowpoly serve
 //!   --json-rpc`): one request object per line, one response per line.
 //!   Deterministic and trivially scriptable, it is what `tests/serve.rs`
@@ -31,7 +31,6 @@
 
 pub mod engine;
 pub mod lsp;
-pub mod memo;
 pub mod rpc;
 
 pub use engine::{

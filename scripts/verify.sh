@@ -127,7 +127,7 @@ rm -rf "$batch_bench"
 echo "==> memory accounting gate (committed BENCH reports + live smoke)"
 # The committed reports must carry well-formed counting-allocator
 # blocks and clear the budgets: fig9 accounting overhead < 5% wall,
-# batch bytes/def + peak-RSS ceilings, serve memo within its byte
+# batch bytes/def + peak-RSS ceilings, serve store within its byte
 # bound. The live smoke checks the rowpoly CLI surface end to end.
 python3 scripts/check_mem.py BENCH_fig9.json BENCH_batch.json BENCH_serve.json
 mem_out=$(ROWPOLY_MEM=1 cargo run --release --bin rowpoly -- check programs/ --jobs 2 --no-cache --json) || true
@@ -178,6 +178,43 @@ for w in doc['workloads']:
     live, cap = w['mem']['memo_live_bytes'], w['mem']['memo_max_bytes']
     assert cap and live <= cap, f"{w['name']}: memo {live} over bound {cap}"
 print('    memo live bytes within bound for', len(doc['workloads']), 'workloads')
+PY
+# With a cache dir the daemon's one store is what `save` writes: after
+# 300 literal edits under a small byte bound, cache.json holds no more
+# entries than the store reports.
+python3 - > "$serve_dir/edits.jsonl" <<'PY'
+import json
+text = lambda n: f"def a = {n}\ndef b = a + 1\ndef c = b + 1"
+print(json.dumps({"id": 0, "method": "open", "params": {"path": "a.rp", "text": text(0)}}))
+for n in range(1, 301):
+    print(json.dumps({"id": n, "method": "edit", "params": {"path": "a.rp", "text": text(n)}}))
+print(json.dumps({"id": 301, "method": "save"}))
+print(json.dumps({"id": 302, "method": "counters"}))
+print(json.dumps({"id": 303, "method": "shutdown"}))
+PY
+cargo run --release --quiet --bin rowpoly -- serve --json-rpc --cache-dir "$serve_dir/bound" \
+  --memo-max-bytes 4000 < "$serve_dir/edits.jsonl" > "$serve_dir/edits.out"
+python3 - "$serve_dir/edits.out" "$serve_dir/bound/cache.json" <<'PY'
+import json, sys
+memo = json.loads(open(sys.argv[1]).read().splitlines()[302])['result']['memo']
+saved = len(json.load(open(sys.argv[2]))['entries'])
+assert saved <= memo['entries'], f"cache.json has {saved} entries, the store {memo['entries']}"
+assert memo['live_bytes'] <= memo['max_bytes'], memo
+print(f"    300 edits under a 4000 B bound: store {memo['entries']} entries, cache.json {saved}")
+PY
+# `check` and `serve` share one cache: a daemon save of another file
+# keeps the corpus's entries for the next `check`.
+shared="$serve_dir/shared"
+cargo run --release --quiet --bin rowpoly -- check programs/ --cache-dir "$shared" --json > /dev/null || true
+printf '%s\n' '{"id":1,"method":"open","params":{"path":"z.rp","text":"def z = 1"}}' \
+  '{"id":2,"method":"save"}' '{"id":3,"method":"shutdown"}' |
+  cargo run --release --quiet --bin rowpoly -- serve --json-rpc --cache-dir "$shared" > /dev/null
+warm=$(cargo run --release --quiet --bin rowpoly -- check programs/ --cache-dir "$shared" --json) || true
+WARM="$warm" python3 - <<'PY'
+import json, os
+stats = json.loads(os.environ['WARM'])['stats']
+assert stats['cache_hits'] > 0, stats
+print(f"    check after a daemon save: {stats['cache_hits']} cache hits")
 PY
 rm -rf "$serve_dir"
 

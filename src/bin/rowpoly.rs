@@ -27,7 +27,7 @@
 //!     --cache-dir D     cache location (default .rowpoly-cache)
 //!     --sat-budget N    CDCL step budget per SAT check
 //!     --no-fields       disable field tracking
-//!     --memo-max-bytes N  hot-memo byte bound (estimate; default 64 MiB)
+//!     --memo-max-bytes N  verdict-store byte bound, N > 0 (estimate; default 64 MiB)
 //! rowpoly explain <file|->                 first type error with its checked
 //!                                          minimal-core evidence (`-`: stdin)
 //! rowpoly types <file> [--flags]           print every definition's scheme
@@ -79,7 +79,7 @@ rowpoly serve [--stdio|--json-rpc]       persistent incremental daemon
     --cache-dir D     cache location (default .rowpoly-cache)
     --sat-budget N    CDCL step budget per SAT check
     --no-fields       disable field tracking
-    --memo-max-bytes N  hot-memo byte bound (estimate; default 64 MiB)
+    --memo-max-bytes N  verdict-store byte bound, N > 0 (estimate; default 64 MiB)
 rowpoly explain <file|->                 first type error with its checked
                                          minimal-core evidence (`-`: stdin)
 rowpoly types <file> [--flags]           print every definition's scheme
@@ -384,12 +384,12 @@ fn cmd_serve(args: &[String]) -> ExitCode {
             }
         },
     };
-    let memo_max_bytes: Option<u64> = match opt_value(args, "--memo-max-bytes") {
+    let memo_max_bytes: u64 = match opt_value(args, "--memo-max-bytes") {
         None => rowpoly::serve::ServeConfig::default().memo_max_bytes,
         Some(v) => match v.parse() {
-            Ok(n) => Some(n),
-            Err(_) => {
-                eprintln!("error: --memo-max-bytes expects a number, got `{v}`");
+            Ok(n) if n > 0 => n,
+            _ => {
+                eprintln!("error: --memo-max-bytes expects a positive number, got `{v}`");
                 return ExitCode::from(2);
             }
         },
@@ -406,7 +406,6 @@ fn cmd_serve(args: &[String]) -> ExitCode {
                 .unwrap_or_else(rowpoly::batch::cache::default_dir)
         }),
         memo_max_bytes,
-        ..rowpoly::serve::ServeConfig::default()
     };
     let stdin = std::io::stdin();
     let stdout = std::io::stdout();

@@ -229,3 +229,30 @@ fn serve_matches_batch_after_an_edit_history() {
         assert_eq!(errors, 3, "each break rejects `main` once (seed {seed})");
     }
 }
+
+#[test]
+fn forward_reference_inside_a_group_matches_serial() {
+    // `a` references `b` before its definition, and both share the
+    // ambient `m`, so they form one group: `b` inside `a` is the
+    // ambient monomorphic name the serial driver binds, not the later
+    // definition.
+    let src = "def a = b + m\ndef b = m\n";
+    let program = rowpoly::lang::parse_program(src).expect("parses");
+    let serial: Vec<(String, &'static str, String)> = Session::default()
+        .infer_program(&program)
+        .expect("the serial driver checks it")
+        .defs
+        .iter()
+        .map(|d| (d.name.to_string(), "ok", d.render(false)))
+        .collect();
+    assert_eq!(
+        serial,
+        [("a", "ok", "Int"), ("b", "ok", "Int")].map(|(n, w, s)| (n.to_string(), w, s.to_string()))
+    );
+    for jobs in [1, 2] {
+        assert_eq!(batch_outcomes(src, jobs), serial, "check --jobs {jobs}");
+    }
+    let mut engine = ServeEngine::new(ServeConfig::default());
+    engine.open("fwd.rp", src.to_string(), 0);
+    assert_eq!(serve_outcomes(&engine, "fwd.rp"), serial, "serve");
+}

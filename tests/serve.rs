@@ -276,3 +276,105 @@ fn disk_cache_carries_verdicts_across_daemon_sessions() {
         .expect("cache_hits in JSON report");
     assert!(hits > 0, "batch run missed the daemon's cache: {json}");
 }
+
+/// Entry count of the `cache.json` under `dir`.
+fn saved_entries(dir: &Path) -> usize {
+    let text = std::fs::read_to_string(dir.join("cache.json")).expect("cache saved");
+    let doc = json::parse(&text).expect("cache is JSON");
+    doc.get("entries")
+        .and_then(Json::as_arr)
+        .expect("entries")
+        .len()
+}
+
+/// `rowpoly check --json` over `args` in `cwd`; returns `stats`.
+fn check_stats(args: &[&str], cwd: &Path) -> Json {
+    let out = Command::new(env!("CARGO_BIN_EXE_rowpoly"))
+        .arg("check")
+        .args(args)
+        .arg("--json")
+        .current_dir(cwd)
+        .output()
+        .expect("binary runs");
+    let doc = json::parse(&String::from_utf8_lossy(&out.stdout)).expect("JSON report");
+    doc.get("stats").expect("stats").clone()
+}
+
+#[test]
+fn saved_cache_stays_within_the_daemons_bound() {
+    let s = Scratch::new("bound");
+    let text = |n: usize| format!("def a = {n}\\ndef b = a + 1\\ndef c = b + 1");
+    let mut script = format!(
+        "{{\"id\":0,\"method\":\"open\",\"params\":{{\"path\":\"a.rp\",\"text\":\"{}\"}}}}\n",
+        text(0)
+    );
+    for n in 1..=300 {
+        script += &format!(
+            "{{\"id\":{n},\"method\":\"edit\",\"params\":{{\"path\":\"a.rp\",\"text\":\"{}\"}}}}\n",
+            text(n)
+        );
+    }
+    script += "{\"id\":301,\"method\":\"save\"}\n{\"id\":302,\"method\":\"counters\"}\n";
+    script += "{\"id\":303,\"method\":\"shutdown\"}\n";
+    let rs = responses(&serve(
+        &["--json-rpc", "--cache-dir", "c", "--memo-max-bytes", "4000"],
+        &script,
+        &s.dir,
+    ));
+    let memo = rs[302]
+        .get("result")
+        .and_then(|r| r.get("memo"))
+        .expect("memo");
+    let held = memo.get("entries").and_then(Json::as_i64).expect("entries");
+    let live = memo.get("live_bytes").and_then(Json::as_i64).expect("live");
+    assert!(
+        memo.get("evicted").and_then(Json::as_i64) > Some(0),
+        "{memo}"
+    );
+    assert!(live <= 4000, "store over its bound: {memo}");
+    let saved = saved_entries(&s.dir.join("c"));
+    assert!(
+        saved as i64 <= held,
+        "saved {saved} entries, store holds {held}"
+    );
+}
+
+#[test]
+fn a_daemon_save_keeps_the_batch_checkers_entries() {
+    let s = Scratch::new("shared");
+    let corpus = s.dir.join("programs");
+    std::fs::create_dir_all(&corpus).unwrap();
+    let programs = Path::new(env!("CARGO_MANIFEST_DIR")).join("programs");
+    for entry in std::fs::read_dir(programs).unwrap() {
+        let path = entry.unwrap().path();
+        std::fs::copy(&path, corpus.join(path.file_name().unwrap())).unwrap();
+    }
+    let cold = check_stats(&["programs", "--cache-dir", "c"], &s.dir);
+    let stored = saved_entries(&s.dir.join("c"));
+    assert!(stored > 1, "{cold}");
+
+    // A daemon session on an unrelated file saves into the same cache.
+    let script = concat!(
+        r#"{"id":1,"method":"open","params":{"path":"z.rp","text":"def z = 1"}}"#,
+        "\n",
+        r#"{"id":2,"method":"save"}"#,
+        "\n",
+        r#"{"id":3,"method":"shutdown"}"#,
+        "\n",
+    );
+    responses(&serve(&["--json-rpc", "--cache-dir", "c"], script, &s.dir));
+    assert_eq!(saved_entries(&s.dir.join("c")), stored + 1);
+
+    let warm = check_stats(&["programs", "--cache-dir", "c"], &s.dir);
+    let hits = warm.get("cache_hits").and_then(Json::as_i64).expect("hits");
+    assert_eq!(hits as usize, stored, "warm check lost entries: {warm}");
+}
+
+#[test]
+fn a_zero_byte_bound_is_a_usage_error() {
+    let s = Scratch::new("zero");
+    for bad in ["0", "lots"] {
+        let out = serve(&["--json-rpc", "--memo-max-bytes", bad], "", &s.dir);
+        assert_eq!(out.status.code(), Some(2), "--memo-max-bytes {bad}");
+    }
+}
