@@ -7,8 +7,9 @@
 //! 1. the cache format version,
 //! 2. a fingerprint of the inference options (anything that changes
 //!    verdicts or schemes),
-//! 3. the group's definitions, pretty-printed (so whitespace and
-//!    comments never invalidate),
+//! 3. one digest per group member ([`def_digest`]: the Fx hash of the
+//!    pretty-printed definition, so whitespace and comments never
+//!    invalidate),
 //! 4. each dependency's name and *closed scheme*, sorted by name.
 //!
 //! Point 4 gives incremental builds early cutoff for free: editing a
@@ -30,10 +31,10 @@
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, OnceLock};
 
 use rowpoly_core::DefReport;
-use rowpoly_lang::Symbol;
+use rowpoly_lang::{Def, Symbol};
 use rowpoly_obs::contention::LockTimer;
 use rowpoly_obs::json::{self, Json};
 use rowpoly_obs::MemSite;
@@ -42,7 +43,7 @@ use crate::codec;
 use crate::step::Answer;
 
 /// Bump when the key derivation or entry layout changes.
-const FORMAT: &str = "rowpoly-batch-cache-v1";
+const FORMAT: &str = "rowpoly-batch-cache-v2";
 
 /// File name inside the cache directory.
 pub const CACHE_FILE: &str = "cache.json";
@@ -55,11 +56,44 @@ pub const BOUNDED_CAP: usize = 4096;
 /// `rowpoly-obs::mem`).
 static CACHE_MEM: MemSite = MemSite::new("batch.cache");
 
-/// One stored group outcome: the closed per-definition reports of a
-/// fully-successful group.
+/// The closed per-definition reports of the members of a group that
+/// checked, with each member's canonical scheme JSON (what dependents
+/// key on) and rendered scheme (what reports show), each made at most
+/// once. A store entry is one of these behind an [`Arc`], shared by
+/// every result that replays it: a hit neither copies nor re-renders.
+#[derive(Debug)]
+pub struct Checked {
+    /// The reports, in group order.
+    pub defs: Vec<DefReport>,
+    json: Vec<OnceLock<String>>,
+    rendered: Vec<OnceLock<String>>,
+}
+
+impl Checked {
+    /// Wraps reports whose derived strings are not made yet.
+    pub fn new(defs: Vec<DefReport>) -> Checked {
+        Checked {
+            json: defs.iter().map(|_| OnceLock::new()).collect(),
+            rendered: defs.iter().map(|_| OnceLock::new()).collect(),
+            defs,
+        }
+    }
+
+    /// Canonical JSON of member `k`'s closed scheme.
+    pub fn scheme_json(&self, k: usize) -> &str {
+        self.json[k].get_or_init(|| codec::scheme_to_json(&self.defs[k].scheme).render())
+    }
+
+    /// Member `k`'s scheme rendered without flags.
+    pub fn rendered(&self, k: usize) -> &str {
+        self.rendered[k].get_or_init(|| self.defs[k].render(false))
+    }
+}
+
+/// One stored group outcome: a fully-successful group's reports.
 #[derive(Debug)]
 struct Entry {
-    defs: Vec<DefReport>,
+    checked: Arc<Checked>,
     /// Stamp of the last use: 0 for an entry loaded from disk and not
     /// used since, otherwise the caller's stamp at its last lookup or
     /// insert.
@@ -101,14 +135,23 @@ pub struct Cache {
 /// Deterministic size estimate of one entry: fixed struct sizes plus
 /// the canonical-JSON length of each scheme — the same rendering
 /// [`Cache::key`] hashes, so the estimate tracks the scheme's real
-/// complexity without depending on allocator state.
-fn entry_bytes(defs: &[DefReport]) -> u64 {
-    let fixed = std::mem::size_of::<Entry>() + std::mem::size_of_val(defs);
-    let schemes: usize = defs
-        .iter()
-        .map(|d| codec::scheme_to_json(&d.scheme).render().len())
+/// complexity without depending on allocator state. The JSON is kept
+/// in the entry for the dependents that key on it.
+fn entry_bytes(checked: &Checked) -> u64 {
+    let fixed = std::mem::size_of::<Entry>() + std::mem::size_of_val(checked.defs.as_slice());
+    let schemes: usize = (0..checked.defs.len())
+        .map(|k| checked.scheme_json(k).len())
         .sum();
     (fixed + schemes) as u64
+}
+
+/// The content digest of one definition: the Fx hash of its
+/// pretty-printed form. A group's key folds one per member, so a caller
+/// that keeps a definition's AST (the serve daemon) keeps its digest.
+pub fn def_digest(def: &Def) -> u64 {
+    let mut h = FxHash64::default();
+    h.write(rowpoly_lang::pretty_def(def).as_bytes());
+    h.finish()
 }
 
 impl Cache {
@@ -127,19 +170,22 @@ impl Cache {
     pub fn load(&mut self, dir: &Path) {
         let _mem = CACHE_MEM.scope();
         for (key, defs) in read(dir) {
-            self.put(key, defs, 0);
+            self.put(key, Arc::new(Checked::new(defs)), 0);
         }
     }
 
-    /// Computes a group's cache key from its pretty-printed members
-    /// and its dependencies' closed schemes, already rendered to their
-    /// canonical JSON (each dependency renders once, however many
-    /// dependents key on it).
-    pub fn key(options_fingerprint: &str, group_source: &str, deps: &[(Symbol, &str)]) -> u64 {
+    /// Computes a group's cache key from its members' digests
+    /// ([`def_digest`], in group order) and its dependencies' closed
+    /// schemes, already rendered to their canonical JSON (each
+    /// dependency renders once, however many dependents key on it).
+    pub fn key(options_fingerprint: &str, members: &[u64], deps: &[(Symbol, &str)]) -> u64 {
         let mut h = FxHash64::default();
         h.write(FORMAT.as_bytes());
         h.write(options_fingerprint.as_bytes());
-        h.write(group_source.as_bytes());
+        for digest in members {
+            h.add(*digest);
+        }
+        h.add(members.len() as u64);
         for (name, scheme_json) in deps {
             h.write(name.as_str().as_bytes());
             h.write(scheme_json.as_bytes());
@@ -151,7 +197,7 @@ impl Cache {
     /// with `stamp` (which must be above 0). A hit on an entry still at
     /// stamp 0 — loaded from disk, unused since — is [`Answer::Disk`];
     /// any other hit is [`Answer::Memo`].
-    pub fn lookup(&mut self, key: u64, stamp: u64) -> Option<(Answer, Vec<DefReport>)> {
+    pub fn lookup(&mut self, key: u64, stamp: u64) -> Option<(Answer, Arc<Checked>)> {
         let _mem = CACHE_MEM.scope();
         match self.entries.get_mut(&key) {
             Some(entry) => {
@@ -162,7 +208,7 @@ impl Cache {
                     Answer::Memo
                 };
                 entry.last_used = stamp;
-                Some((answer, entry.defs.clone()))
+                Some((answer, Arc::clone(&entry.checked)))
             }
             None => {
                 self.misses += 1;
@@ -173,20 +219,20 @@ impl Cache {
 
     /// Stores a fully-successful group outcome under `key`, stamped
     /// `stamp`, then prunes a bounded store back under its bounds.
-    pub fn insert(&mut self, key: u64, defs: Vec<DefReport>, stamp: u64) {
+    pub fn insert(&mut self, key: u64, checked: Arc<Checked>, stamp: u64) {
         let _mem = CACHE_MEM.scope();
-        self.put(key, defs, stamp);
+        self.put(key, checked, stamp);
         self.prune();
     }
 
-    fn put(&mut self, key: u64, defs: Vec<DefReport>, last_used: u64) {
+    fn put(&mut self, key: u64, checked: Arc<Checked>, last_used: u64) {
         let bytes = if self.bound.is_some() {
-            entry_bytes(&defs)
+            entry_bytes(&checked)
         } else {
             0
         };
         let entry = Entry {
-            defs,
+            checked,
             last_used,
             bytes,
         };
@@ -246,7 +292,7 @@ impl Cache {
         self.entries
             .iter()
             .filter(|(_, e)| self.bound.is_some() || e.last_used > 0)
-            .map(|(&key, e)| (key, e.defs.as_slice()))
+            .map(|(&key, e)| (key, e.checked.defs.as_slice()))
     }
 
     /// Number of entries held.
@@ -376,7 +422,7 @@ impl Sharded {
             sharded.stripes[stripe_of(key)]
                 .lock()
                 .expect("no other thread holds the stripes yet")
-                .put(key, defs, 0);
+                .put(key, Arc::new(Checked::new(defs)), 0);
         }
         sharded
     }
@@ -388,13 +434,13 @@ impl Sharded {
 
     /// Looks up a key in its stripe, counting the hit or miss there. A
     /// `check` run is one revision: every use stamps 1.
-    pub fn lookup(&self, key: u64) -> Option<(Answer, Vec<DefReport>)> {
+    pub fn lookup(&self, key: u64) -> Option<(Answer, Arc<Checked>)> {
         self.stripe(key).lookup(key, 1)
     }
 
     /// Stores a fully-successful group outcome in the key's stripe.
-    pub fn insert(&self, key: u64, defs: Vec<DefReport>) {
-        self.stripe(key).insert(key, defs, 1);
+    pub fn insert(&self, key: u64, checked: Arc<Checked>) {
+        self.stripe(key).insert(key, checked, 1);
     }
 
     /// Total hits across stripes.
@@ -512,12 +558,12 @@ mod tests {
     use rowpoly_boolfun::SatClass;
     use rowpoly_types::{Scheme, Ty};
 
-    fn defs(tag: &str) -> Vec<DefReport> {
-        vec![DefReport {
+    fn defs(tag: &str) -> Arc<Checked> {
+        Arc::new(Checked::new(vec![DefReport {
             name: Symbol::intern(tag),
             scheme: Scheme::new(vec![], Ty::Int),
             sat_class: SatClass::Trivial,
-        }]
+        }]))
     }
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -538,11 +584,15 @@ mod tests {
         let (int, string) = (json(Ty::Int), json(Ty::Str));
         let dep = [(Symbol::intern("d"), int.as_str())];
         let dep2 = [(Symbol::intern("d"), string.as_str())];
-        let base = Cache::key("fp", "def a = 1", &dep);
-        assert_ne!(base, Cache::key("fp", "def a = 2", &dep));
-        assert_ne!(base, Cache::key("fp2", "def a = 1", &dep));
-        assert_ne!(base, Cache::key("fp", "def a = 1", &dep2));
-        assert_ne!(base, Cache::key("fp", "def a = 1", &[]));
+        let digest = |src: &str| def_digest(&rowpoly_lang::parse_program(src).unwrap().defs[0]);
+        let (one, two) = (digest("def a = 1"), digest("def a = 2"));
+        assert_eq!(one, digest("def   a =\n 1 -- a comment"));
+        let base = Cache::key("fp", &[one], &dep);
+        assert_ne!(base, Cache::key("fp", &[two], &dep));
+        assert_ne!(base, Cache::key("fp", &[one, two], &dep));
+        assert_ne!(base, Cache::key("fp2", &[one], &dep));
+        assert_ne!(base, Cache::key("fp", &[one], &dep2));
+        assert_ne!(base, Cache::key("fp", &[one], &[]));
     }
 
     #[test]
@@ -555,7 +605,10 @@ mod tests {
         let mut back = loaded(&dir);
         assert_eq!(back.len(), 1);
         let (answer, got) = back.lookup(42, 1).expect("hit");
-        assert_eq!((answer, got[0].name), (Answer::Disk, Symbol::intern("one")));
+        assert_eq!(
+            (answer, got.defs[0].name),
+            (Answer::Disk, Symbol::intern("one"))
+        );
         let (answer, _) = back.lookup(42, 2).expect("hit");
         assert_eq!(answer, Answer::Memo, "a used entry is no longer a disk hit");
         assert_eq!(back.hits, 2);
@@ -572,6 +625,8 @@ mod tests {
             "",
             "not json",
             "{\"version\":\"other\",\"entries\":[]}",
+            // The format before per-member digests keyed differently.
+            "{\"version\":\"rowpoly-batch-cache-v1\",\"entries\":[{\"key\":\"2a\",\"defs\":[]}]}",
             "[1,2]",
         ] {
             std::fs::write(dir.join(CACHE_FILE), bad).unwrap();

@@ -29,7 +29,7 @@ use rowpoly_lang::{Program, Symbol};
 
 /// One schedulable unit: a contiguous run of definitions checked
 /// serially in a single engine.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Group {
     /// Indices into `program.defs`, ascending and contiguous.
     pub def_indices: Vec<usize>,
@@ -54,7 +54,7 @@ pub struct Group {
 }
 
 /// The dependency structure of one parsed program.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ProgramGraph {
     /// Groups in ascending interval order (group `g`'s definitions all
     /// precede group `g+1`'s).

@@ -9,8 +9,9 @@
 //! * [`pool`] drains the resulting DAG on a std-only work-stealing
 //!   thread pool;
 //! * [`cache`] keys each group by the content that determines its
-//!   outcome — pretty-printed source, options, and the closed schemes
-//!   of its dependencies — and persists results across runs;
+//!   outcome — one digest of each member's pretty-printed source,
+//!   options, and the closed schemes of its dependencies — and persists
+//!   results across runs;
 //! * [`step`] is how one group gets its verdicts — gather dependency
 //!   schemes, key, replay or infer, hand back the entry to store. The
 //!   serve daemon takes the same step. Inference honours a
@@ -44,7 +45,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use rowpoly_boolfun::SatClass;
-use rowpoly_core::{DefReport, DefVerdict, Options};
+use rowpoly_core::{DefReport, DefVerdict, EngineScratch, Options};
 use rowpoly_lang::{parse_program, Program};
 use rowpoly_obs as obs;
 use rowpoly_obs::json::Json;
@@ -61,7 +62,7 @@ pub mod step;
 use cache::Sharded;
 use graph::ProgramGraph;
 use profile::ProfileReport;
-use step::{Answer, GroupResult, GroupStep, Lookup, StepScratch};
+use step::{Answer, GroupResult, GroupStep, Lookup};
 
 /// Batch configuration.
 #[derive(Clone, Debug)]
@@ -590,7 +591,7 @@ pub fn check_sources(mut inputs: Vec<FileInput>, options: &BatchOptions) -> Batc
         &deps,
         threads,
         profiler.as_ref(),
-        |_| StepScratch::default(),
+        |_| EngineScratch::default(),
         |j, ws, tl| {
             let (f, g) = jobs[j];
             let pf = parsed[f].as_ref().expect("jobs index parsed files");
@@ -697,20 +698,31 @@ fn run_group(
     cache: Option<&Sharded>,
     fingerprint: &str,
     options: &BatchOptions,
-    scratch: &mut StepScratch,
+    scratch: &mut EngineScratch,
     tl: &mut WorkerTimeline,
 ) -> GroupResult {
     let group = &pf.graph.groups[g];
     let start_ns = tl.now_ns();
+    let digests: Vec<u64> = match cache {
+        Some(_) => group
+            .def_indices
+            .iter()
+            .map(|&i| cache::def_digest(&pf.program.defs[i]))
+            .collect(),
+        None => Vec::new(),
+    };
     let step = GroupStep {
         program: &pf.program,
         graph: &pf.graph,
         group: g,
         opts: &options.opts,
         fingerprint,
+        digests: &digests,
     };
     let mut lookup = |key, fits: &dyn Fn(&[DefReport]) -> bool| {
-        cache?.lookup(key).filter(|(_, defs)| fits(defs))
+        cache?
+            .lookup(key)
+            .filter(|(_, checked)| fits(&checked.defs))
     };
     let out = step.run(
         |d| {
@@ -790,14 +802,15 @@ fn assemble(
                     let verdict = results[job].get().expect("group never ran").verdict(i);
                     stats.defs += 1;
                     let rendered = match verdict {
-                        DefVerdict::Ok(report) => {
+                        Ok((checked, k)) => {
                             stats.ok += 1;
                             Verdict::Ok {
-                                scheme: report.render(false),
-                                sat_class: report.sat_class,
+                                scheme: checked.rendered(k).to_string(),
+                                sat_class: checked.defs[k].sat_class,
                             }
                         }
-                        DefVerdict::Error(e) => {
+                        Err(DefVerdict::Ok(_)) => unreachable!("checked members lead their group"),
+                        Err(DefVerdict::Error(e)) => {
                             stats.errors += 1;
                             let diag = if explain {
                                 e.to_diag_explained()
@@ -810,14 +823,14 @@ fn assemble(
                                 proof: e.proof.clone(),
                             }
                         }
-                        DefVerdict::Timeout(e) => {
+                        Err(DefVerdict::Timeout(e)) => {
                             stats.timeouts += 1;
                             obs::counter_add("batch.timeouts", 1);
                             Verdict::Timeout {
                                 message: e.message(),
                             }
                         }
-                        DefVerdict::Skipped { after } => {
+                        Err(DefVerdict::Skipped { after }) => {
                             stats.skipped += 1;
                             Verdict::Skipped {
                                 after: after.to_string(),
@@ -884,6 +897,28 @@ mod tests {
             };
             assert_eq!(scheme, &serial.render(false), "scheme of {}", batch.name);
         }
+    }
+
+    #[test]
+    fn identical_definitions_in_two_files_share_an_entry() {
+        let dir = std::env::temp_dir().join(format!("rowpoly-batch-share-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let options = BatchOptions {
+            jobs: 1,
+            cache_dir: dir.clone(),
+            ..BatchOptions::default()
+        };
+        // The multi-field update desugars with a binder numbered within
+        // its definition, so both copies print, and key, alike.
+        let src = "def f r = @{a = 1, b = 2} r";
+        let report = check_sources(vec![file("a.rp", src), file("b.rp", src)], &options);
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(report.ok());
+        assert_eq!(
+            (report.stats.cache_misses, report.stats.cache_hits),
+            (1, 1),
+            "the second file's copy replays the first's entry"
+        );
     }
 
     #[test]

@@ -9,10 +9,11 @@
 //!    already-published results, by reference — a failed dependency
 //!    poisons the whole group to `Skipped { after }`;
 //! 2. key the group by its content ([`Cache::key`]: options
-//!    fingerprint, pretty-printed members, dependency schemes as the
+//!    fingerprint, the members' digests, dependency schemes as the
 //!    canonical JSON each dependency renders once, on first use);
 //! 3. replay a stored verdict when the caller's store has one that
-//!    lines up with the group's members;
+//!    lines up with the group's members — the result shares the
+//!    store's entry, so a hit copies nothing;
 //! 4. otherwise run inference ([`run_group_spec`]) and hand back the
 //!    entry to store when every member checked.
 //!
@@ -20,14 +21,13 @@
 //! store (a [`Cache`]: sharded for batch, bounded for serve) and its
 //! counters, and reads [`GroupResult::answer`] to keep them.
 
-use std::sync::OnceLock;
+use std::sync::Arc;
 
 use rowpoly_core::{run_group_spec, DefReport, DefVerdict, EngineScratch, GroupSpec, Options};
 use rowpoly_lang::{Program, Symbol};
 use rowpoly_types::Scheme;
 
-use crate::cache::Cache;
-use crate::codec;
+use crate::cache::{Cache, Checked};
 use crate::graph::ProgramGraph;
 
 /// How a group got its verdicts.
@@ -51,40 +51,44 @@ impl Answer {
 }
 
 /// One group's published outcome, read by its dependents' steps.
+///
+/// Inference stops a group at its first failure, so its members are the
+/// ones that checked, then (if it failed) the failure and the members
+/// it shadowed.
 #[derive(Debug)]
 pub struct GroupResult {
-    /// `(def index, verdict)` per member, in group order.
-    pub items: Vec<(usize, DefVerdict)>,
     /// How the group was answered.
     pub answer: Answer,
-    /// Canonical JSON of each member's closed scheme, aligned with
-    /// `items`: rendered by the first dependent that keys on it, so a
-    /// group nobody depends on never renders, and no scheme renders
-    /// twice however many dependents it has.
-    scheme_json: Vec<OnceLock<String>>,
+    /// Index of the first member (a group is a contiguous interval).
+    first: usize,
+    /// The leading members that checked: every member unless the group
+    /// failed. A replayed group shares the store's entry; the canonical
+    /// JSON of a scheme is made by the first dependent that keys on it,
+    /// so a group nobody depends on never renders, and no scheme
+    /// renders twice however many dependents it has.
+    checked: Arc<Checked>,
+    /// Verdicts of the members after those: the failure, then `Skipped`.
+    failed: Vec<DefVerdict>,
 }
 
 impl GroupResult {
-    fn new(items: Vec<(usize, DefVerdict)>, answer: Answer) -> GroupResult {
-        let scheme_json = items.iter().map(|_| OnceLock::new()).collect();
+    fn new(first: usize, checked: Arc<Checked>, failed: Vec<DefVerdict>, answer: Answer) -> Self {
         GroupResult {
-            items,
             answer,
-            scheme_json,
+            first,
+            checked,
+            failed,
         }
     }
 
-    /// Position of definition `def_idx` among the members.
-    fn position(&self, def_idx: usize) -> usize {
-        self.items
-            .iter()
-            .position(|(i, _)| *i == def_idx)
-            .expect("definition missing from its group")
-    }
-
-    /// The verdict of member `def_idx`.
-    pub fn verdict(&self, def_idx: usize) -> &DefVerdict {
-        &self.items[self.position(def_idx)].1
+    /// Member `def_idx`: the checked members' reports and its position
+    /// among them, or the verdict of a member that did not check.
+    pub fn verdict(&self, def_idx: usize) -> Result<(&Checked, usize), &DefVerdict> {
+        let k = def_idx - self.first;
+        match k.checked_sub(self.checked.defs.len()) {
+            None => Ok((&self.checked, k)),
+            Some(j) => Err(&self.failed[j]),
+        }
     }
 }
 
@@ -93,17 +97,7 @@ impl GroupResult {
 /// An entry failing the check (a hash collision or a stale decode) is
 /// not an answer.
 pub type Lookup<'a> =
-    dyn FnMut(u64, &dyn Fn(&[DefReport]) -> bool) -> Option<(Answer, Vec<DefReport>)> + 'a;
-
-/// Reusable per-caller scratch: engine allocations plus the buffer the
-/// content key is printed into. Nothing in here affects results.
-#[derive(Debug, Default)]
-pub struct StepScratch {
-    /// Recycled engine allocations (and the incremental SAT session).
-    pub engine: EngineScratch,
-    /// Buffer for the pretty-printed group members.
-    content: String,
-}
+    dyn FnMut(u64, &dyn Fn(&[DefReport]) -> bool) -> Option<(Answer, Arc<Checked>)> + 'a;
 
 /// What one step produced.
 #[derive(Debug)]
@@ -114,7 +108,7 @@ pub struct StepOutcome {
     pub dep_hits: u64,
     /// The key and entry to store: set when the group was recomputed
     /// under a lookup and every member checked.
-    pub store: Option<(u64, Vec<DefReport>)>,
+    pub store: Option<(u64, Arc<Checked>)>,
     /// Inference-phase split of a recomputation (empty otherwise).
     pub phases: Vec<(&'static str, u64)>,
 }
@@ -144,6 +138,9 @@ pub struct GroupStep<'a> {
     pub opts: &'a Options,
     /// `opts.fingerprint()`, computed once by the caller.
     pub fingerprint: &'a str,
+    /// The members' digests ([`crate::cache::def_digest`]), in group
+    /// order; read only to key the group, so empty without a lookup.
+    pub digests: &'a [u64],
 }
 
 impl GroupStep<'_> {
@@ -154,9 +151,10 @@ impl GroupStep<'_> {
         &self,
         published: impl Fn(usize) -> &'r GroupResult,
         lookup: Option<&mut Lookup<'_>>,
-        scratch: &mut StepScratch,
+        scratch: &mut EngineScratch,
     ) -> StepOutcome {
         let group = &self.graph.groups[self.group];
+        let first = group.def_indices[0];
         let keyed = lookup.is_some();
         let mut dep_hits = 0;
         let mut deps: Vec<(Symbol, &Scheme)> = Vec::with_capacity(group.deps.len());
@@ -164,31 +162,28 @@ impl GroupStep<'_> {
             Vec::with_capacity(if keyed { group.deps.len() } else { 0 });
         for (&name, &def_idx) in &group.deps {
             let dep = published(self.graph.group_of[def_idx]);
-            let pos = dep.position(def_idx);
-            let DefVerdict::Ok(report) = &dep.items[pos].1 else {
-                let items = group
+            let Ok((checked, k)) = dep.verdict(def_idx) else {
+                let failed = group
                     .def_indices
                     .iter()
-                    .map(|&i| (i, DefVerdict::Skipped { after: name }))
+                    .map(|_| DefVerdict::Skipped { after: name })
                     .collect();
-                let result = GroupResult::new(items, Answer::Skipped);
+                let checked = Arc::new(Checked::new(Vec::new()));
+                let result = GroupResult::new(first, checked, failed, Answer::Skipped);
                 return StepOutcome::answered(result, dep_hits);
             };
             if dep.answer.is_hit() {
                 dep_hits += 1;
             }
-            deps.push((name, &report.scheme));
+            deps.push((name, &checked.defs[k].scheme));
             if keyed {
-                let json = dep.scheme_json[pos]
-                    .get_or_init(|| codec::scheme_to_json(&report.scheme).render());
-                dep_json.push((name, json));
+                dep_json.push((name, checked.scheme_json(k)));
             }
         }
 
         let mut key = None;
         if let Some(lookup) = lookup {
-            print_members(&mut scratch.content, self.program, &group.def_indices);
-            let k = Cache::key(self.fingerprint, &scratch.content, &dep_json);
+            let k = Cache::key(self.fingerprint, self.digests, &dep_json);
             let fits = |defs: &[DefReport]| {
                 defs.len() == group.def_indices.len()
                     && group
@@ -197,14 +192,9 @@ impl GroupStep<'_> {
                         .zip(defs)
                         .all(|(&i, d)| self.program.defs[i].name == d.name)
             };
-            if let Some((answer, defs)) = lookup(k, &fits) {
-                let items = group
-                    .def_indices
-                    .iter()
-                    .zip(defs)
-                    .map(|(&i, d)| (i, DefVerdict::Ok(d)))
-                    .collect();
-                return StepOutcome::answered(GroupResult::new(items, answer), dep_hits);
+            if let Some((answer, checked)) = lookup(k, &fits) {
+                let result = GroupResult::new(first, checked, Vec::new(), answer);
+                return StepOutcome::answered(result, dep_hits);
             }
             key = Some(k);
         }
@@ -216,33 +206,25 @@ impl GroupStep<'_> {
             deps: &deps,
             free_names: &group.free_names,
         };
-        let outcome = run_group_spec(&spec, &mut scratch.engine);
-        let store = key.filter(|_| outcome.all_ok()).map(|key| {
-            let defs = outcome
-                .items
-                .iter()
-                .filter_map(|(_, v)| v.report().cloned())
-                .collect();
-            (key, defs)
-        });
+        let outcome = run_group_spec(&spec, scratch);
+        let phases = outcome.stats.phase_durations();
+        let mut defs = Vec::with_capacity(outcome.items.len());
+        let mut failed = Vec::new();
+        for (_, verdict) in outcome.items {
+            match verdict {
+                DefVerdict::Ok(report) if failed.is_empty() => defs.push(report),
+                verdict => failed.push(verdict),
+            }
+        }
+        let checked = Arc::new(Checked::new(defs));
+        let store = key
+            .filter(|_| failed.is_empty())
+            .map(|key| (key, Arc::clone(&checked)));
         StepOutcome {
-            result: GroupResult::new(outcome.items, Answer::Recomputed),
+            result: GroupResult::new(first, checked, failed, Answer::Recomputed),
             dep_hits,
             store,
-            phases: outcome.stats.phase_durations(),
+            phases,
         }
-    }
-}
-
-/// Prints a group's members in index order, one per line — the
-/// content part of its key. Whitespace and comments in the source
-/// never change it. Clears `out` first.
-fn print_members(out: &mut String, program: &Program, def_indices: &[usize]) {
-    out.clear();
-    for (k, &i) in def_indices.iter().enumerate() {
-        if k > 0 {
-            out.push('\n');
-        }
-        out.push_str(&rowpoly_lang::pretty_def(&program.defs[i]));
     }
 }

@@ -204,6 +204,49 @@ impl Expr {
         n
     }
 
+    /// Moves every span of the expression by `by` bytes (a splice that
+    /// grew or shrank the text before it).
+    pub fn shift(&mut self, by: i64) {
+        let at = |offset: u32| (offset as i64 + by) as u32;
+        self.span = Span::new(at(self.span.start), at(self.span.end));
+        self.for_each_child_mut(|c| c.shift(by));
+    }
+
+    /// Calls `f` on each direct child expression, mutably.
+    fn for_each_child_mut(&mut self, mut f: impl FnMut(&mut Expr)) {
+        match &mut self.kind {
+            ExprKind::Var(_)
+            | ExprKind::Int(_)
+            | ExprKind::Str(_)
+            | ExprKind::Empty
+            | ExprKind::Select(_)
+            | ExprKind::Remove(_)
+            | ExprKind::Rename(_, _) => {}
+            ExprKind::List(es) => es.iter_mut().for_each(&mut f),
+            ExprKind::Lam(_, b) | ExprKind::Update(_, b) => f(b),
+            ExprKind::App(a, b)
+            | ExprKind::Concat(a, b)
+            | ExprKind::SymConcat(a, b)
+            | ExprKind::BinOp(_, a, b)
+            | ExprKind::Let {
+                bound: a, body: b, ..
+            }
+            | ExprKind::When {
+                then_branch: a,
+                else_branch: b,
+                ..
+            } => {
+                f(a);
+                f(b);
+            }
+            ExprKind::If(c, t, e) => {
+                f(c);
+                f(t);
+                f(e);
+            }
+        }
+    }
+
     /// Calls `f` on each direct child expression.
     pub fn for_each_child(&self, mut f: impl FnMut(&Expr)) {
         match &self.kind {
@@ -258,6 +301,15 @@ pub struct Def {
     pub span: Span,
     /// Right-hand side (with parameter lambdas already applied).
     pub body: Expr,
+}
+
+impl Def {
+    /// Moves every span of the definition by `by` bytes.
+    pub fn shift(&mut self, by: i64) {
+        let at = |offset: u32| (offset as i64 + by) as u32;
+        self.span = Span::new(at(self.span.start), at(self.span.end));
+        self.body.shift(by);
+    }
 }
 
 /// A program: a sequence of top-level definitions.

@@ -14,7 +14,7 @@ pub enum Severity {
 }
 
 /// A diagnostic message anchored to a source span.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Diag {
     /// Severity of the primary message.
     pub severity: Severity,

@@ -26,7 +26,9 @@
 //! Sugar performed during parsing:
 //! * `{a = 1, b = 2}` becomes `@{b = 2} (@{a = 1} {})`;
 //! * a multi-field update `@{a = 1, b = 2}` becomes
-//!   `\r . @{b = 2} (@{a = 1} r)` with a fresh `r`;
+//!   `\r#k . @{b = 2} (@{a = 1} r#k)`, where `k` numbers the updates of
+//!   one definition from 1 (no source identifier contains `#`, and a
+//!   definition parses to the same AST wherever it sits in a file);
 //! * `let f x y = e in …` becomes `let f = \x . \y . e in …` (same for
 //!   `def`).
 
@@ -40,7 +42,7 @@ use crate::token::{Token, TokenKind};
 /// Parses a whole program (a sequence of `def` items).
 pub fn parse_program(source: &str) -> Result<Program, Diag> {
     let tokens = lex(source)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser::new(tokens);
     let mut defs = Vec::new();
     while p.peek() != &TokenKind::Eof {
         defs.push(p.def()?);
@@ -51,7 +53,7 @@ pub fn parse_program(source: &str) -> Result<Program, Diag> {
 /// Parses a single expression (the whole input must be consumed).
 pub fn parse_expr(source: &str) -> Result<Expr, Diag> {
     let tokens = lex(source)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser::new(tokens);
     let e = p.expr()?;
     p.expect(TokenKind::Eof)?;
     Ok(e)
@@ -60,9 +62,20 @@ pub fn parse_expr(source: &str) -> Result<Expr, Diag> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Multi-field updates desugared so far in the current definition
+    /// (their binders are `r#1`, `r#2`, …).
+    binders: u32,
 }
 
 impl Parser {
+    fn new(tokens: Vec<Token>) -> Parser {
+        Parser {
+            tokens,
+            pos: 0,
+            binders: 0,
+        }
+    }
+
     fn peek(&self) -> &TokenKind {
         &self.tokens[self.pos].kind
     }
@@ -119,6 +132,7 @@ impl Parser {
 
     fn def(&mut self) -> Result<Def, Diag> {
         let start = self.expect(TokenKind::Def)?.span;
+        self.binders = 0;
         let (name, _) = self.ident()?;
         let mut params = Vec::new();
         while let TokenKind::Ident(p) = self.peek() {
@@ -402,7 +416,8 @@ impl Parser {
                     _ => {
                         // Multi-field update sugar: a function composing
                         // the single-field updates left to right.
-                        let r = Symbol::fresh("r");
+                        self.binders += 1;
+                        let r = Symbol::intern(&format!("r#{}", self.binders));
                         let mut body = Expr::new(ExprKind::Var(r), full);
                         for (name, value) in fields {
                             let update = Expr::new(ExprKind::Update(name, Box::new(value)), full);
@@ -551,6 +566,33 @@ mod tests {
     fn multi_field_update_desugars_to_lambda() {
         let e = parse_expr("@{a = 1, b = 2}").unwrap();
         assert!(matches!(e.kind, ExprKind::Lam(..)));
+    }
+
+    #[test]
+    fn update_binders_are_numbered_per_definition() {
+        let binders = |src: &str| -> Vec<String> {
+            let p = parse_program(src).unwrap();
+            p.defs
+                .iter()
+                .map(|d| match &d.body.kind {
+                    ExprKind::Lam(_, body) => match &body.kind {
+                        ExprKind::App(update, _) => match &update.kind {
+                            ExprKind::Lam(r, _) => r.to_string(),
+                            other => panic!("expected the update lambda, got {other:?}"),
+                        },
+                        other => panic!("expected app, got {other:?}"),
+                    },
+                    other => panic!("expected lambda, got {other:?}"),
+                })
+                .collect()
+        };
+        let src = "def f r = @{a = 1, b = 2} r\ndef g r = @{c = 1, d = 2} r";
+        assert_eq!(binders(src), ["r#1", "r#1"]);
+        // The same definition parses to the same AST in any file.
+        let alone = parse_program("def g r = @{c = 1, d = 2} r").unwrap();
+        let mut second = parse_program(src).unwrap().defs.remove(1);
+        second.shift(-28);
+        assert_eq!(alone.defs[0], second);
     }
 
     #[test]

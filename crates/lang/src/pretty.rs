@@ -3,8 +3,10 @@
 //! The printer is the inverse of the parser up to sugar: record literals
 //! and multi-field updates are printed in their desugared form, and
 //! definition parameters are re-sugared from leading lambdas. The
-//! round-trip property `parse(pretty(e)) == e` (modulo spans and fresh
-//! names) is checked by the crate's tests.
+//! round-trip property `parse(pretty(e)) == e` (modulo spans) is
+//! checked by the crate's tests. A multi-field update's binder (`r#1`,
+//! numbered within its definition) prints as is; no identifier lexes
+//! with a `#`, so that form does not parse back.
 
 use std::fmt::Write;
 

@@ -33,7 +33,7 @@
 
 use std::fmt;
 use std::ptr;
-use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use rowpoly_obs::contention::LockTimer;
@@ -82,10 +82,6 @@ static SHARD_TABLE: [Shard; SHARDS] = [const { Shard::new() }; SHARDS];
 /// storage and probe tables. Only the first-intern slow path allocates,
 /// so steady-state interning charges nothing here.
 static INTERNER_MEM: MemSite = MemSite::new("lang.interner");
-
-/// Counter behind [`Symbol::fresh`]; global so fresh symbols are
-/// distinct across shards and threads without any lock.
-static GENSYM: AtomicU32 = AtomicU32::new(0);
 
 /// An interned identifier (program variable or record field name).
 ///
@@ -298,14 +294,6 @@ impl Symbol {
         Symbol((idx << SHARD_BITS) | shard as u32)
     }
 
-    /// Generates a fresh symbol guaranteed not to collide with any source
-    /// identifier (its spelling contains `'#'`, which the lexer rejects in
-    /// identifiers).
-    pub fn fresh(prefix: &str) -> Symbol {
-        let n = GENSYM.fetch_add(1, Ordering::Relaxed) + 1;
-        Symbol::intern(&format!("{prefix}#{n}"))
-    }
-
     /// The spelling of this symbol. Lock-free.
     pub fn as_str(self) -> &'static str {
         SHARD_TABLE[(self.0 & SHARD_MASK) as usize].resolve(self.0 >> SHARD_BITS)
@@ -363,14 +351,6 @@ mod tests {
         let z = Symbol::intern("zzz_order");
         let a = Symbol::intern("aaa_order");
         assert!(a < z);
-    }
-
-    #[test]
-    fn fresh_symbols_are_distinct() {
-        let a = Symbol::fresh("r");
-        let b = Symbol::fresh("r");
-        assert_ne!(a, b);
-        assert!(a.as_str().contains('#'));
     }
 
     #[test]

@@ -1,20 +1,23 @@
 //! The demand-driven incremental query engine.
 //!
 //! One [`ServeEngine`] owns the daemon's entire state: the open
-//! documents and one bounded verdict store — the batch checker's
-//! content-addressed [`Cache`], loaded from the cache directory when
-//! one is configured. Each document revision flows through four
-//! memoized queries:
+//! documents, each with its live parsed program, and one bounded
+//! verdict store — the batch checker's content-addressed [`Cache`],
+//! loaded from the cache directory when one is configured. Each
+//! document revision flows through four queries:
 //!
-//! 1. **parse** — source text → AST + dependency graph, keyed by a
-//!    hash of the raw text (so undo/redo and re-saves replay for
-//!    free);
+//! 1. **parse** — a splice ([`crate::live`]): the definitions the
+//!    changed byte range touches are reparsed, the rest are carried
+//!    over with their content digests, and the dependency graph is kept
+//!    unless the edit changed a name or a free variable. There is no
+//!    memo of texts: an open parses in full, an edit costs its region;
 //! 2. **slice** — for each definition group, the inputs that determine
-//!    its outcome: the group's pretty-printed content and the *closed
-//!    schemes* of the definitions it references;
+//!    its outcome: its members' digests and the *closed schemes* of
+//!    the definitions it references;
 //! 3. **verdict** — the per-definition outcomes of a group, keyed by
 //!    the slice fingerprint ([`Cache::key`]: options fingerprint +
-//!    pretty-printed content + dependency schemes);
+//!    member digests + dependency schemes); a hit shares the store's
+//!    entry, with its schemes' JSON and rendering made once;
 //! 4. **scheme** — the closed schemes a verdict publishes, which feed
 //!    the slices of dependent groups.
 //!
@@ -37,14 +40,15 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use rowpoly_batch::cache::Cache;
-use rowpoly_batch::graph::ProgramGraph;
-use rowpoly_batch::step::{Answer, GroupResult, GroupStep, StepScratch};
+use rowpoly_batch::step::{Answer, GroupResult, GroupStep};
 use rowpoly_boolfun::SatClass;
-use rowpoly_core::{DefReport, DefVerdict, Options};
-use rowpoly_lang::{parse_program, LineMap, Program, Span};
+use rowpoly_core::{DefReport, DefVerdict, EngineScratch, Options};
+use rowpoly_lang::{LineMap, Span};
 use rowpoly_obs as obs;
 use rowpoly_obs::json::Json;
 use rowpoly_obs::metrics::Histogram;
+
+use crate::live::LiveProgram;
 
 /// Configuration of a serve session.
 #[derive(Clone, Debug)]
@@ -76,11 +80,14 @@ impl Default for ServeConfig {
 /// What happened to the queries of one document revision.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RevisionStats {
-    /// The new text hashed identically to the old: every query reused.
+    /// The new text equals the old: every query reused.
     pub unchanged: bool,
-    /// Parse queries answered from the parse memo.
+    /// Definitions carried over from the previous revision's program
+    /// without reparsing.
     pub parse_hits: u64,
-    /// Parse queries that re-ran the parser.
+    /// Definitions parsed anew: those the edit touched, or every
+    /// definition on an open or when the splice fell back to a full
+    /// parse (none when the text does not parse).
     pub parse_misses: u64,
     /// Dependency-slice queries evaluated (one per definition group).
     pub slices: u64,
@@ -242,11 +249,13 @@ pub struct Document {
     pub source: String,
     /// Client-supplied version (monotone per LSP).
     pub version: i64,
-    source_hash: u64,
     /// Line index of `source`.
     pub line_map: LineMap,
     /// Current analysis.
     pub analysis: Analysis,
+    /// The parsed program of `source`, spliced by the next edit; `None`
+    /// while the text does not parse.
+    live: Option<LiveProgram>,
 }
 
 /// A hover answer: the definition under the cursor.
@@ -300,16 +309,14 @@ pub struct ServeEngine {
     files: BTreeMap<String, Document>,
     /// The verdict store, stamped with revisions.
     store: Cache,
-    /// Parse memo: source hash → parsed program + graph.
-    parsed: BTreeMap<u64, (std::sync::Arc<Program>, std::sync::Arc<ProgramGraph>)>,
     cache_dir: Option<PathBuf>,
     revision: u64,
     totals: Totals,
     /// Per-edit wall-time distribution (microseconds, log₂ buckets).
     edit_us: Histogram,
-    /// Recycled inference allocations and key buffer (the daemon is
-    /// single-threaded, so one scratch serves every group step).
-    scratch: StepScratch,
+    /// Recycled inference allocations (the daemon is single-threaded,
+    /// so one scratch serves every group step).
+    scratch: EngineScratch,
     /// Per-document incremental SAT sessions, swapped into the scratch
     /// around each revision so learned clauses, SCC orders, and watch
     /// state survive across the edits of one document. Dropped with the
@@ -331,12 +338,11 @@ impl ServeEngine {
             opts: config.opts,
             files: BTreeMap::new(),
             store,
-            parsed: BTreeMap::new(),
             cache_dir: config.cache_dir,
             revision: 0,
             totals: Totals::default(),
             edit_us: Histogram::default(),
-            scratch: StepScratch::default(),
+            scratch: EngineScratch::default(),
             sessions: BTreeMap::new(),
         }
     }
@@ -535,16 +541,10 @@ impl ServeEngine {
         self.revision += 1;
         let mut stats = RevisionStats::default();
 
-        let hash = content_hash(&text);
-        let unchanged = self
-            .files
-            .get(path)
-            .is_some_and(|doc| doc.source_hash == hash);
-        if unchanged {
+        if let Some(doc) = self.files.get_mut(path).filter(|doc| doc.source == text) {
             // Identical content: every query reuses by construction.
             stats.unchanged = true;
-            stats.parse_hits = 1;
-            let doc = self.files.get_mut(path).expect("checked above");
+            stats.parse_hits = doc.live.as_ref().map_or(0, |l| l.program.defs.len() as u64);
             doc.version = version;
             let ok = analysis_ok(&doc.analysis);
             stats.wall_ns = start.elapsed().as_nanos() as u64;
@@ -559,15 +559,44 @@ impl ServeEngine {
             };
         }
 
-        // Swap this document's SAT session into the scratch for the
-        // revision: recomputed groups reconcile their β against the
-        // session's clause history instead of solving from scratch.
-        self.scratch.engine.sat = self.sessions.remove(path).unwrap_or_default();
-        let analysis = self.analyze(&text, &mut stats);
-        self.sessions.insert(
-            path.to_string(),
-            std::mem::take(&mut self.scratch.engine.sat),
-        );
+        // Query 1: an edit splices the document's live program; an open
+        // (or an edit after a parse error) parses the whole text.
+        let previous = self.files.remove(path).filter(|_| is_edit);
+        let parsed = match previous {
+            Some(Document {
+                source,
+                live: Some(mut live),
+                ..
+            }) => live.revise(&source, &text).map(|splice| {
+                stats.parse_hits = splice.carried as u64;
+                stats.parse_misses = splice.reparsed as u64;
+                live
+            }),
+            _ => LiveProgram::parse(&text).inspect(|live| {
+                stats.parse_misses = live.program.defs.len() as u64;
+            }),
+        };
+        let (analysis, live) = match parsed {
+            Err(diag) => {
+                let analysis = Analysis::ParseError {
+                    message: diag.message.clone(),
+                    rendered: diag.render(&text),
+                    span: diag.span,
+                };
+                (analysis, None)
+            }
+            Ok(live) => {
+                // Swap this document's SAT session into the scratch for
+                // the revision: recomputed groups reconcile their β
+                // against the session's clause history instead of
+                // solving from scratch.
+                self.scratch.sat = self.sessions.remove(path).unwrap_or_default();
+                let analysis = self.analyze(&live, &text, &mut stats);
+                self.sessions
+                    .insert(path.to_string(), std::mem::take(&mut self.scratch.sat));
+                (analysis, Some(live))
+            }
+        };
         let line_map = LineMap::new(&text);
         let ok = analysis_ok(&analysis);
         self.files.insert(
@@ -575,9 +604,9 @@ impl ServeEngine {
             Document {
                 source: text,
                 version,
-                source_hash: hash,
                 line_map,
                 analysis,
+                live,
             },
         );
         stats.wall_ns = start.elapsed().as_nanos() as u64;
@@ -592,60 +621,28 @@ impl ServeEngine {
         }
     }
 
-    /// Runs the query pipeline over one document text.
-    fn analyze(&mut self, text: &str, stats: &mut RevisionStats) -> Analysis {
-        // Query 1: parse (memoized on the raw text hash).
-        let hash = content_hash(text);
-        let (program, graph) = match self.parsed.get(&hash) {
-            Some((p, g)) => {
-                stats.parse_hits += 1;
-                (p.clone(), g.clone())
-            }
-            None => {
-                stats.parse_misses += 1;
-                match parse_program(text) {
-                    Err(diag) => {
-                        return Analysis::ParseError {
-                            message: diag.message.clone(),
-                            rendered: diag.render(text),
-                            span: diag.span,
-                        };
-                    }
-                    Ok(program) => {
-                        let graph = std::sync::Arc::new(ProgramGraph::build(&program));
-                        let program = std::sync::Arc::new(program);
-                        self.parsed.insert(hash, (program.clone(), graph.clone()));
-                        // The parse memo is tiny but unbounded input
-                        // could still grow it; cap it like the store.
-                        if self.parsed.len() > 64 {
-                            let drop_key = *self.parsed.keys().next().expect("non-empty");
-                            if drop_key != hash {
-                                self.parsed.remove(&drop_key);
-                            }
-                        }
-                        (program, graph)
-                    }
-                }
-            }
-        };
-
-        // Queries 2–4 per group, in interval (= topological) order:
-        // the slice gathers the closed schemes (query 4) the group
-        // consumes, the verdict replays the store or runs inference.
+    /// Runs queries 2–4 over a parsed document text.
+    fn analyze(&mut self, live: &LiveProgram, text: &str, stats: &mut RevisionStats) -> Analysis {
+        // Per group, in interval (= topological) order: the slice
+        // gathers the closed schemes (query 4) the group consumes, the
+        // verdict replays the store or runs inference.
+        let (program, graph) = (&live.program, &live.graph);
         let revision = self.revision;
         let mut results: Vec<GroupResult> = Vec::with_capacity(graph.groups.len());
-        for g in 0..graph.groups.len() {
+        for (g, group) in graph.groups.iter().enumerate() {
+            let members = group.def_indices[0]..=group.def_indices[group.def_indices.len() - 1];
             let step = GroupStep {
-                program: &program,
-                graph: &graph,
+                program,
+                graph,
                 group: g,
                 opts: &self.opts,
                 fingerprint: &self.fingerprint,
+                digests: &live.digests[members],
             };
             let mut lookup = |key, fits: &dyn Fn(&[DefReport]) -> bool| {
                 self.store
                     .lookup(key, revision)
-                    .filter(|(_, defs)| fits(defs))
+                    .filter(|(_, checked)| fits(&checked.defs))
             };
             let out = step.run(|d| &results[d], Some(&mut lookup), &mut self.scratch);
             stats.slices += 1;
@@ -655,12 +652,12 @@ impl ServeEngine {
                 Answer::Disk => stats.verdict_disk_hits += 1,
                 Answer::Recomputed => {
                     stats.verdict_recomputed += 1;
-                    stats.defs_recomputed += out.result.items.len() as u64;
+                    stats.defs_recomputed += group.def_indices.len() as u64;
                 }
                 Answer::Skipped => {}
             }
-            if let Some((key, defs)) = out.store {
-                self.store.insert(key, defs, revision);
+            if let Some((key, checked)) = out.store {
+                self.store.insert(key, checked, revision);
             }
             results.push(out.result);
         }
@@ -672,20 +669,21 @@ impl ServeEngine {
             .enumerate()
             .map(|(i, def)| {
                 let status = match results[graph.group_of[i]].verdict(i) {
-                    DefVerdict::Ok(report) => DefStatus::Ok {
-                        scheme: report.render(false),
-                        sat_class: report.sat_class,
+                    Ok((checked, k)) => DefStatus::Ok {
+                        scheme: checked.rendered(k).to_string(),
+                        sat_class: checked.defs[k].sat_class,
                     },
-                    DefVerdict::Error(e) => DefStatus::Error {
+                    Err(DefVerdict::Ok(_)) => unreachable!("checked members lead their group"),
+                    Err(DefVerdict::Error(e)) => DefStatus::Error {
                         message: e.message(),
                         rendered: e.to_diag_explained().render(text),
                         span: e.span,
                     },
-                    DefVerdict::Timeout(e) => DefStatus::Timeout {
+                    Err(DefVerdict::Timeout(e)) => DefStatus::Timeout {
                         message: e.message(),
                         span: def.span,
                     },
-                    DefVerdict::Skipped { after } => DefStatus::Skipped {
+                    Err(DefVerdict::Skipped { after }) => DefStatus::Skipped {
                         after: after.to_string(),
                     },
                 };
@@ -733,14 +731,6 @@ pub fn analysis_ok(analysis: &Analysis) -> bool {
             .iter()
             .all(|d| matches!(d.status, DefStatus::Ok { .. })),
     }
-}
-
-/// Content hash of a document text (the parse-query key), using the
-/// same Fx folding as the cache keys.
-fn content_hash(text: &str) -> u64 {
-    let mut h = rowpoly_batch::cache::FxHash64::default();
-    h.write(text.as_bytes());
-    h.finish()
 }
 
 #[cfg(test)]
@@ -792,6 +782,21 @@ mod tests {
         assert_eq!(up.stats.verdict_recomputed, 1, "{:?}", up.stats);
         assert_eq!(up.stats.verdict_hits, 2);
         assert_eq!(up.stats.defs_recomputed, 1);
+    }
+
+    #[test]
+    fn a_multi_field_update_keeps_its_key_across_revisions() {
+        let mut e = engine();
+        e.open("a.rp", "def f r = @{a = 1, b = 2} r\ndef g = 1".into(), 1);
+        let up = e
+            .change_full("a.rp", "def f r = @{a = 1, b = 2} r\ndef g = 2".into(), 2)
+            .expect("open");
+        assert!(up.ok);
+        // The update's binder is numbered within `f`, so `f` prints,
+        // digests and keys as before: only `g` re-infers.
+        assert_eq!(up.stats.verdict_recomputed, 1, "{:?}", up.stats);
+        assert_eq!(up.stats.verdict_hits, 1);
+        assert_eq!((up.stats.parse_hits, up.stats.parse_misses), (1, 1));
     }
 
     #[test]

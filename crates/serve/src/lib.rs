@@ -15,6 +15,8 @@
 //!   pipeline (parse → slice → verdict → scheme), one bounded verdict
 //!   store (the batch checker's `Cache`, loaded from and saved to its
 //!   cache directory), and the per-revision cutoff accounting.
+//! * [`live`] — a document's live parsed program, revised by
+//!   reparsing only the definitions an edit touches.
 //! * [`rpc`] — the newline-delimited JSON protocol (`rowpoly serve
 //!   --json-rpc`): one request object per line, one response per line.
 //!   Deterministic and trivially scriptable, it is what `tests/serve.rs`
@@ -30,6 +32,7 @@
 #![warn(missing_docs)]
 
 pub mod engine;
+pub mod live;
 pub mod lsp;
 pub mod rpc;
 

@@ -216,6 +216,40 @@ stats = json.loads(os.environ['WARM'])['stats']
 assert stats['cache_hits'] > 0, stats
 print(f"    check after a daemon save: {stats['cache_hits']} cache hits")
 PY
+# One literal edit of a 300-definition document costs one definition's
+# reparse and one group's inference: the splice reparses only what the
+# edit touched, and the multi-field update's binder is numbered within
+# its definition, so its key survives every revision.
+python3 - > "$serve_dir/literal.jsonl" <<'PY'
+import json
+def text(lit):
+    defs = ["def upd r = @{a = 1, b = 2} r"]
+    for k in range(1, 300):
+        if k % 3 == 0:
+            defs.append(f"def n{k} = {k}")
+        elif k % 3 == 1:
+            defs.append(f"def r{k} = {{x = {k}, y = {k + 1}}}")
+        else:
+            body = f"#x (upd r{k - 1}) + {lit}" if k == 152 else f"#x r{k - 1} + {k}"
+            defs.append(f"def s{k} = {body}")
+    return "\n".join(defs) + "\n"
+print(json.dumps({"id": 1, "method": "open", "params": {"path": "doc.rp", "text": text(7)}}))
+print(json.dumps({"id": 2, "method": "edit", "params": {"path": "doc.rp", "text": text(8)}}))
+print(json.dumps({"id": 3, "method": "shutdown"}))
+PY
+cargo run --release --quiet --bin rowpoly -- serve --json-rpc --no-cache \
+  < "$serve_dir/literal.jsonl" > "$serve_dir/literal.out"
+python3 - "$serve_dir/literal.out" <<'PY'
+import json, sys
+opened, edited = [json.loads(l)['result'] for l in open(sys.argv[1]).read().splitlines()[:2]]
+assert opened['ok'] and opened['stats']['parse_misses'] == 300, opened['stats']
+stats = edited['stats']
+assert edited['ok'], edited
+assert stats['parse_misses'] == 1 and stats['parse_hits'] == 299, stats
+assert stats['verdict_recomputed'] == 1, stats
+print(f"    literal edit of 300 definitions: parse_misses 1, verdict_recomputed 1, "
+      f"{stats['verdict_hits']} hits")
+PY
 rm -rf "$serve_dir"
 
 echo "==> perfbench smoke (build + known answers, one second per workload)"

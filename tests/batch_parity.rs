@@ -133,17 +133,26 @@ enum Edit {
     Break,
     /// Undo the last `Break`.
     Fix,
+    /// Insert two definitions, the second using the first, before a
+    /// random definition.
+    Insert,
+    /// Comment out the line of the second inserted definition.
+    Comment,
+    /// Delete the first inserted definition and the commented line.
+    Delete,
 }
 
 const ABSENT: &str = "#absent_field ";
 
-/// A seeded script of 20 edits: 10 literals, 4 helper fields and 3
-/// breaks, shuffled, each break directly followed by its fix.
+/// A seeded script of 23 edits: 10 literals, 4 helper fields, 3
+/// breaks and one insertion, shuffled, each break directly followed by
+/// its fix and the insertion by its comment and delete.
 fn script(rng: &mut SplitMix64) -> Vec<Edit> {
     let mut units = [
         [Edit::Literal; 10].as_slice(),
         &[Edit::Field; 4],
         &[Edit::Break; 3],
+        &[Edit::Insert],
     ]
     .concat();
     rng.shuffle(&mut units);
@@ -151,10 +160,14 @@ fn script(rng: &mut SplitMix64) -> Vec<Edit> {
         .into_iter()
         .flat_map(|e| match e {
             Edit::Break => vec![Edit::Break, Edit::Fix],
+            Edit::Insert => vec![Edit::Insert, Edit::Comment, Edit::Delete],
             e => vec![e],
         })
         .collect()
 }
+
+const INSERTED: &str = "def inserted x = x + 5\n";
+const USES: &str = "def uses_inserted = inserted 3\n";
 
 /// Applies one scripted edit to `text`; `n` numbers the edit.
 fn apply(edit: Edit, text: &str, rng: &mut SplitMix64, n: usize) -> String {
@@ -191,6 +204,20 @@ fn apply(edit: Edit, text: &str, rng: &mut SplitMix64, n: usize) -> String {
             let at = text.find(ABSENT).expect("a break precedes its fix");
             splice(at, at + ABSENT.len(), "#opcode ")
         }
+        Edit::Insert => {
+            let starts: Vec<usize> = text.match_indices("\ndef ").map(|(i, _)| i + 1).collect();
+            let at = starts[rng.gen_range(0..starts.len())];
+            splice(at, at, &format!("{INSERTED}{USES}"))
+        }
+        Edit::Comment => {
+            let at = text.find(USES).expect("an insert precedes its comment");
+            splice(at, at, "-- ")
+        }
+        Edit::Delete => {
+            let at = text.find(INSERTED).expect("an insert precedes its delete");
+            let end = at + INSERTED.len() + "-- ".len() + USES.len();
+            splice(at, end, "")
+        }
     }
 }
 
@@ -211,6 +238,11 @@ fn serve_matches_batch_after_an_edit_history() {
                     .expect("document open");
             }
             let served = serve_outcomes(&engine, "gen.rp");
+            if version > 0 {
+                let inserted = served.iter().any(|(name, _, _)| name == "uses_inserted");
+                let expected = matches!(edits[version - 1], Edit::Insert);
+                assert_eq!(inserted, expected, "edit {version} (seed {seed})");
+            }
             errors += served
                 .iter()
                 .filter(|(_, word, _)| *word == "error")
