@@ -24,9 +24,11 @@
 //!   the mutex before parking (with a bounded timeout as backstop), so
 //!   wakeups cannot be lost.
 //!
-//! Every worker installs the caller's [`Recorder`] when it spawns (as
-//! track `w + 1`), so jobs record into the caller's run under its
-//! switches. The queue locks remain instrumented [`LockTimer`] sites
+//! Worker 0 runs on the calling thread, which would otherwise only wait
+//! for the others, so a drain with `n` workers spawns `n - 1` threads.
+//! Every worker installs the caller's [`Recorder`] as track `w + 1`, so
+//! jobs record into the caller's run under its switches. The queue
+//! locks remain instrumented [`LockTimer`] sites
 //! (`lock.wait.pool.queue`, `lock.wait.pool.wake`), and when a
 //! [`Profiler`] is supplied each worker keeps a private
 //! [`WorkerTimeline`] with exclusive busy / idle / steal-search /
@@ -37,6 +39,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 
 use rowpoly_obs::contention::LockTimer;
+use rowpoly_obs::mem::MemDelta;
 use rowpoly_obs::timeline::{Profiler, WorkerTimeline};
 use rowpoly_obs::Recorder;
 
@@ -53,6 +56,10 @@ pub struct PoolStats {
     pub steals: u64,
     /// Worker threads used.
     pub workers: usize,
+    /// Allocator delta of the threads the pool spawned, over their
+    /// drains (all zeros when accounting is off). Worker 0 runs on the
+    /// calling thread, so its share is in the caller's own delta.
+    pub spawned_mem: MemDelta,
 }
 
 /// Runs `n_jobs` jobs respecting `deps` (for each job, the indices it
@@ -142,32 +149,35 @@ where
 
     let results: Vec<Mutex<Option<R>>> = (0..n_jobs).map(|_| Mutex::new(None)).collect();
     let recorder = Recorder::current();
+    // One worker's life: returns its allocator delta over the drain.
+    let drain = |w: usize| {
+        let _recording = recorder.enter_worker(w as u32);
+        let mut tl = match profiler {
+            Some(p) => p.worker(w as u32),
+            None => WorkerTimeline::disabled(),
+        };
+        // All zeros when accounting is off. The mark also materializes
+        // the thread's slot, so the orchestrator's slot registry sees
+        // every worker.
+        let mem_mark = rowpoly_obs::mem::thread_mark();
+        let mut state = mk_worker(w);
+        worker(w, &shared, &dependents, &results, &run, &mut state, &mut tl);
+        tl.mem = rowpoly_obs::mem::thread_delta_since(&mem_mark);
+        let mem = tl.mem;
+        if let Some(p) = profiler {
+            p.submit(tl);
+        }
+        mem
+    };
+    let mut spawned_mem = MemDelta::default();
     std::thread::scope(|scope| {
-        for w in 0..threads {
-            let recorder = &recorder;
-            let shared = &shared;
-            let results = &results;
-            let dependents = &dependents;
-            let run = &run;
-            let mk_worker = &mk_worker;
-            scope.spawn(move || {
-                let _recording = recorder.enter_worker(w as u32);
-                let mut tl = match profiler {
-                    Some(p) => p.worker(w as u32),
-                    None => WorkerTimeline::disabled(),
-                };
-                // Allocator delta for this worker thread, bracketing the
-                // whole drain (all zeros when accounting is off). The
-                // mark also materializes the thread's slot, so the
-                // orchestrator's slot registry sees every worker.
-                let mem_mark = rowpoly_obs::mem::thread_mark();
-                let mut state = mk_worker(w);
-                worker(w, shared, dependents, results, run, &mut state, &mut tl);
-                tl.mem = rowpoly_obs::mem::thread_delta_since(&mem_mark);
-                if let Some(p) = profiler {
-                    p.submit(tl);
-                }
-            });
+        let drain = &drain;
+        let spawned: Vec<_> = (1..threads)
+            .map(|w| scope.spawn(move || drain(w)))
+            .collect();
+        drain(0);
+        for handle in spawned {
+            spawned_mem.merge(&handle.join().expect("pool worker panicked"));
         }
     });
 
@@ -182,6 +192,7 @@ where
     let stats = PoolStats {
         steals: shared.steals.load(Ordering::Relaxed),
         workers: threads,
+        spawned_mem,
     };
     (executed, stats)
 }

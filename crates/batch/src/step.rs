@@ -17,6 +17,12 @@
 //! 4. otherwise run inference ([`run_group_spec`]) and hand back the
 //!    entry to store when every member checked.
 //!
+//! [`GroupStep::run`] takes the four back to back, which is what a
+//! batch worker does. Each is also a method of its own
+//! ([`GroupStep::slice`], [`GroupStep::replay`], [`GroupStep::infer`]),
+//! so the serve daemon can slice and replay a whole wave of groups on
+//! its own thread and hand only the misses, keyed once, to workers.
+//!
 //! What the step does not do is count or store: the caller owns its
 //! store (a [`Cache`]: sharded for batch, bounded for serve) and its
 //! counters, and reads [`GroupResult::answer`] to keep them.
@@ -125,6 +131,17 @@ impl StepOutcome {
     }
 }
 
+/// What a group's outcome depends on, gathered from its dependencies'
+/// published results: their closed schemes, by reference, and the
+/// group's key when it was keyed.
+#[derive(Debug)]
+pub struct Slice<'r> {
+    deps: Vec<(Symbol, &'r Scheme)>,
+    /// The group's key ([`Cache::key`]); `None` when not keyed.
+    pub key: Option<u64>,
+    dep_hits: u64,
+}
+
 /// One group of one program, with the options it is checked under.
 #[derive(Clone, Copy, Debug)]
 pub struct GroupStep<'a> {
@@ -144,18 +161,34 @@ pub struct GroupStep<'a> {
 }
 
 impl GroupStep<'_> {
-    /// Takes the step. `published(d)` is the result of group `d` of the
-    /// same graph (every dependency has published); `lookup` is the
-    /// caller's store, or `None` to skip keying altogether.
+    /// Takes the step: [`GroupStep::slice`], then [`GroupStep::replay`]
+    /// when there is a lookup, then [`GroupStep::infer`] when nothing
+    /// answered. `published(d)` is the result of group `d` of the same
+    /// graph (every dependency has published); `lookup` is the caller's
+    /// store, or `None` to skip keying altogether.
     pub fn run<'r>(
         &self,
         published: impl Fn(usize) -> &'r GroupResult,
         lookup: Option<&mut Lookup<'_>>,
         scratch: &mut EngineScratch,
     ) -> StepOutcome {
+        let slice = match self.slice(published, lookup.is_some()) {
+            Ok(slice) => slice,
+            Err(skipped) => return skipped,
+        };
+        lookup
+            .and_then(|lookup| self.replay(&slice, lookup))
+            .unwrap_or_else(|| self.infer(&slice, scratch))
+    }
+
+    /// Steps 1 and 2: gathers the dependency schemes and, when `keyed`,
+    /// the key. A failed dependency is the `Skipped` outcome instead.
+    pub fn slice<'r>(
+        &self,
+        published: impl Fn(usize) -> &'r GroupResult,
+        keyed: bool,
+    ) -> Result<Slice<'r>, StepOutcome> {
         let group = &self.graph.groups[self.group];
-        let first = group.def_indices[0];
-        let keyed = lookup.is_some();
         let mut dep_hits = 0;
         let mut deps: Vec<(Symbol, &Scheme)> = Vec::with_capacity(group.deps.len());
         let mut dep_json: Vec<(Symbol, &str)> =
@@ -169,8 +202,9 @@ impl GroupStep<'_> {
                     .map(|_| DefVerdict::Skipped { after: name })
                     .collect();
                 let checked = Arc::new(Checked::new(Vec::new()));
-                let result = GroupResult::new(first, checked, failed, Answer::Skipped);
-                return StepOutcome::answered(result, dep_hits);
+                let result =
+                    GroupResult::new(group.def_indices[0], checked, failed, Answer::Skipped);
+                return Err(StepOutcome::answered(result, dep_hits));
             };
             if dep.answer.is_hit() {
                 dep_hits += 1;
@@ -180,30 +214,41 @@ impl GroupStep<'_> {
                 dep_json.push((name, checked.scheme_json(k)));
             }
         }
+        let key = keyed.then(|| Cache::key(self.fingerprint, self.digests, &dep_json));
+        Ok(Slice {
+            deps,
+            key,
+            dep_hits,
+        })
+    }
 
-        let mut key = None;
-        if let Some(lookup) = lookup {
-            let k = Cache::key(self.fingerprint, self.digests, &dep_json);
-            let fits = |defs: &[DefReport]| {
-                defs.len() == group.def_indices.len()
-                    && group
-                        .def_indices
-                        .iter()
-                        .zip(defs)
-                        .all(|(&i, d)| self.program.defs[i].name == d.name)
-            };
-            if let Some((answer, checked)) = lookup(k, &fits) {
-                let result = GroupResult::new(first, checked, Vec::new(), answer);
-                return StepOutcome::answered(result, dep_hits);
-            }
-            key = Some(k);
-        }
+    /// Step 3: replays the entry `lookup` holds under the slice's key,
+    /// if it lines up with the group's members. `None` for an unkeyed
+    /// slice.
+    pub fn replay(&self, slice: &Slice<'_>, lookup: &mut Lookup<'_>) -> Option<StepOutcome> {
+        let group = &self.graph.groups[self.group];
+        let fits = |defs: &[DefReport]| {
+            defs.len() == group.def_indices.len()
+                && group
+                    .def_indices
+                    .iter()
+                    .zip(defs)
+                    .all(|(&i, d)| self.program.defs[i].name == d.name)
+        };
+        let (answer, checked) = lookup(slice.key?, &fits)?;
+        let result = GroupResult::new(group.def_indices[0], checked, Vec::new(), answer);
+        Some(StepOutcome::answered(result, slice.dep_hits))
+    }
 
+    /// Step 4: runs inference over the slice. The outcome carries the
+    /// slice's key to store under when every member checked.
+    pub fn infer(&self, slice: &Slice<'_>, scratch: &mut EngineScratch) -> StepOutcome {
+        let group = &self.graph.groups[self.group];
         let spec = GroupSpec {
             opts: self.opts,
             program: self.program,
             def_indices: &group.def_indices,
-            deps: &deps,
+            deps: &slice.deps,
             free_names: &group.free_names,
         };
         let outcome = run_group_spec(&spec, scratch);
@@ -217,12 +262,13 @@ impl GroupStep<'_> {
             }
         }
         let checked = Arc::new(Checked::new(defs));
-        let store = key
+        let store = slice
+            .key
             .filter(|_| failed.is_empty())
             .map(|key| (key, Arc::clone(&checked)));
         StepOutcome {
-            result: GroupResult::new(first, checked, failed, Answer::Recomputed),
-            dep_hits,
+            result: GroupResult::new(group.def_indices[0], checked, failed, Answer::Recomputed),
+            dep_hits: slice.dep_hits,
             store,
             phases,
         }

@@ -112,9 +112,8 @@ pub struct EngineScratch {
     /// Clause storage for the engine's β, recycled between groups.
     beta: Vec<Clause>,
     /// Incremental SAT session threaded into the engine for the group
-    /// run. Serve swaps a per-document session in here so solver state
-    /// survives across edits; batch workers just recycle allocations.
-    pub sat: rowpoly_boolfun::Session,
+    /// run, recycled for its allocations.
+    sat: rowpoly_boolfun::Session,
 }
 
 impl std::fmt::Debug for EngineScratch {

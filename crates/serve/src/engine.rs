@@ -30,17 +30,29 @@
 //! after a one-definition edit, `verdict.recomputed` is exactly the
 //! number of definitions whose meaning-relevant inputs changed.
 //!
+//! A revision takes the groups one topological wave at a time (no group
+//! of a wave depends on another). First, on the calling thread and in
+//! group order, every group of the wave is sliced, keyed and looked up,
+//! so the store's stamps, LRU order and counters are a serial loop's.
+//! Then the misses re-infer: a lone miss inline, two or more on
+//! [`rowpoly_batch::pool`], each worker with its own scratch. Last, the
+//! results are counted, stored and published in group order. Inference
+//! reads nothing but the group's slice, so the worker count changes the
+//! wall time and nothing else.
+//!
 //! Failures (type errors, timeouts) are recomputed every revision
 //! rather than memoized: inference stops at the first failure, so they
 //! are cheap, and their diagnostics carry byte spans that the next
 //! keystroke would invalidate.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 use rowpoly_batch::cache::Cache;
-use rowpoly_batch::step::{Answer, GroupResult, GroupStep};
+use rowpoly_batch::pool;
+use rowpoly_batch::step::{Answer, GroupResult, GroupStep, Slice, StepOutcome};
 use rowpoly_boolfun::SatClass;
 use rowpoly_core::{DefReport, DefVerdict, EngineScratch, Options};
 use rowpoly_lang::{LineMap, Span};
@@ -105,8 +117,9 @@ pub struct RevisionStats {
     pub defs_recomputed: u64,
     /// Wall time of the revision.
     pub wall_ns: u64,
-    /// This thread's allocator delta over the revision (all zeros
-    /// unless memory accounting is on).
+    /// Allocator delta over the revision, of the calling thread and of
+    /// every worker that re-inferred groups for it (all zeros unless
+    /// memory accounting is on).
     pub mem: rowpoly_obs::MemDelta,
     /// The store's size estimate after the revision (see
     /// [`Cache::live_bytes`]).
@@ -314,15 +327,11 @@ pub struct ServeEngine {
     totals: Totals,
     /// Per-edit wall-time distribution (microseconds, log₂ buckets).
     edit_us: Histogram,
-    /// Recycled inference allocations (the daemon is single-threaded,
-    /// so one scratch serves every group step).
-    scratch: EngineScratch,
-    /// Per-document incremental SAT sessions, swapped into the scratch
-    /// around each revision so learned clauses, SCC orders, and watch
-    /// state survive across the edits of one document. Dropped with the
-    /// document on close; a stale session reconciles against the new β
-    /// by prefix sync, so eviction is a performance decision only.
-    sessions: BTreeMap<String, rowpoly_boolfun::Session>,
+    /// Most threads that re-infer one wave's misses.
+    workers: usize,
+    /// Recycled inference allocations, one per worker that has run;
+    /// the first is the calling thread's.
+    scratches: Vec<EngineScratch>,
 }
 
 impl ServeEngine {
@@ -342,9 +351,17 @@ impl ServeEngine {
             revision: 0,
             totals: Totals::default(),
             edit_us: Histogram::default(),
-            scratch: EngineScratch::default(),
-            sessions: BTreeMap::new(),
+            workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            scratches: vec![EngineScratch::default()],
         }
+    }
+
+    /// Sets the most threads that re-infer one wave's misses (at least
+    /// one; [`ServeEngine::new`] takes the host's available
+    /// parallelism). Verdicts, the store and every counter are the same
+    /// for any count.
+    pub fn set_workers(&mut self, workers: usize) {
+        self.workers = workers.max(1);
     }
 
     /// Opens (or re-opens) a document and computes its analysis.
@@ -396,7 +413,6 @@ impl ServeEngine {
     /// Closes a document, dropping its state (memoized queries stay
     /// warm for a re-open). Returns whether it was open.
     pub fn close(&mut self, path: &str) -> bool {
-        self.sessions.remove(path);
         self.files.remove(path).is_some()
     }
 
@@ -586,14 +602,7 @@ impl ServeEngine {
                 (analysis, None)
             }
             Ok(live) => {
-                // Swap this document's SAT session into the scratch for
-                // the revision: recomputed groups reconcile their β
-                // against the session's clause history instead of
-                // solving from scratch.
-                self.scratch.sat = self.sessions.remove(path).unwrap_or_default();
                 let analysis = self.analyze(&live, &text, &mut stats);
-                self.sessions
-                    .insert(path.to_string(), std::mem::take(&mut self.scratch.sat));
                 (analysis, Some(live))
             }
         };
@@ -610,7 +619,7 @@ impl ServeEngine {
             },
         );
         stats.wall_ns = start.elapsed().as_nanos() as u64;
-        stats.mem = obs::mem::thread_delta_since(&mem_mark);
+        stats.mem.merge(&obs::mem::thread_delta_since(&mem_mark));
         stats.memo_live_bytes = self.store.live_bytes();
         self.note_revision(&stats, is_edit);
         FileUpdate {
@@ -621,45 +630,129 @@ impl ServeEngine {
         }
     }
 
-    /// Runs queries 2–4 over a parsed document text.
+    /// Runs queries 2–4 over a parsed document text, one topological
+    /// wave of groups at a time (see the module docs).
     fn analyze(&mut self, live: &LiveProgram, text: &str, stats: &mut RevisionStats) -> Analysis {
-        // Per group, in interval (= topological) order: the slice
-        // gathers the closed schemes (query 4) the group consumes, the
-        // verdict replays the store or runs inference.
         let (program, graph) = (&live.program, &live.graph);
         let revision = self.revision;
-        let mut results: Vec<GroupResult> = Vec::with_capacity(graph.groups.len());
-        for (g, group) in graph.groups.iter().enumerate() {
-            let members = group.def_indices[0]..=group.def_indices[group.def_indices.len() - 1];
-            let step = GroupStep {
-                program,
-                graph,
-                group: g,
-                opts: &self.opts,
-                fingerprint: &self.fingerprint,
-                digests: &live.digests[members],
-            };
-            let mut lookup = |key, fits: &dyn Fn(&[DefReport]) -> bool| {
-                self.store
-                    .lookup(key, revision)
-                    .filter(|(_, checked)| fits(&checked.defs))
-            };
-            let out = step.run(|d| &results[d], Some(&mut lookup), &mut self.scratch);
-            stats.slices += 1;
-            stats.scheme_hits += out.dep_hits;
-            match out.result.answer {
-                Answer::Memo => stats.verdict_hits += 1,
-                Answer::Disk => stats.verdict_disk_hits += 1,
-                Answer::Recomputed => {
-                    stats.verdict_recomputed += 1;
-                    stats.defs_recomputed += group.def_indices.len() as u64;
+        let steps: Vec<GroupStep> = graph
+            .groups
+            .iter()
+            .enumerate()
+            .map(|(g, group)| {
+                let members = group.def_indices[0]..=group.def_indices[group.def_indices.len() - 1];
+                GroupStep {
+                    program,
+                    graph,
+                    group: g,
+                    opts: &self.opts,
+                    fingerprint: &self.fingerprint,
+                    digests: &live.digests[members],
                 }
-                Answer::Skipped => {}
+            })
+            .collect();
+        let results: Vec<OnceLock<GroupResult>> = steps.iter().map(|_| OnceLock::new()).collect();
+        let published = |d: usize| {
+            results[d]
+                .get()
+                .expect("dependencies publish in earlier waves")
+        };
+        let mut waves: Vec<Vec<usize>> = vec![Vec::new(); graph.waves];
+        for (g, group) in graph.groups.iter().enumerate() {
+            waves[group.wave].push(g);
+        }
+        for wave in &waves {
+            // Slice and look up every group, in group order, on this
+            // thread. A key an earlier group of the wave missed on waits
+            // for the publish pass, where that group's entry answers it.
+            let mut missed = BTreeSet::new();
+            let mut todo: Vec<Todo> = Vec::with_capacity(wave.len());
+            for &g in wave {
+                todo.push(match steps[g].slice(published, true) {
+                    Err(skipped) => Todo::Done(skipped),
+                    Ok(slice) if slice.key.is_some_and(|k| missed.contains(&k)) => {
+                        Todo::Repeat(slice)
+                    }
+                    Ok(slice) => match replay(&steps[g], &slice, &mut self.store, revision) {
+                        Some(out) => Todo::Done(out),
+                        None => {
+                            missed.extend(slice.key);
+                            Todo::Miss(slice)
+                        }
+                    },
+                });
             }
-            if let Some((key, checked)) = out.store {
-                self.store.insert(key, checked, revision);
+
+            // Re-infer the misses: one inline, more on the pool.
+            let misses: Vec<(usize, &Slice)> = wave
+                .iter()
+                .zip(&todo)
+                .filter_map(|(&g, t)| match t {
+                    Todo::Miss(slice) => Some((g, slice)),
+                    _ => None,
+                })
+                .collect();
+            let inferred = match misses[..] {
+                [] => Vec::new(),
+                [(g, slice)] => vec![steps[g].infer(slice, &mut self.scratches[0])],
+                _ => {
+                    let workers = self.workers.min(misses.len());
+                    if self.scratches.len() < workers {
+                        self.scratches.resize_with(workers, EngineScratch::default);
+                    }
+                    let scratches: Vec<Mutex<Option<&mut EngineScratch>>> = self.scratches
+                        [..workers]
+                        .iter_mut()
+                        .map(|s| Mutex::new(Some(s)))
+                        .collect();
+                    let (inferred, pool) = pool::run_graph_with(
+                        misses.len(),
+                        &vec![Vec::new(); misses.len()],
+                        workers,
+                        None,
+                        |w| {
+                            scratches[w]
+                                .lock()
+                                .expect("no worker panics holding a scratch slot")
+                                .take()
+                                .expect("one scratch per worker")
+                        },
+                        |i, scratch, _| {
+                            let (g, slice) = misses[i];
+                            steps[g].infer(slice, scratch)
+                        },
+                    );
+                    stats.mem.merge(&pool.spawned_mem);
+                    inferred
+                }
+            };
+
+            // Publish in group order: count, store, and hand each result
+            // to the next waves.
+            let mut inferred = inferred.into_iter();
+            for (&g, item) in wave.iter().zip(todo) {
+                let out = match item {
+                    Todo::Done(out) => out,
+                    Todo::Miss(_) => inferred.next().expect("one outcome per miss"),
+                    Todo::Repeat(slice) => replay(&steps[g], &slice, &mut self.store, revision)
+                        .unwrap_or_else(|| steps[g].infer(&slice, &mut self.scratches[0])),
+                };
+                stats.slices += 1;
+                stats.scheme_hits += out.dep_hits;
+                match out.result.answer {
+                    Answer::Memo => stats.verdict_hits += 1,
+                    Answer::Disk => stats.verdict_disk_hits += 1,
+                    Answer::Recomputed => {
+                        stats.verdict_recomputed += 1;
+                        stats.defs_recomputed += graph.groups[g].def_indices.len() as u64;
+                    }
+                    Answer::Skipped => {}
+                }
+                if let Some((key, checked)) = out.store {
+                    self.store.insert(key, checked, revision);
+                }
+                assert!(results[g].set(out.result).is_ok(), "group published twice");
             }
-            results.push(out.result);
         }
 
         // Render per-definition states against the current text.
@@ -668,7 +761,7 @@ impl ServeEngine {
             .iter()
             .enumerate()
             .map(|(i, def)| {
-                let status = match results[graph.group_of[i]].verdict(i) {
+                let status = match published(graph.group_of[i]).verdict(i) {
                     Ok((checked, k)) => DefStatus::Ok {
                         scheme: checked.rendered(k).to_string(),
                         sat_class: checked.defs[k].sat_class,
@@ -721,6 +814,33 @@ impl ServeEngine {
             }
         }
     }
+}
+
+/// One group of a wave between its lookup and its publication.
+enum Todo<'r> {
+    /// Skipped or replayed from the store.
+    Done(StepOutcome),
+    /// Missed the store: inferred by the wave's workers.
+    Miss(Slice<'r>),
+    /// Has the key of an earlier miss of the same wave: looked up again
+    /// once that miss has published, as a serial loop would.
+    Repeat(Slice<'r>),
+}
+
+/// Step 3 of `step`: replays the daemon's store, stamping with
+/// `revision`.
+fn replay(
+    step: &GroupStep,
+    slice: &Slice,
+    store: &mut Cache,
+    revision: u64,
+) -> Option<StepOutcome> {
+    let mut lookup = |key, fits: &dyn Fn(&[DefReport]) -> bool| {
+        store
+            .lookup(key, revision)
+            .filter(|(_, checked)| fits(&checked.defs))
+    };
+    step.replay(slice, &mut lookup)
 }
 
 /// Whether every definition of an analysis checks.
@@ -878,6 +998,80 @@ mod tests {
             panic!("parse failed");
         };
         assert!(matches!(&defs[1].status, DefStatus::Skipped { after } if after == "bad"));
+    }
+
+    /// Every query counter of a revision (not its wall time or bytes).
+    fn queries(s: &RevisionStats) -> [u64; 8] {
+        [
+            s.parse_hits,
+            s.parse_misses,
+            s.slices,
+            s.verdict_hits,
+            s.verdict_disk_hits,
+            s.verdict_recomputed,
+            s.scheme_hits,
+            s.defs_recomputed,
+        ]
+    }
+
+    #[test]
+    fn a_key_repeated_within_a_wave_is_inferred_once() {
+        // Both copies of `f` land in wave 0 with one key: the first
+        // re-infers, the second replays its entry, as a serial loop
+        // would. `g` makes the wave's misses two, so 4 workers take the
+        // pool.
+        for (text, recomputed) in [
+            ("def f r = #a r\ndef f r = #a r", 1),
+            ("def f r = #a r\ndef g = 2\ndef f r = #a r", 2),
+        ] {
+            for workers in [1, 4] {
+                let mut e = engine();
+                e.set_workers(workers);
+                let up = e.open("a.rp", text.into(), 1);
+                assert!(up.ok);
+                let s = &up.stats;
+                assert_eq!(
+                    (s.verdict_recomputed, s.verdict_hits),
+                    (recomputed, 1),
+                    "{workers} workers: {s:?}"
+                );
+                assert_eq!((e.store.misses, e.store.hits), (recomputed, 1));
+            }
+        }
+    }
+
+    #[test]
+    fn a_cascade_counts_the_same_under_any_worker_count() {
+        // `mk` is shared by 12 independent groups, which `main` reads.
+        // Adding a field to `mk` changes its scheme, so the 12 re-infer
+        // as one wave; their schemes stay `Int`, so `main` replays.
+        let doc = |helper: &str| {
+            let mut text = format!("def mk x = {helper}\n");
+            for k in 0..12 {
+                text.push_str(&format!("def use{k} = #a (mk {k}) + {k}\n"));
+            }
+            let uses: Vec<String> = (0..12).map(|k| format!("use{k}")).collect();
+            text.push_str(&format!("def main = {}\n", uses.join(" + ")));
+            text
+        };
+        let mut seen = Vec::new();
+        for workers in [1, 4] {
+            let mut e = engine();
+            e.set_workers(workers);
+            let open = e.open("a.rp", doc("{a = x}"), 1);
+            let edit = e
+                .change_full("a.rp", doc("@{b = x} {a = x}"), 2)
+                .expect("open");
+            assert!(open.ok && edit.ok);
+            assert_eq!(edit.stats.verdict_recomputed, 13, "{:?}", edit.stats);
+            assert_eq!(edit.stats.verdict_hits, 1, "{:?}", edit.stats);
+            let Analysis::Checked { defs } = &e.document("a.rp").expect("open").analysis else {
+                panic!("parses");
+            };
+            let schemes: Vec<String> = defs.iter().map(|d| format!("{:?}", d.status)).collect();
+            seen.push((queries(&open.stats), queries(&edit.stats), schemes));
+        }
+        assert_eq!(seen[0], seen[1], "1 worker against 4");
     }
 
     #[test]

@@ -219,29 +219,39 @@ PY
 # One literal edit of a 300-definition document costs one definition's
 # reparse and one group's inference: the splice reparses only what the
 # edit touched, and the multi-field update's binder is numbered within
-# its definition, so its key survives every revision.
-python3 - > "$serve_dir/literal.jsonl" <<'PY'
-import json
-def text(lit):
-    defs = ["def upd r = @{a = 1, b = 2} r"]
+# its definition, so its key survives every revision. A cascade edit of
+# the helper every `s<k>` shares then re-infers the helper and exactly
+# its dependents (one wave, spread over the daemon's workers), and the
+# daemon's schemes match a one-shot `check` of the same text.
+python3 - "$serve_dir/cascade.rp" > "$serve_dir/literal.jsonl" <<'PY'
+import json, sys
+def text(lit, helper="@{a = 1, b = 2} r"):
+    defs = [f"def upd r = {helper}"]
     for k in range(1, 300):
         if k % 3 == 0:
             defs.append(f"def n{k} = {k}")
         elif k % 3 == 1:
             defs.append(f"def r{k} = {{x = {k}, y = {k + 1}}}")
         else:
-            body = f"#x (upd r{k - 1}) + {lit}" if k == 152 else f"#x r{k - 1} + {k}"
-            defs.append(f"def s{k} = {body}")
+            defs.append(f"def s{k} = #x (upd r{k - 1}) + {lit if k == 152 else k}")
     return "\n".join(defs) + "\n"
+cascade = text(8, "@{a = 1, b = 2, c = 3} r")
+open(sys.argv[1], "w").write(cascade)
 print(json.dumps({"id": 1, "method": "open", "params": {"path": "doc.rp", "text": text(7)}}))
 print(json.dumps({"id": 2, "method": "edit", "params": {"path": "doc.rp", "text": text(8)}}))
-print(json.dumps({"id": 3, "method": "shutdown"}))
+print(json.dumps({"id": 3, "method": "edit", "params": {"path": "doc.rp", "text": cascade}}))
+for line in range(300):
+    print(json.dumps({"id": 4 + line, "method": "hover",
+                      "params": {"path": "doc.rp", "line": line, "character": 4}}))
+print(json.dumps({"id": 304, "method": "shutdown"}))
 PY
 cargo run --release --quiet --bin rowpoly -- serve --json-rpc --no-cache \
   < "$serve_dir/literal.jsonl" > "$serve_dir/literal.out"
-python3 - "$serve_dir/literal.out" <<'PY'
-import json, sys
-opened, edited = [json.loads(l)['result'] for l in open(sys.argv[1]).read().splitlines()[:2]]
+one_shot=$(cargo run --release --quiet --bin rowpoly -- check "$serve_dir/cascade.rp" --no-cache --json)
+ONE_SHOT="$one_shot" python3 - "$serve_dir/literal.out" "$serve_dir/cascade.rp" <<'PY'
+import json, os, sys
+replies = [json.loads(l)['result'] for l in open(sys.argv[1]).read().splitlines()]
+opened, edited, cascaded = replies[:3]
 assert opened['ok'] and opened['stats']['parse_misses'] == 300, opened['stats']
 stats = edited['stats']
 assert edited['ok'], edited
@@ -249,6 +259,16 @@ assert stats['parse_misses'] == 1 and stats['parse_hits'] == 299, stats
 assert stats['verdict_recomputed'] == 1, stats
 print(f"    literal edit of 300 definitions: parse_misses 1, verdict_recomputed 1, "
       f"{stats['verdict_hits']} hits")
+dependents = sum('(upd ' in l for l in open(sys.argv[2]).read().splitlines())
+stats = cascaded['stats']
+assert cascaded['ok'], cascaded
+assert stats['verdict_recomputed'] == dependents + 1, (dependents, stats)
+served = [(h['name'], h['status'], h['scheme']) for h in replies[3:303]]
+checked = [(d['name'], d['status'], d['scheme'])
+           for d in json.loads(os.environ['ONE_SHOT'])['files'][0]['defs']]
+assert served == checked, 'serve and one-shot check disagree after the cascade'
+print(f"    cascade edit of the helper: verdict_recomputed {stats['verdict_recomputed']} "
+      f"= {dependents} dependents + 1, schemes match one-shot check")
 PY
 rm -rf "$serve_dir"
 

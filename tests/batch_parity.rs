@@ -3,12 +3,15 @@
 //!
 //! The batch engine must agree with the serial [`Session`] driver on
 //! both verdicts and rendered schemes, and the serve daemon must agree
-//! with the batch engine after any edit history. This is the regression net for
+//! with the batch engine after any edit history, whatever the worker
+//! count on either side and whether or not `check` starts warm. This is the regression net for
 //! cross-engine scheme transport: dependency schemes travel between
 //! engines in closed form and are renamed into the consumer's flag and
 //! variable spaces (`import_scheme`); a bug there shows up as a
 //! spurious "field never added" rejection or a drifted scheme on
 //! exactly the deep call-chains these workloads generate.
+
+use std::path::PathBuf;
 
 use rowpoly::batch::{check_sources, BatchOptions, FileInput, Verdict};
 use rowpoly::core::Session;
@@ -59,8 +62,15 @@ fn batch_matches_serial_on_generated_decoders() {
 /// One definition's outcome as both front ends can render it: the
 /// status word plus its payload (scheme, explained diagnostic, timeout
 /// message, or the shadowing definition).
-fn batch_outcomes(source: &str, jobs: usize) -> Vec<(String, &'static str, String)> {
-    let mut options = BatchOptions::in_memory(jobs);
+type Outcome = (String, &'static str, String);
+
+fn batch_outcomes(source: &str, jobs: usize) -> Vec<Outcome> {
+    batch_outcomes_with(source, BatchOptions::in_memory(jobs)).0
+}
+
+/// The outcomes of one `check` run under `options` (explained), and the
+/// run's cache hits.
+fn batch_outcomes_with(source: &str, mut options: BatchOptions) -> (Vec<Outcome>, u64) {
     options.explain = true;
     let report = check_sources(
         vec![FileInput {
@@ -70,7 +80,8 @@ fn batch_outcomes(source: &str, jobs: usize) -> Vec<(String, &'static str, Strin
         &options,
     );
     let defs = report.files[0].defs.as_ref().expect("source parses");
-    defs.iter()
+    let outcomes = defs
+        .iter()
         .map(|d| {
             let (word, payload) = match &d.verdict {
                 Verdict::Ok { scheme, .. } => ("ok", scheme.clone()),
@@ -80,10 +91,11 @@ fn batch_outcomes(source: &str, jobs: usize) -> Vec<(String, &'static str, Strin
             };
             (d.name.clone(), word, payload)
         })
-        .collect()
+        .collect();
+    (outcomes, report.stats.cache_hits)
 }
 
-fn serve_outcomes(engine: &ServeEngine, path: &str) -> Vec<(String, &'static str, String)> {
+fn serve_outcomes(engine: &ServeEngine, path: &str) -> Vec<Outcome> {
     let doc = engine.document(path).expect("document open");
     let Analysis::Checked { defs } = &doc.analysis else {
         panic!("serve failed to parse its document");
@@ -221,23 +233,64 @@ fn apply(edit: Edit, text: &str, rng: &mut SplitMix64, n: usize) -> String {
     }
 }
 
+/// A scratch directory for one test run, removed when dropped.
+struct TempDir(PathBuf);
+
+impl TempDir {
+    fn new(name: &str) -> TempDir {
+        let dir =
+            std::env::temp_dir().join(format!("rowpoly-parity-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        TempDir(dir)
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 #[test]
 fn serve_matches_batch_after_an_edit_history() {
     for seed in [1u64, 7, 42] {
         let (_, mut src) = generate_with_lines(200, true, seed);
-        let mut engine = ServeEngine::new(ServeConfig::default());
-        engine.open("gen.rp", src.clone(), 0);
+        // Serve with one worker and with four: both stores save to disk
+        // at the end, for comparison.
+        let dirs = [1, 4].map(|workers| TempDir::new(&format!("serve{workers}-{seed}")));
+        let mut engines: Vec<ServeEngine> = [1, 4]
+            .iter()
+            .zip(&dirs)
+            .map(|(&workers, dir)| {
+                let mut engine = ServeEngine::new(ServeConfig {
+                    cache_dir: Some(dir.0.clone()),
+                    ..ServeConfig::default()
+                });
+                engine.set_workers(workers);
+                engine.open("gen.rp", src.clone(), 0);
+                engine
+            })
+            .collect();
+        // `check` on a cache every earlier version of the text warmed.
+        let warm = TempDir::new(&format!("warm-{seed}"));
         let mut rng = SplitMix64::seed_from_u64(seed);
         let edits = script(&mut rng);
         let mut errors = 0;
         for version in 0..=edits.len() {
             if version > 0 {
                 src = apply(edits[version - 1], &src, &mut rng, version);
-                engine
-                    .change_full("gen.rp", src.clone(), version as i64)
-                    .expect("document open");
+                for engine in &mut engines {
+                    engine
+                        .change_full("gen.rp", src.clone(), version as i64)
+                        .expect("document open");
+                }
             }
-            let served = serve_outcomes(&engine, "gen.rp");
+            let served = serve_outcomes(&engines[0], "gen.rp");
+            assert_eq!(
+                serve_outcomes(&engines[1], "gen.rp"),
+                served,
+                "serve with 1 and 4 workers disagree after edit {version} (seed {seed})"
+            );
             if version > 0 {
                 let inserted = served.iter().any(|(name, _, _)| name == "uses_inserted");
                 let expected = matches!(edits[version - 1], Edit::Insert);
@@ -247,18 +300,50 @@ fn serve_matches_batch_after_an_edit_history() {
                 .iter()
                 .filter(|(_, word, _)| *word == "error")
                 .count();
-            for jobs in [1, 2] {
-                let batch = batch_outcomes(&src, jobs);
+            let (warmed, hits) = batch_outcomes_with(
+                &src,
+                BatchOptions {
+                    jobs: 2,
+                    cache_dir: warm.0.clone(),
+                    ..BatchOptions::default()
+                },
+            );
+            assert!(
+                version == 0 || hits > 0,
+                "edit {version} ran cold (seed {seed})"
+            );
+            let checks = [1, 2, 4]
+                .map(|jobs| (format!("--jobs {jobs}"), batch_outcomes(&src, jobs)))
+                .into_iter()
+                .chain([("--jobs 2 on a warm cache".to_string(), warmed)]);
+            for (run, batch) in checks {
                 assert_eq!(batch.len(), served.len());
                 for (b, s) in batch.iter().zip(&served) {
                     assert_eq!(
                         b, s,
-                        "serve and `check --jobs {jobs}` disagree after edit {version} (seed {seed})"
+                        "serve and `check {run}` disagree after edit {version} (seed {seed})"
                     );
                 }
             }
         }
         assert_eq!(errors, 3, "each break rejects `main` once (seed {seed})");
+
+        // The worker count changes neither the store nor a counter.
+        let [one, four] = [0, 1].map(|e| {
+            engines[e].persist().expect("store saves");
+            let counters = engines[e].counters();
+            let saved = std::fs::read(dirs[e].0.join(rowpoly::batch::cache::CACHE_FILE))
+                .expect("store saved");
+            (
+                counters.get("queries").cloned(),
+                counters.get("memo").cloned(),
+                saved,
+            )
+        });
+        assert!(
+            one == four,
+            "stores differ under 1 and 4 workers (seed {seed})"
+        );
     }
 }
 
@@ -281,10 +366,17 @@ fn forward_reference_inside_a_group_matches_serial() {
         serial,
         [("a", "ok", "Int"), ("b", "ok", "Int")].map(|(n, w, s)| (n.to_string(), w, s.to_string()))
     );
-    for jobs in [1, 2] {
+    for jobs in [1, 2, 4] {
         assert_eq!(batch_outcomes(src, jobs), serial, "check --jobs {jobs}");
     }
-    let mut engine = ServeEngine::new(ServeConfig::default());
-    engine.open("fwd.rp", src.to_string(), 0);
-    assert_eq!(serve_outcomes(&engine, "fwd.rp"), serial, "serve");
+    for workers in [1, 4] {
+        let mut engine = ServeEngine::new(ServeConfig::default());
+        engine.set_workers(workers);
+        engine.open("fwd.rp", src.to_string(), 0);
+        assert_eq!(
+            serve_outcomes(&engine, "fwd.rp"),
+            serial,
+            "serve, {workers} workers"
+        );
+    }
 }
