@@ -621,7 +621,11 @@ mod tests {
     fn corrupted_or_alien_files_load_as_empty() {
         let dir = temp_dir("corrupt");
         std::fs::create_dir_all(&dir).unwrap();
+        // Nesting far past the JSON parser's bound, which a recursive
+        // parse would overflow the stack on.
+        let deep = "[".repeat(200_000);
         for bad in [
+            deep.as_str(),
             "",
             "not json",
             "{\"version\":\"other\",\"entries\":[]}",

@@ -1,16 +1,15 @@
 //! Solver ablation: the same formula families decided by the class-
-//! dispatched session versus a session forced onto CDCL, matching the
-//! paper's Section 5 complexity classification (select/update ⇒ 2-SAT,
+//! dispatched solver versus one forced onto CDCL, matching the paper's
+//! Section 5 complexity classification (select/update ⇒ 2-SAT,
 //! asymmetric concat ⇒ Horn, symmetric concat / `when` ⇒ general CNF).
-//! Every solve runs on a cold session, so no warm state is reused.
+//! Every solve is cold: no state carries over between solves.
 
 use rowpoly_bench::bench;
-use rowpoly_boolfun::{Cnf, Flag, Lit, SatBudget, SatClass, Session};
+use rowpoly_boolfun::{sat, Cnf, Flag, Lit, SatBudget, SatClass};
 
-/// Decides `f` on a cold session with the engine of `class` forced.
+/// Decides `f` with the engine of `class` forced.
 fn sat_as(class: SatClass, f: &Cnf) -> bool {
-    Session::cold(f)
-        .solve_as(class, &SatBudget::unlimited())
+    sat::solve_as(f, class, &SatBudget::unlimited())
         .expect("unlimited budget")
         .is_sat()
 }

@@ -28,7 +28,7 @@
 use std::time::Duration;
 
 use rowpoly_bench::bench;
-use rowpoly_boolfun::{classify, Clause, Cnf, Flag, FlagSet, Lit, SatBudget, SatClass, Session};
+use rowpoly_boolfun::{Cnf, Flag, FlagSet, Lit};
 use rowpoly_obs::json::Json;
 use rowpoly_obs::rng::SplitMix64;
 
@@ -143,113 +143,6 @@ fn symconcat(triples: u32) -> Workload {
     }
 }
 
-/// One simulated definition re-check cycle: a base β plus a stream of
-/// single-clause edits, with satisfiability checked after every edit —
-/// the access pattern `check_sat` produces as inference walks a
-/// definition. The incremental engine answers each check from the
-/// previous check's solver state; the fresh arm re-solves the grown
-/// formula on a cold session, which is what every check cost before
-/// sessions were kept warm.
-struct EditReplay {
-    base: Cnf,
-    edits: Vec<Clause>,
-}
-
-/// A clause over distinct flags in one of the three shapes inference
-/// emits: an implication, a merge (`¬a ∨ ¬b ∨ c`, two negatives), or a
-/// cover (`a ∨ b ∨ ¬c`, two positives). The mix keeps the formula in
-/// the general class — and satisfiable, since every clause keeps a
-/// positive literal (the all-true model).
-fn mixed_clause(rng: &mut SplitMix64, nflags: u32) -> Clause {
-    fn pick(rng: &mut SplitMix64, nflags: u32, exclude: &[u32]) -> u32 {
-        loop {
-            let f = rng.gen_range(0..nflags);
-            if !exclude.contains(&f) {
-                return f;
-            }
-        }
-    }
-    let a = pick(rng, nflags, &[]);
-    let b = pick(rng, nflags, &[a]);
-    let lits = match rng.gen_range(0..3) {
-        0 => vec![n(a), p(b)],
-        1 => {
-            let c = pick(rng, nflags, &[a, b]);
-            vec![n(a), n(b), p(c)]
-        }
-        _ => {
-            let c = pick(rng, nflags, &[a, b]);
-            vec![p(a), p(b), n(c)]
-        }
-    };
-    Clause::new(lits).expect("distinct flags cannot form a tautology")
-}
-
-fn edit_replay(nflags: u32, base_clauses: u32, edits: u32, seed: u64) -> EditReplay {
-    let mut rng = SplitMix64::seed_from_u64(seed);
-    let mut base = Cnf::top();
-    for _ in 0..base_clauses {
-        base.add_clause(mixed_clause(&mut rng, nflags));
-    }
-    base.normalize();
-    let edits = (0..edits).map(|_| mixed_clause(&mut rng, nflags)).collect();
-    EditReplay { base, edits }
-}
-
-/// The one-shot arm: a cold [`Session`] per edit, no state carried over.
-fn replay_fresh(r: &EditReplay, budget: &SatBudget) -> Vec<(bool, SatClass)> {
-    let mut cnf = r.base.clone();
-    let mut verdicts = Vec::with_capacity(r.edits.len());
-    for e in &r.edits {
-        cnf.add_clause(e.clone());
-        let v = Session::cold(&cnf).solve(budget).expect("unlimited");
-        verdicts.push((v.is_sat(), classify(&cnf)));
-    }
-    verdicts
-}
-
-fn replay_incremental(r: &EditReplay, budget: &SatBudget) -> Vec<(bool, SatClass)> {
-    let mut cnf = r.base.clone();
-    let mut session = Session::new();
-    let mut verdicts = Vec::with_capacity(r.edits.len());
-    for e in &r.edits {
-        cnf.add_clause(e.clone());
-        session.sync(&cnf);
-        let v = session.solve(budget).expect("unlimited");
-        verdicts.push((v.is_sat(), session.class()));
-    }
-    verdicts
-}
-
-struct IncrOutcome {
-    base_clauses: usize,
-    edits: usize,
-    fresh: Duration,
-    incremental: Duration,
-}
-
-fn run_edit_replay(r: &EditReplay) -> IncrOutcome {
-    let budget = SatBudget::unlimited();
-    // Parity first: the per-edit verdict and class streams must be
-    // identical before the speedup means anything.
-    let fresh_verdicts = replay_fresh(r, &budget);
-    let incr_verdicts = replay_incremental(r, &budget);
-    assert_eq!(
-        fresh_verdicts, incr_verdicts,
-        "incremental replay diverged from fresh"
-    );
-    let fresh = bench("project/edit_replay/fresh", || replay_fresh(r, &budget));
-    let incremental = bench("project/edit_replay/incremental", || {
-        replay_incremental(r, &budget)
-    });
-    IncrOutcome {
-        base_clauses: r.base.len(),
-        edits: r.edits.len(),
-        fresh,
-        incremental,
-    }
-}
-
 fn run(w: &Workload) -> Outcome {
     // Parity first: both engines must produce mutually entailing
     // results before either is worth timing.
@@ -306,13 +199,6 @@ fn main() {
 
     let outcomes: Vec<Outcome> = workloads.iter().map(run).collect();
 
-    let replay = if quick {
-        edit_replay(48, 256, 32, seed)
-    } else {
-        edit_replay(96, 1024, 96, seed)
-    };
-    let incr = run_edit_replay(&replay);
-
     if json {
         let items: Vec<Json> = outcomes
             .iter()
@@ -338,26 +224,6 @@ fn main() {
             ("seed", Json::Int(seed as i64)),
             ("quick", Json::Bool(quick)),
             ("workloads", Json::Arr(items)),
-            (
-                "incremental",
-                Json::obj(vec![
-                    ("name", Json::Str("edit_replay".to_string())),
-                    ("base_clauses", Json::Int(incr.base_clauses as i64)),
-                    ("edits", Json::Int(incr.edits as i64)),
-                    ("fresh_s", Json::Float(incr.fresh.as_secs_f64())),
-                    ("incremental_s", Json::Float(incr.incremental.as_secs_f64())),
-                    (
-                        "incremental_speedup",
-                        Json::Float(
-                            incr.fresh.as_secs_f64() / incr.incremental.as_secs_f64().max(1e-9),
-                        ),
-                    ),
-                    // Asserted before timing (per-edit verdicts and
-                    // classes are compared elementwise); recorded so
-                    // the CI gate can require it explicitly.
-                    ("verdicts_match", Json::Bool(true)),
-                ]),
-            ),
         ]);
         println!("{}", doc.render());
     } else {
@@ -375,13 +241,5 @@ fn main() {
                 o.fallback
             );
         }
-        println!(
-            "edit_replay {:>5} base clauses {:>4} edits  fresh {:>10.4?}  incremental {:>10.4?}  {:>6.1}x",
-            incr.base_clauses,
-            incr.edits,
-            incr.fresh,
-            incr.incremental,
-            incr.fresh.as_secs_f64() / incr.incremental.as_secs_f64().max(1e-9),
-        );
     }
 }

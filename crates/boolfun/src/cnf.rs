@@ -5,7 +5,6 @@ use std::fmt;
 
 use crate::clause::Clause;
 use crate::lit::{Flag, FlagSet, Lit};
-use crate::sat::session::Session;
 use crate::sat::{self, SatResult};
 
 /// A Boolean function β represented in conjunctive normal form.
@@ -18,36 +17,11 @@ use crate::sat::{self, SatResult};
 /// The paper writes sequences of implications between the flag sequences of
 /// two types, `*t1+ ⇒ *t2+` and `*t1+ ⇔ *t2+`; these are provided as
 /// [`Cnf::imply_seq`] and [`Cnf::iff_seq`].
+#[derive(Clone, PartialEq, Eq)]
 pub struct Cnf {
     pub(crate) clauses: Vec<Clause>,
     /// Whether `clauses` is known sorted + deduplicated.
     pub(crate) normalized: bool,
-    /// Object identity for incremental-session syncing: fresh on every
-    /// construction *and clone*, so two handles never alias and a
-    /// [`crate::Session`] can tell "same formula, mutated" from "a
-    /// different formula that happens to share a prefix".
-    pub(crate) sync_id: u64,
-    /// Bumped on every mutation that is not a pure append (sorting,
-    /// dedup, projection, subsumption). While `sync_id` and this counter
-    /// both match a session's record, the synced clause prefix is
-    /// guaranteed unchanged and only the suffix needs pushing.
-    pub(crate) structural: u64,
-}
-
-fn next_sync_id() -> u64 {
-    static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
-    NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-}
-
-impl Clone for Cnf {
-    fn clone(&self) -> Cnf {
-        Cnf {
-            clauses: self.clauses.clone(),
-            normalized: self.normalized,
-            sync_id: next_sync_id(),
-            structural: self.structural,
-        }
-    }
 }
 
 impl Default for Cnf {
@@ -56,22 +30,12 @@ impl Default for Cnf {
     }
 }
 
-impl PartialEq for Cnf {
-    fn eq(&self, other: &Cnf) -> bool {
-        self.clauses == other.clauses && self.normalized == other.normalized
-    }
-}
-
-impl Eq for Cnf {}
-
 impl Cnf {
     /// The empty conjunction `true` (the top element of the lattice `B`).
     pub fn top() -> Cnf {
         Cnf {
             clauses: Vec::new(),
             normalized: true,
-            sync_id: next_sync_id(),
-            structural: 0,
         }
     }
 
@@ -84,8 +48,6 @@ impl Cnf {
         Cnf {
             clauses: storage,
             normalized: true,
-            sync_id: next_sync_id(),
-            structural: 0,
         }
     }
 
@@ -100,8 +62,6 @@ impl Cnf {
         Cnf {
             clauses: vec![Clause::empty()],
             normalized: true,
-            sync_id: next_sync_id(),
-            structural: 0,
         }
     }
 
@@ -214,23 +174,7 @@ impl Cnf {
             self.clauses.sort_unstable();
             self.clauses.dedup();
             self.normalized = true;
-            // Sorting may reorder the prefix a session has synced.
-            self.note_structural_change();
         }
-    }
-
-    /// Records a mutation that may have changed existing clauses (not a
-    /// pure append). Every in-place rewrite of `clauses` outside this
-    /// module must call this so incremental sessions re-diff the prefix.
-    pub(crate) fn note_structural_change(&mut self) {
-        self.structural = self.structural.wrapping_add(1);
-    }
-
-    /// Identity + mutation stamp for [`crate::Session::sync`]: while both
-    /// components match a previous observation and the clause count has
-    /// not shrunk, the previously observed prefix is unchanged.
-    pub fn sync_stamp(&self) -> (u64, u64) {
-        (self.sync_id, self.structural)
     }
 
     /// Removes clauses subsumed by another clause. Quadratic; intended for
@@ -304,10 +248,10 @@ impl Cnf {
         matches!(self.solve(), SatResult::Sat(_))
     }
 
-    /// Full solver result, including a model or an explanation, from a
-    /// cold [`Session`].
+    /// Full solver result, including a model or an explanation, from
+    /// [`sat::solve`].
     pub fn solve(&self) -> SatResult {
-        match Session::cold(self).solve(&sat::SatBudget::unlimited()) {
+        match sat::solve(self, &sat::SatBudget::unlimited()) {
             Ok(r) => r,
             Err(stop) => unreachable!("unlimited budget stopped a solve: {stop}"),
         }

@@ -24,8 +24,8 @@
 //!   complexity classes the paper identifies: a linear-time 2-SAT engine
 //!   (select/update generate only two-variable Horn clauses), a linear-time
 //!   Horn-SAT engine (asymmetric record concatenation), and a CDCL solver
-//!   for general CNF (symmetric concatenation, `when`-conditionals), all
-//!   driven by one incremental [`Session`].
+//!   for general CNF (symmetric concatenation, `when`-conditionals), one
+//!   cold solve per question ([`sat::solve`]).
 //! * [`classify`] — classifies a formula into the cheapest applicable
 //!   solver class.
 //!
@@ -62,5 +62,4 @@ pub use lit::{Flag, FlagAlloc, FlagSet, Lit};
 pub use proof::{
     minimize_core, ClauseRef, DerivationStep, Proof, ProofChecker, ProofError, UnsatProof,
 };
-pub use sat::session::{Session, SyncOutcome};
 pub use sat::{check_proofs_enabled, set_check_proofs, BudgetStop, SatBudget, SatResult};

@@ -279,7 +279,6 @@ impl Cnf {
                     self.clauses.append(merged);
                 }
                 self.normalized = true;
-                self.note_structural_change();
             } else {
                 self.clauses.append(fresh);
                 self.normalized = false;

@@ -5,14 +5,16 @@
 //! fragment, so the paper's classification calls for a generic SAT solver.
 //! This is a self-contained CDCL implementation with two-watched-literal
 //! propagation, VSIDS-style activities with phase saving, first-UIP clause
-//! learning, non-chronological backjumping and Luby restarts.
+//! learning, non-chronological backjumping and Luby restarts. [`solve`]
+//! loads one formula into a fresh solver and answers.
 
 use std::collections::HashMap;
 
 use crate::clause::Clause;
+use crate::cnf::Cnf;
 use crate::lit::{Flag, Lit};
-use crate::proof::DerivationStep;
-use crate::sat::{BudgetStop, Model, SatBudget};
+use crate::proof::{DerivationStep, Proof, UnsatProof};
+use crate::sat::{BudgetStop, Model, SatBudget, SatResult};
 
 /// A literal over dense variable indices, encoded `var << 1 | neg`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -57,8 +59,8 @@ struct SearchStats {
 
 struct Solver {
     nvars: usize,
-    /// Clause database: guarded input clauses and learnt clauses, in
-    /// insertion order.
+    /// Clause database: input clauses of two or more literals and learnt
+    /// clauses, in insertion order.
     clauses: Vec<Vec<DLit>>,
     /// watches[lit.code()] = clause indices watching `lit`.
     watches: Vec<Vec<u32>>,
@@ -74,21 +76,15 @@ struct Solver {
     act_inc: f64,
     unsat: bool,
     search: SearchStats,
-    /// Whether a variable may be picked by [`Solver::decide`]. All real
-    /// variables are; the selector variables of [`Incremental`] clauses
-    /// are not — they only enter the trail as assumptions or by
-    /// propagation, so a retracted clause's selector stays free.
-    decidable: Vec<bool>,
     /// Indices into `clauses` of every learnt clause, in learning order
-    /// — the raw material for a RUP derivation (see
-    /// [`Incremental::unsat_steps`]). Unit learnt clauses are stored
-    /// too, unwatched.
+    /// — the raw material for a RUP derivation (see [`solve`]). Unit
+    /// learnt clauses are stored too, unwatched.
     learnt: Vec<u32>,
 }
 
 impl Solver {
-    /// A solver over zero variables and clauses, grown incrementally via
-    /// [`Solver::new_var`] by the [`Incremental`] wrapper.
+    /// A solver over zero variables and clauses, grown via
+    /// [`Solver::new_var`] and [`Solver::add`].
     fn new() -> Solver {
         Solver {
             nvars: 0,
@@ -105,12 +101,11 @@ impl Solver {
             act_inc: 1.0,
             unsat: false,
             search: SearchStats::default(),
-            decidable: Vec::new(),
             learnt: Vec::new(),
         }
     }
 
-    fn new_var(&mut self, decidable: bool) -> usize {
+    fn new_var(&mut self) -> usize {
         let v = self.nvars;
         self.nvars += 1;
         self.watches.push(Vec::new());
@@ -120,8 +115,25 @@ impl Solver {
         self.level.push(0);
         self.reason.push(NO_REASON);
         self.activity.push(0.0);
-        self.decidable.push(decidable);
         v
+    }
+
+    /// Adds an input clause at decision level 0, before any
+    /// propagation: a unit clause is enqueued (a complementary unit
+    /// makes the solver unsatisfiable), a longer one watches its first
+    /// two literals. Literals already false get their watchers visited
+    /// when [`Solver::run`] propagates the level-0 trail.
+    fn add(&mut self, c: Vec<DLit>) {
+        if let [unit] = c[..] {
+            if !self.enqueue(unit, NO_REASON) {
+                self.unsat = true;
+            }
+            return;
+        }
+        let ci = self.clauses.len() as u32;
+        self.watches[c[0].negate().code()].push(ci);
+        self.watches[c[1].negate().code()].push(ci);
+        self.clauses.push(c);
     }
 
     fn value(&self, l: DLit) -> Val {
@@ -325,7 +337,6 @@ impl Solver {
         let mut best: Option<usize> = None;
         for v in 0..self.nvars {
             if self.assign[v] == Val::Undef
-                && self.decidable[v]
                 && best.is_none_or(|b| self.activity[v] > self.activity[b])
             {
                 best = Some(v);
@@ -339,16 +350,10 @@ impl Solver {
         self.search.decisions + self.search.propagations
     }
 
-    fn run(
-        &mut self,
-        budget: &SatBudget,
-        assumps: &[DLit],
-    ) -> Result<Option<Vec<Val>>, BudgetStop> {
+    fn run(&mut self, budget: &SatBudget) -> Result<Option<Vec<Val>>, BudgetStop> {
         if self.unsat {
             return Ok(None);
         }
-        debug_assert!(self.trail_lim.is_empty(), "run starts at decision level 0");
-        let base_steps = self.steps();
         if self.propagate().is_some() {
             self.unsat = true;
             return Ok(None);
@@ -357,8 +362,8 @@ impl Solver {
         let mut restart_count = 0u32;
         loop {
             if let Some(max) = budget.max_steps {
-                if self.steps() - base_steps > max {
-                    return Err(BudgetStop::Steps(self.steps() - base_steps));
+                if self.steps() > max {
+                    return Err(BudgetStop::Steps(self.steps()));
                 }
             }
             if budget.cancelled() {
@@ -389,24 +394,6 @@ impl Solver {
                 if !self.enqueue(asserting, reason) {
                     self.unsat = true;
                     return Ok(None);
-                }
-            } else if self.trail_lim.len() < assumps.len() {
-                // Plant the next assumption as its own decision level
-                // (an already-true assumption still claims a level so
-                // `trail_lim.len()` tracks how many have been placed —
-                // restarts cancel to 0 and replant automatically).
-                let a = assumps[self.trail_lim.len()];
-                match self.value(a) {
-                    Val::True => self.trail_lim.push(self.trail.len()),
-                    Val::False => {
-                        self.cancel_until(0);
-                        return Ok(None);
-                    }
-                    Val::Undef => {
-                        self.trail_lim.push(self.trail.len());
-                        let ok = self.enqueue(a, NO_REASON);
-                        debug_assert!(ok, "unassigned assumption cannot conflict");
-                    }
                 }
             } else if conflicts_since_restart >= 64 * luby(restart_count) {
                 conflicts_since_restart = 0;
@@ -447,203 +434,94 @@ fn luby(i: u32) -> u64 {
     }
 }
 
-/// Persistent CDCL state for [`crate::sat::session::Session`].
-///
-/// Each clause `C` is added once, guarded by a fresh *selector*
-/// variable `s`: the stored clause is `C ∨ ¬s`. A solve assumes `s`
-/// true for exactly the active clauses, so retraction is free (stop
-/// assuming `s`) and the learned-clause database, VSIDS activities and
-/// saved phases all survive across solves. Selectors are never decision
-/// candidates, so a retracted clause's selector stays unassigned and
-/// its guard keeps the clause inert.
-///
-/// Because the guarded database is satisfiable outright (set every
-/// selector false), nothing is ever forced at decision level 0, and
-/// clause insertion never sees a falsified watch. A learnt clause
-/// carries `¬s` for every guarded clause it rests on, which is what
-/// makes [`Incremental::unsat_steps`] a valid refutation of the active
-/// clauses alone.
-pub(crate) struct Incremental {
-    s: Solver,
-    var_of: HashMap<Flag, usize>,
-    /// What each solver variable stands for.
-    vars: Vec<VarRole>,
-    /// Session slot → selector var of its clause, once fed.
-    selector: Vec<Option<usize>>,
-}
-
-/// A solver variable of [`Incremental`]: a source flag, or the selector
-/// guarding the clause in a session slot.
-#[derive(Clone, Copy)]
-enum VarRole {
-    Flag(Flag),
-    Selector(u32),
-}
-
-impl Incremental {
-    pub(crate) fn new() -> Incremental {
-        Incremental {
-            s: Solver::new(),
-            var_of: HashMap::new(),
-            vars: Vec::new(),
-            selector: Vec::new(),
-        }
-    }
-
-    /// Learnt clauses currently retained in the database.
-    pub(crate) fn learnt_len(&self) -> usize {
-        self.s.learnt.len()
-    }
-
-    /// Whether the clause in session slot `slot` has been added.
-    pub(crate) fn is_fed(&self, slot: u32) -> bool {
-        self.selector
-            .get(slot as usize)
-            .is_some_and(Option::is_some)
-    }
-
-    /// Adds a clause under a fresh selector. `slot` is the session's id
-    /// for it, the index into the `active` bitmap of later solves.
-    pub(crate) fn add(&mut self, lits: &[Lit], slot: u32) {
-        self.s.cancel_until(0);
-        let sel = self.s.new_var(false);
-        self.vars.push(VarRole::Selector(slot));
-        let mut c: Vec<DLit> = Vec::with_capacity(lits.len() + 1);
-        for &l in lits {
-            let var = match self.var_of.get(&l.flag()) {
-                Some(&v) => v,
-                None => {
-                    let v = self.s.new_var(true);
-                    self.vars.push(VarRole::Flag(l.flag()));
-                    self.var_of.insert(l.flag(), v);
-                    v
-                }
-            };
-            c.push(DLit::new(var, l.is_neg()));
-        }
-        c.push(DLit::new(sel, true));
-        // Watch two non-false literals; ¬sel is always unassigned so at
-        // least one exists even if level 0 ever pins real variables.
-        let mut w = 0;
-        for k in 0..c.len() {
-            if self.s.value(c[k]) != Val::False {
-                c.swap(w, k);
-                w += 1;
-                if w == 2 {
-                    break;
-                }
-            }
-        }
-        let ci = self.s.clauses.len() as u32;
-        if w >= 2 {
-            self.s.watches[c[0].negate().code()].push(ci);
-            self.s.watches[c[1].negate().code()].push(ci);
-            self.s.clauses.push(c);
-        } else {
-            // All but one literal false at level 0: unit on c[0].
-            let unit = c[0];
-            self.s.clauses.push(c);
-            if !self.s.enqueue(unit, ci) {
-                self.s.unsat = true;
-            }
-        }
-        if self.selector.len() <= slot as usize {
-            self.selector.resize(slot as usize + 1, None);
-        }
-        self.selector[slot as usize] = Some(sel);
-    }
-
-    /// Solves the conjunction of the clauses whose slot is marked in
-    /// `active` (indexed by slot id), reusing all prior solver state.
-    /// Every active slot must have been fed. `None` means unsatisfiable.
-    pub(crate) fn solve(
-        &mut self,
-        active: &[bool],
-        budget: &SatBudget,
-    ) -> Result<Option<Model>, BudgetStop> {
-        self.s.cancel_until(0);
-        // Slots are fed in ascending order (a retracted slot never comes
-        // back), so assumptions follow the order the clauses were added.
-        let assumps: Vec<DLit> = self
-            .selector
+/// Decides `cnf` (no empty clause) with a fresh solver. Flags become
+/// solver variables in order of first mention. An unsat proof is every
+/// learnt clause as a RUP step, in learning order, then `⊥`, with every
+/// clause of `cnf` as the core. The budget counts decisions plus
+/// propagated literals.
+pub(crate) fn solve(
+    cnf: &Cnf,
+    budget: &SatBudget,
+    want_proof: bool,
+) -> Result<(SatResult, Option<Proof>), BudgetStop> {
+    let mut s = Solver::new();
+    let mut var_of: HashMap<Flag, usize> = HashMap::new();
+    // Solver variable → flag.
+    let mut flags: Vec<Flag> = Vec::new();
+    for c in cnf.clauses() {
+        let lits = c
+            .lits()
             .iter()
-            .zip(active)
-            .filter_map(|(sel, &on)| sel.filter(|_| on))
-            .map(|sel| DLit::new(sel, false))
+            .map(|&l| {
+                let var = *var_of.entry(l.flag()).or_insert_with(|| {
+                    flags.push(l.flag());
+                    s.new_var()
+                });
+                DLit::new(var, l.is_neg())
+            })
             .collect();
-        let base = self.s.search;
-        let outcome = self.s.run(budget, &assumps);
-        self.flush_incr_obs(&base, outcome.is_err());
-        Ok(outcome?.map(|assign| {
-            let mut model = Model::new();
-            for (v, role) in self.vars.iter().enumerate() {
-                if let VarRole::Flag(f) = *role {
-                    model.insert(f, assign[v] == Val::True);
-                }
-            }
-            model
-        }))
+        s.add(lits);
     }
-
-    /// The RUP steps of a refutation of the active clauses, after an
-    /// unsatisfiable [`Incremental::solve`]: every learnt clause whose
-    /// selectors are all active, with the selector literals stripped,
-    /// in learning order, then `⊥`. Stripping is sound because a learnt
-    /// clause carries `¬s` for every guarded clause it rests on; a
-    /// clause resting on a retracted one carries that clause's `¬s` and
-    /// is skipped. A stripped clause that is already `⊥` ends the
-    /// derivation.
-    pub(crate) fn unsat_steps(&self, active: &[bool]) -> Vec<DerivationStep> {
-        let mut steps = Vec::new();
-        'learnt: for &ci in &self.s.learnt {
-            let learnt = &self.s.clauses[ci as usize];
-            let mut lits = Vec::with_capacity(learnt.len());
-            for &l in learnt {
-                match self.vars[l.var()] {
-                    VarRole::Flag(f) => lits.push(Lit::new(f, l.is_neg())),
-                    VarRole::Selector(slot) if l.is_neg() && active[slot as usize] => {}
-                    VarRole::Selector(_) => continue 'learnt,
-                }
-            }
-            let clause = Clause::new(lits).expect("learnt clauses carry no complementary pair");
-            let done = clause.is_empty();
-            steps.push(DerivationStep::Rup { clause });
-            if done {
-                return steps;
-            }
-        }
-        steps.push(DerivationStep::Rup {
-            clause: Clause::empty(),
-        });
-        steps
-    }
-
-    fn flush_incr_obs(&self, base: &SearchStats, budget_stopped: bool) {
-        if rowpoly_obs::enabled() {
-            let d = &self.s.search;
-            rowpoly_obs::counter_add("sat.cdcl.solves", 1);
-            rowpoly_obs::counter_add("sat.cdcl.decisions", d.decisions - base.decisions);
-            rowpoly_obs::counter_add("sat.cdcl.propagations", d.propagations - base.propagations);
-            rowpoly_obs::counter_add("sat.cdcl.learned_clauses", d.learned - base.learned);
-            rowpoly_obs::counter_add("sat.cdcl.restarts", d.restarts - base.restarts);
-            if budget_stopped {
-                rowpoly_obs::counter_add("sat.cdcl.budget_stops", 1);
-            }
+    let outcome = s.run(budget);
+    if rowpoly_obs::enabled() {
+        let d = &s.search;
+        rowpoly_obs::counter_add("sat.cdcl.solves", 1);
+        rowpoly_obs::counter_add("sat.cdcl.decisions", d.decisions);
+        rowpoly_obs::counter_add("sat.cdcl.propagations", d.propagations);
+        rowpoly_obs::counter_add("sat.cdcl.learned_clauses", d.learned);
+        rowpoly_obs::counter_add("sat.cdcl.restarts", d.restarts);
+        if outcome.is_err() {
+            rowpoly_obs::counter_add("sat.cdcl.budget_stops", 1);
         }
     }
+    Ok(match outcome? {
+        Some(assign) => {
+            let model: Model = flags
+                .iter()
+                .enumerate()
+                .map(|(v, &f)| (f, assign[v] == Val::True))
+                .collect();
+            let proof = want_proof.then(|| Proof::Sat(model.clone()));
+            (SatResult::Sat(model), proof)
+        }
+        None => {
+            let proof = want_proof.then(|| {
+                let mut steps: Vec<DerivationStep> = s
+                    .learnt
+                    .iter()
+                    .map(|&ci| {
+                        let lits = s.clauses[ci as usize]
+                            .iter()
+                            .map(|l| Lit::new(flags[l.var()], l.is_neg()))
+                            .collect();
+                        DerivationStep::Rup {
+                            clause: Clause::new(lits)
+                                .expect("learnt clauses carry no complementary pair"),
+                        }
+                    })
+                    .collect();
+                steps.push(DerivationStep::Rup {
+                    clause: Clause::empty(),
+                });
+                Proof::Unsat(UnsatProof {
+                    core: (0..cnf.len()).collect(),
+                    steps,
+                })
+            });
+            (SatResult::Unsat(Vec::new()), proof)
+        }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::classify::SatClass;
-    use crate::cnf::Cnf;
-    use crate::sat::session::Session;
-    use crate::sat::{check_model, SatResult};
+    use crate::sat::{check_model, solve_as};
 
     /// Solves `b` with the CDCL engine, whatever its class.
     fn cdcl_budgeted(b: &Cnf, budget: &SatBudget) -> Result<SatResult, BudgetStop> {
-        Session::cold(b).solve_as(SatClass::General, budget)
+        solve_as(b, SatClass::General, budget)
     }
 
     fn cdcl(b: &Cnf) -> SatResult {

@@ -2,68 +2,86 @@
 //!
 //! Asymmetric record concatenation generates multi-variable Horn clauses
 //! when the meaning of flags is inverted (`¬f` = "field exists"), which the
-//! paper notes keeps concatenation linear-time. [`HornEngine`] decides
-//! Horn formulas (at most one positive literal per clause) and, by
-//! polarity flipping, dual-Horn formulas (at most one negative literal per
-//! clause) inside a [`crate::Session`]; the functions below turn its
-//! propagation trail into a conflict chain and a checkable proof.
+//! paper notes keeps concatenation linear-time. [`solve`] decides Horn
+//! formulas (at most one positive literal per clause) and, by polarity
+//! flipping, dual-Horn formulas (at most one negative literal per clause);
+//! the functions below turn its propagation trail into a conflict chain
+//! and a checkable proof.
 
-use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 
 use crate::clause::Clause;
 use crate::cnf::Cnf;
 use crate::lit::{Flag, Lit};
-use crate::proof::{ClauseRef, DerivationStep, UnsatProof};
-use crate::sat::Model;
+use crate::proof::{ClauseRef, DerivationStep, Proof, UnsatProof};
+use crate::sat::{Model, SatResult};
 
-/// Incremental Horn / dual-Horn: warm Dowling–Gallier propagation.
-///
-/// Horn propagation is monotone — adding clauses only ever derives more
-/// facts — so the watch rows, truth assignment and derivation trail all
-/// stay valid across feeds. A new clause counts as pending only the
-/// body atoms whose watchers have not fired yet (and watches only
-/// those), then the queue drains from where it left off. A cold feed
-/// therefore counts every body atom, and propagates facts in exactly
-/// the order a one-pass Dowling–Gallier run over the same clauses
-/// would, so conflict chains and cores do not depend on how the clause
-/// set was built up. The minimal model is the least fixpoint, which is
-/// order-independent.
-pub(crate) struct HornEngine {
-    pub(crate) flip: bool,
-    /// Per fed clause: head flag (if any) and body atoms still pending.
+/// Horn / dual-Horn: one Dowling–Gallier propagation pass. Every clause
+/// is read before the queue drains, so facts fire in the order of a
+/// one-pass run over the clause list and conflict chains and cores
+/// depend only on that list. The minimal model is the least fixpoint,
+/// which is order-independent.
+struct HornEngine {
+    flip: bool,
+    /// Per clause: head flag (if any) and body atoms still pending.
     rows: Vec<(Option<Flag>, usize)>,
     body_watch: HashMap<Flag, Vec<usize>>,
-    /// The true facts, each with its position in `queue`: its watchers
-    /// have fired once `qi` is past it.
-    truth: HashMap<Flag, usize>,
-    pub(crate) reason: HashMap<Flag, usize>,
-    pub(crate) derived: Vec<Flag>,
+    /// The true facts.
+    truth: HashSet<Flag>,
+    reason: HashMap<Flag, usize>,
+    derived: Vec<Flag>,
     queue: Vec<Flag>,
     qi: usize,
-    pub(crate) conflict: Option<usize>,
+    conflict: Option<usize>,
     mentioned: HashSet<Flag>,
-    pub(crate) fed_slots: Vec<u32>,
+}
+
+/// Decides a Horn formula (`flip` false) or a dual-Horn one (`flip`
+/// true) with no empty clause.
+pub(crate) fn solve(cnf: &Cnf, flip: bool, want_proof: bool) -> (SatResult, Option<Proof>) {
+    let mut e = HornEngine {
+        flip,
+        rows: Vec::with_capacity(cnf.len()),
+        body_watch: HashMap::new(),
+        truth: HashSet::new(),
+        reason: HashMap::new(),
+        derived: Vec::new(),
+        queue: Vec::new(),
+        qi: 0,
+        conflict: None,
+        mentioned: HashSet::new(),
+    };
+    for c in cnf.clauses() {
+        e.feed(c);
+    }
+    let mut propagations = 0u64;
+    e.drain(&mut propagations);
+    if rowpoly_obs::enabled() {
+        let (solves, props) = if flip {
+            ("sat.dual-horn.solves", "sat.dual-horn.propagations")
+        } else {
+            ("sat.horn.solves", "sat.horn.propagations")
+        };
+        rowpoly_obs::counter_add(solves, 1);
+        rowpoly_obs::counter_add(props, propagations);
+    }
+    match e.conflict {
+        Some(violated) => {
+            let chain = conflict_chain(cnf, violated, &e.reason, &e.derived, flip);
+            let proof = want_proof
+                .then(|| Proof::Unsat(conflict_proof(cnf, violated, &e.reason, &e.derived, flip)));
+            (SatResult::Unsat(chain), proof)
+        }
+        None => {
+            let model = e.model();
+            let proof = want_proof.then(|| Proof::Sat(model.clone()));
+            (SatResult::Sat(model), proof)
+        }
+    }
 }
 
 impl HornEngine {
-    pub(crate) fn new(flip: bool) -> HornEngine {
-        HornEngine {
-            flip,
-            rows: Vec::new(),
-            body_watch: HashMap::new(),
-            truth: HashMap::new(),
-            reason: HashMap::new(),
-            derived: Vec::new(),
-            queue: Vec::new(),
-            qi: 0,
-            conflict: None,
-            mentioned: HashSet::new(),
-            fed_slots: Vec::new(),
-        }
-    }
-
-    pub(crate) fn feed(&mut self, c: &Clause) {
+    fn feed(&mut self, c: &Clause) {
         let ci = self.rows.len();
         let mut head: Option<Flag> = None;
         let mut pending = 0usize;
@@ -71,11 +89,8 @@ impl HornEngine {
             let l = if self.flip { raw.negate() } else { raw };
             self.mentioned.insert(l.flag());
             if l.is_neg() {
-                // Pending unless the atom is a fact whose watchers fired.
-                if self.truth.get(&l.flag()).is_none_or(|&at| at >= self.qi) {
-                    pending += 1;
-                    self.body_watch.entry(l.flag()).or_default().push(ci);
-                }
+                pending += 1;
+                self.body_watch.entry(l.flag()).or_default().push(ci);
             } else {
                 assert!(
                     head.is_none(),
@@ -84,19 +99,15 @@ impl HornEngine {
                 head = Some(l.flag());
             }
         }
-        if pending == 0 {
-            match head {
-                Some(f) => self.enqueue(f, ci),
-                None => self.conflict = Some(ci),
-            }
+        if let (0, Some(f)) = (pending, head) {
+            self.enqueue(f, ci);
         }
         self.rows.push((head, pending));
     }
 
     /// Records `f` as a fact forced by clause `ci`, unless already known.
     fn enqueue(&mut self, f: Flag, ci: usize) {
-        if let Entry::Vacant(e) = self.truth.entry(f) {
-            e.insert(self.queue.len());
+        if self.truth.insert(f) {
             self.reason.insert(f, ci);
             self.queue.push(f);
         }
@@ -105,15 +116,14 @@ impl HornEngine {
     /// Fires queued facts until the queue is empty or a clause is
     /// violated. Every fact a conflict rests on has fired, so `derived`
     /// (firing order) covers the conflict trace; facts still queued at a
-    /// conflict stay unfired — the engine is frozen once unsatisfiable.
-    pub(crate) fn drain(&mut self, propagations: &mut u64) {
+    /// conflict stay unfired.
+    fn drain(&mut self, propagations: &mut u64) {
         while self.conflict.is_none() && self.qi < self.queue.len() {
             let f = self.queue[self.qi];
             self.qi += 1;
             *propagations += 1;
             self.derived.push(f);
-            // A fact fires its watchers exactly once; clauses fed later
-            // see `truth` and never watch an already-fired atom.
+            // A fact fires its watchers exactly once.
             let watchers = self.body_watch.remove(&f).unwrap_or_default();
             for ci in watchers {
                 let row = &mut self.rows[ci];
@@ -131,10 +141,10 @@ impl HornEngine {
         }
     }
 
-    pub(crate) fn model(&self) -> Model {
+    fn model(&self) -> Model {
         let mut model = Model::new();
         for &f in &self.mentioned {
-            model.insert(f, self.truth.contains_key(&f) != self.flip);
+            model.insert(f, self.truth.contains(&f) != self.flip);
         }
         model
     }
@@ -175,7 +185,7 @@ fn trace_conflict(
 
 /// Walks reasons backwards from the violated clause, producing the forced
 /// literals in derivation order.
-pub(crate) fn conflict_chain(
+fn conflict_chain(
     cnf: &Cnf,
     violated: usize,
     reason: &HashMap<Flag, usize>,
@@ -203,7 +213,7 @@ pub(crate) fn conflict_chain(
 /// exists); the violated clause then resolves against its body units
 /// down to `⊥`. The core is exactly the reason clauses the traversal
 /// visits — the same set the conflict chain reports on.
-pub(crate) fn conflict_proof(
+fn conflict_proof(
     cnf: &Cnf,
     violated: usize,
     reason: &HashMap<Flag, usize>,
@@ -267,20 +277,17 @@ fn resolve_body_away(
 mod tests {
     use super::*;
     use crate::classify::SatClass;
-    use crate::sat::session::Session;
-    use crate::sat::{check_model, SatBudget, SatResult};
+    use crate::sat::{check_model, solve_as, SatBudget};
 
     /// Solves `b` with the Horn engine.
     fn horn(b: &Cnf) -> SatResult {
-        Session::cold(b)
-            .solve_as(SatClass::Horn, &SatBudget::unlimited())
+        solve_as(b, SatClass::Horn, &SatBudget::unlimited())
             .expect("linear engines ignore the budget")
     }
 
     /// Solves `b` with the Horn engine on flipped polarities.
     fn dual_horn(b: &Cnf) -> SatResult {
-        Session::cold(b)
-            .solve_as(SatClass::DualHorn, &SatBudget::unlimited())
+        solve_as(b, SatClass::DualHorn, &SatBudget::unlimited())
             .expect("linear engines ignore the budget")
     }
 

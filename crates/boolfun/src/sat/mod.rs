@@ -10,24 +10,25 @@
 //! * symmetric concatenation and `when N in x` conditionals → general CNF,
 //!   requiring a full **SAT** solver ([`cdcl`]).
 //!
-//! Each class has exactly one engine, driven by a [`session::Session`]
-//! that dispatches on the class of its active clause set, so each
-//! program pays only for the operations it uses. A one-shot question
-//! ([`crate::Cnf::solve`] and everything layered on it) is a cold
-//! session; [`session::Session::solve_as`] forces an engine for the §5
-//! ablation.
+//! Each class has exactly one engine. Every question is one cold solve:
+//! [`solve`] classifies the formula it is given, builds that class's
+//! engine from the clauses, answers and keeps nothing, so each program
+//! pays only for the operations it uses and an answer depends only on
+//! the clause list. [`solve_as`] forces an engine for the §5 ablation;
+//! [`solve_proved`] adds a checkable [`Proof`].
 
 pub mod cdcl;
 pub mod horn;
-pub mod session;
 pub mod twosat;
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
+use crate::classify::{classify, SatClass};
 use crate::cnf::Cnf;
 use crate::lit::{Flag, Lit};
+use crate::proof::{Proof, ProofChecker, UnsatProof};
 
 /// A cooperative resource budget for SAT search.
 ///
@@ -158,7 +159,7 @@ pub fn set_check_proofs(enabled: bool) {
 }
 
 /// Whether `ROWPOLY_CHECK_PROOFS=1` is set: every verdict produced by
-/// [`session::Session::solve`] (and everything layered on it) is then
+/// [`solve_as`] (and everything layered on it) is then
 /// solved with proof emission, checked inline by
 /// [`crate::ProofChecker`], and a bogus verdict panics — a standing
 /// self-test for the whole engine. The environment is read once per
@@ -178,6 +179,106 @@ pub fn check_proofs_enabled() -> bool {
     }
 }
 
+/// Decides satisfiability of `cnf` with the engine of its own class.
+pub fn solve(cnf: &Cnf, budget: &SatBudget) -> Result<SatResult, BudgetStop> {
+    solve_as(cnf, classify(cnf), budget)
+}
+
+/// [`solve`] with the decision procedure of `class` forced instead of
+/// the formula's own class — the §5 ablation that runs, say, CDCL on a
+/// 2-SAT formula. A formula that is empty or holds `⊥` is answered
+/// directly whatever the class.
+///
+/// # Panics
+///
+/// Panics if `cnf` lies outside `class`'s fragment (a 3-literal clause
+/// for [`SatClass::TwoSat`], two positive literals for
+/// [`SatClass::Horn`]), or if `class` is [`SatClass::Trivial`] or
+/// [`SatClass::Unsat`] for a formula that is neither.
+///
+/// With `ROWPOLY_CHECK_PROOFS=1` every verdict is proved and replayed
+/// by [`ProofChecker`] against `cnf` here, and a bogus one panics.
+pub fn solve_as(cnf: &Cnf, class: SatClass, budget: &SatBudget) -> Result<SatResult, BudgetStop> {
+    if !check_proofs_enabled() {
+        return dispatch(cnf, class, budget, false).map(|(r, _)| r);
+    }
+    let (res, proof) = dispatch(cnf, class, budget, true)?;
+    let proof = proof.expect("proof requested from dispatch");
+    let t0 = std::time::Instant::now();
+    let checked = ProofChecker::check(cnf, &proof);
+    if rowpoly_obs::enabled() {
+        rowpoly_obs::hist_record(
+            &format!("proof.check_ns.{}", classify(cnf).name()),
+            t0.elapsed().as_nanos() as u64,
+        );
+        rowpoly_obs::counter_add("proof.checked", 1);
+    }
+    if let Err(e) = checked {
+        rowpoly_obs::counter_add("proof.check_failures", 1);
+        let verdict = if res.is_sat() { "SAT" } else { "UNSAT" };
+        panic!("ROWPOLY_CHECK_PROOFS: bogus {verdict} verdict ({e})\nformula: {cnf:?}");
+    }
+    Ok(res)
+}
+
+/// [`solve`] with a [`Proof`] witness valid against `cnf`: SAT verdicts
+/// carry the model found, UNSAT verdicts an unsat core (indices into
+/// `cnf`'s clauses) and a derivation of `⊥`.
+pub fn solve_proved(cnf: &Cnf, budget: &SatBudget) -> Result<(SatResult, Proof), BudgetStop> {
+    let (res, proof) = dispatch(cnf, classify(cnf), budget, true)?;
+    let proof = proof.expect("proof requested from dispatch");
+    if rowpoly_obs::enabled() {
+        match &proof {
+            Proof::Sat(_) => rowpoly_obs::counter_add("proof.emitted.sat", 1),
+            Proof::Unsat(p) => {
+                rowpoly_obs::counter_add("proof.emitted.unsat", 1);
+                rowpoly_obs::hist_record("proof.core_size", p.core_size() as u64);
+                rowpoly_obs::hist_record("proof.derivation_len", p.derivation_len() as u64);
+            }
+        }
+    }
+    Ok((res, proof))
+}
+
+/// Builds `class`'s engine from `cnf` and answers, with a proof when
+/// `want_proof` is set.
+fn dispatch(
+    cnf: &Cnf,
+    class: SatClass,
+    budget: &SatBudget,
+    want_proof: bool,
+) -> Result<(SatResult, Option<Proof>), BudgetStop> {
+    if cnf.is_empty() {
+        return Ok((
+            SatResult::Sat(Model::new()),
+            want_proof.then(|| Proof::Sat(Model::new())),
+        ));
+    }
+    if let Some(idx) = cnf.clauses().iter().position(|c| c.is_empty()) {
+        return Ok((
+            SatResult::Unsat(Vec::new()),
+            want_proof.then(|| {
+                Proof::Unsat(UnsatProof {
+                    core: vec![idx],
+                    steps: Vec::new(),
+                })
+            }),
+        ));
+    }
+    match class {
+        SatClass::TwoSat => Ok(twosat::solve(cnf, want_proof)),
+        SatClass::Horn => Ok(horn::solve(cnf, false, want_proof)),
+        SatClass::DualHorn => Ok(horn::solve(cnf, true, want_proof)),
+        SatClass::General => cdcl::solve(cnf, budget, want_proof),
+        SatClass::Trivial | SatClass::Unsat => {
+            panic!(
+                "`{class}` names no solver engine for a `{}` formula",
+                classify(cnf)
+            )
+        }
+    }
+}
+
 /// Verifies that a model satisfies the formula (test helper).
 pub fn check_model(cnf: &Cnf, model: &Model) -> bool {
     cnf.clauses().iter().all(|c| {
@@ -190,9 +291,6 @@ pub fn check_model(cnf: &Cnf, model: &Model) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::classify::SatClass;
-    use crate::proof::ProofChecker;
-    use crate::sat::session::Session;
 
     fn p(i: u32) -> Lit {
         Lit::pos(Flag(i))
@@ -236,8 +334,7 @@ mod tests {
             if let SatResult::Sat(m) = &auto {
                 assert!(check_model(&cnf, m), "bad model for {cnf:?}: {m:?}");
             }
-            let cdcl = Session::cold(&cnf)
-                .solve_as(SatClass::General, &SatBudget::unlimited())
+            let cdcl = solve_as(&cnf, SatClass::General, &SatBudget::unlimited())
                 .expect("unlimited budget");
             assert_eq!(cdcl.is_sat(), brute_sat, "cdcl wrong on {cnf:?}");
         }
@@ -272,9 +369,8 @@ mod tests {
                 }
                 cnf.add_lits(lits);
             }
-            let (res, proof) = Session::cold(&cnf)
-                .solve_proved(&SatBudget::unlimited())
-                .expect("unlimited budget");
+            let (res, proof) =
+                solve_proved(&cnf, &SatBudget::unlimited()).expect("unlimited budget");
             assert_eq!(res.is_sat(), proof.is_sat_witness(), "verdict/proof split");
             if let Err(e) = ProofChecker::check(&cnf, &proof) {
                 panic!("proof rejected ({e}) on {cnf:?}\nproof: {proof:?}");
@@ -292,6 +388,60 @@ mod tests {
                 assert!(min.len() <= p.core.len());
             }
         }
+    }
+
+    /// The verdict agrees with model enumeration, and a model satisfies
+    /// the formula.
+    fn agree(cnf: &Cnf) {
+        let universe: Vec<Flag> = cnf.flags().into_iter().collect();
+        let res = solve(cnf, &SatBudget::unlimited()).expect("unlimited budget");
+        assert_eq!(
+            res.is_sat(),
+            !cnf.models(&universe).is_empty(),
+            "verdict wrong"
+        );
+        if let SatResult::Sat(m) = &res {
+            assert!(check_model(cnf, m), "model invalid");
+        }
+    }
+
+    #[test]
+    fn cdcl_unsat_core_names_active_slots_and_proof_replays() {
+        let mut cnf = Cnf::top();
+        cnf.add_lits(vec![p(0), p(1), p(2)]);
+        cnf.add_lits(vec![n(0), n(1), n(2)]);
+        cnf.add_lits(vec![p(0), n(1)]);
+        cnf.add_lits(vec![p(1), n(2)]);
+        cnf.add_lits(vec![p(2), n(0)]);
+        cnf.add_lits(vec![n(0), p(1)]);
+        cnf.add_lits(vec![n(1), p(2)]);
+        assert_eq!(classify(&cnf), SatClass::General);
+        // Force unsat: all-equal via the implications plus the two
+        // covering clauses is still sat; pin both polarities down.
+        cnf.add_lits(vec![p(0), p(1)]);
+        cnf.add_lits(vec![n(2), n(0)]);
+        let (res, proof) = solve_proved(&cnf, &SatBudget::unlimited()).expect("solve");
+        if !res.is_sat() {
+            assert_eq!(proof.unsat().expect("unsat proof").core.len(), cnf.len());
+            ProofChecker::check(&cnf, &proof).expect("proof replays");
+        }
+        agree(&cnf);
+    }
+
+    #[test]
+    fn empty_clause_roundtrip() {
+        let mut cnf = Cnf::top();
+        cnf.assert_lit(p(0));
+        cnf.add_clause(crate::Clause::empty());
+        assert_eq!(classify(&cnf), SatClass::Unsat);
+        let (res, proof) = solve_proved(&cnf, &SatBudget::unlimited()).expect("solve");
+        assert!(!res.is_sat());
+        assert_eq!(proof.unsat().expect("unsat proof").core, vec![1]);
+        ProofChecker::check(&cnf, &proof).expect("empty-clause core replays");
+        // Without the empty clause the rest is satisfiable.
+        let rest = Cnf::from_clauses([cnf.clauses()[0].clone()]);
+        agree(&rest);
+        assert!(rest.is_sat());
     }
 
     #[test]

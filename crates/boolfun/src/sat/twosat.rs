@@ -3,24 +3,23 @@
 //! The inference rules for the core record operations (empty record,
 //! select, update) generate only atoms and two-variable Horn clauses, so
 //! satisfiability of the resulting Boolean function is a 2-SAT instance
-//! decidable in linear time (Aspvall–Plass–Tarjan). [`TwoEngine`] keeps
-//! the implication graph and its SCC decomposition warm inside a
-//! [`crate::Session`]. Beyond the verdict, it extracts the *implication
-//! path* witnessing a contradiction, which the type checker turns into
-//! the "path from an empty record to a field access" diagnostic promised
-//! by the paper's Observation 1.
+//! decidable in linear time (Aspvall–Plass–Tarjan): [`solve`] builds the
+//! implication graph and runs one Tarjan pass. Beyond the verdict, it
+//! extracts the *implication path* witnessing a contradiction, which the
+//! type checker turns into the "path from an empty record to a field
+//! access" diagnostic promised by the paper's Observation 1.
 
 use std::collections::BTreeMap;
 
 use crate::clause::Clause;
 use crate::cnf::Cnf;
 use crate::lit::{Flag, Lit};
-use crate::proof::{ClauseRef, DerivationStep, UnsatProof};
+use crate::proof::{ClauseRef, DerivationStep, Proof, UnsatProof};
+use crate::sat::{Model, SatResult};
 
-pub(crate) struct ImplicationGraph {
-    pub(crate) nflags: usize,
+struct ImplicationGraph {
     /// Dense index → sparse flag.
-    pub(crate) flags: Vec<Flag>,
+    flags: Vec<Flag>,
     /// Sparse flag → dense index.
     dense: std::collections::HashMap<Flag, usize>,
     /// Adjacency: edges[dense lit code] = successors (sparse literal,
@@ -32,20 +31,43 @@ pub(crate) struct ImplicationGraph {
 }
 
 impl ImplicationGraph {
-    /// Dense code of a (sparse) literal.
-    pub(crate) fn code(&self, l: Lit) -> usize {
-        self.dense[&l.flag()] << 1 | l.is_neg() as usize
-    }
-
-    /// A graph over no flags, grown clause by clause via
-    /// [`ImplicationGraph::add_clause_edges`].
-    fn empty() -> ImplicationGraph {
-        ImplicationGraph {
-            nflags: 0,
+    /// The implication graph of `cnf`, flags numbered by first mention.
+    ///
+    /// # Panics
+    ///
+    /// Panics on clauses with other than one or two literals.
+    fn new(cnf: &Cnf) -> ImplicationGraph {
+        let mut g = ImplicationGraph {
             flags: Vec::new(),
             dense: std::collections::HashMap::new(),
             edges: Vec::new(),
+        };
+        for (ci, c) in cnf.clauses().iter().enumerate() {
+            let ci = ci as u32;
+            match *c.lits() {
+                [l] => {
+                    // Unit clause l: edge ¬l → l.
+                    g.ensure_flag(l.flag());
+                    let from = g.code(l.negate());
+                    g.edges[from].push((l, ci));
+                }
+                [a, b] => {
+                    g.ensure_flag(a.flag());
+                    g.ensure_flag(b.flag());
+                    let from_a = g.code(a.negate());
+                    g.edges[from_a].push((b, ci));
+                    let from_b = g.code(b.negate());
+                    g.edges[from_b].push((a, ci));
+                }
+                _ => panic!("2-SAT engine given a clause of {} literals: {c:?}", c.len()),
+            }
         }
+        g
+    }
+
+    /// Dense code of a (sparse) literal.
+    fn code(&self, l: Lit) -> usize {
+        self.dense[&l.flag()] << 1 | l.is_neg() as usize
     }
 
     /// Allocates a node pair for `f` on first mention.
@@ -53,52 +75,15 @@ impl ImplicationGraph {
         if self.dense.contains_key(&f) {
             return;
         }
-        self.dense.insert(f, self.nflags);
-        self.nflags += 1;
+        self.dense.insert(f, self.flags.len());
         self.flags.push(f);
         self.edges.push(Vec::new());
         self.edges.push(Vec::new());
     }
 
-    /// Inserts the implication edges for one clause (allocating nodes
-    /// for unseen flags) and reports them as dense `(from, to)` node
-    /// pairs so the engine can repair its SCC bookkeeping.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the empty clause (the session answers that class
-    /// without an engine) and on clauses with more than two literals.
-    pub(crate) fn add_clause_edges(
-        &mut self,
-        c: &Clause,
-        ci: u32,
-        inserted: &mut Vec<(usize, usize)>,
-    ) {
-        match *c.lits() {
-            [l] => {
-                // Unit clause l: edge ¬l → l.
-                self.ensure_flag(l.flag());
-                let from = self.code(l.negate());
-                self.edges[from].push((l, ci));
-                inserted.push((from, self.code(l)));
-            }
-            [a, b] => {
-                self.ensure_flag(a.flag());
-                self.ensure_flag(b.flag());
-                let from_a = self.code(a.negate());
-                self.edges[from_a].push((b, ci));
-                inserted.push((from_a, self.code(b)));
-                let from_b = self.code(b.negate());
-                self.edges[from_b].push((a, ci));
-                inserted.push((from_b, self.code(a)));
-            }
-            _ => panic!("2-SAT engine given a clause of {} literals: {c:?}", c.len()),
-        }
-    }
-
     /// Iterative Tarjan SCC; returns component ids in completion order
     /// (component 0 completes first, i.e. is a sink).
-    pub(crate) fn tarjan(&self) -> Vec<u32> {
+    fn tarjan(&self) -> Vec<u32> {
         const UNVISITED: u32 = u32::MAX;
         let n = self.edges.len();
         let mut index = vec![UNVISITED; n];
@@ -158,7 +143,7 @@ impl ImplicationGraph {
 
     /// For a flag whose literals share a component, extracts the cyclic
     /// implication chain `f → … → ¬f → … → f` as a literal sequence.
-    pub(crate) fn contradiction_chain(&self, f: Flag, comp: &[u32]) -> Vec<Lit> {
+    fn contradiction_chain(&self, f: Flag, comp: &[u32]) -> Vec<Lit> {
         let pos = Lit::pos(f);
         let neg = Lit::neg(f);
         let there = self
@@ -180,7 +165,7 @@ impl ImplicationGraph {
     /// the unit `{¬f}`, the reverse path into `{f}`, and one final
     /// resolution yields `⊥`. The core is exactly the edge clauses on
     /// the two paths.
-    pub(crate) fn contradiction_proof(&self, cnf: &Cnf, f: Flag, comp: &[u32]) -> UnsatProof {
+    fn contradiction_proof(&self, cnf: &Cnf, f: Flag, comp: &[u32]) -> UnsatProof {
         let pos = Lit::pos(f);
         let neg = Lit::neg(f);
         let (there_nodes, there_clauses) = self
@@ -244,145 +229,38 @@ impl ImplicationGraph {
     }
 }
 
-/// Spacing between topological keys assigned on a rebuild, leaving room
-/// for midpoint-free O(1) insertions on either side.
-const GAP: u64 = 1 << 32;
-/// Keys start here so below-minimum placements have headroom.
-const BASE: u64 = 1 << 48;
-const UNPLACED: u64 = u64::MAX;
-
-/// Incremental 2-SAT: the persistent implication graph plus a cached
-/// SCC decomposition.
-///
-/// `comp` assigns every literal node its exact SCC id; `order[c]` is a
-/// topological key such that every edge `u → v` satisfies
-/// `comp[u] == comp[v]` or `order[comp[v]] < order[comp[u]]` (strict;
-/// all placed keys are unique). Under that invariant a new edge that
-/// also satisfies it cannot create a new SCC — a cycle through it would
-/// need a return path along which keys never increase — so insertion is
-/// O(1) and a full Tarjan rebuild is needed only when the check fails.
-/// New singleton components are keyed outside the current `[min, max]`
-/// range, which keeps placements unique without probing.
-///
-/// The model reads `f ↦ order[comp[f]] < order[comp[¬f]]`, which after
-/// a rebuild (keys monotone in comp id) coincides with the
-/// Aspvall–Plass–Tarjan rule `comp[f] < comp[¬f]`. A contradiction
-/// (`comp[f] == comp[¬f]`) can only appear through a rebuild — repairs
-/// never merge components — so once found it is latched and feeding
-/// stops; adding clauses cannot un-falsify a formula.
-pub(crate) struct TwoEngine {
-    pub(crate) graph: ImplicationGraph,
-    pub(crate) comp: Vec<u32>,
-    pub(crate) order: Vec<u64>,
-    /// (min, max) of all placed keys; `None` before the first placement.
-    bounds: Option<(u64, u64)>,
-    pub(crate) contradiction: Option<Flag>,
-    pub(crate) fed_slots: Vec<u32>,
-}
-
-impl TwoEngine {
-    pub(crate) fn new() -> TwoEngine {
-        TwoEngine {
-            graph: ImplicationGraph::empty(),
-            comp: Vec::new(),
-            order: Vec::new(),
-            bounds: None,
-            contradiction: None,
-            fed_slots: Vec::new(),
+/// Decides a 2-SAT formula (no empty clause, at most two literals per
+/// clause). A flag whose two literals share a strongly connected
+/// component makes the formula unsatisfiable; the lowest such flag is
+/// reported, so the chain does not depend on the order flags were first
+/// mentioned in. Otherwise the model is the Aspvall–Plass–Tarjan rule
+/// `f ↦ comp[f] < comp[¬f]`.
+pub(crate) fn solve(cnf: &Cnf, want_proof: bool) -> (SatResult, Option<Proof>) {
+    rowpoly_obs::counter_add("sat.twosat.solves", 1);
+    let graph = ImplicationGraph::new(cnf);
+    let comp = graph.tarjan();
+    let lit_comp = |l: Lit| comp[graph.code(l)];
+    let contradiction = graph
+        .flags
+        .iter()
+        .copied()
+        .filter(|&f| lit_comp(Lit::pos(f)) == lit_comp(Lit::neg(f)))
+        .min();
+    match contradiction {
+        Some(f) => {
+            let chain = graph.contradiction_chain(f, &comp);
+            let proof = want_proof.then(|| Proof::Unsat(graph.contradiction_proof(cnf, f, &comp)));
+            (SatResult::Unsat(chain), proof)
         }
-    }
-
-    fn place_low(&mut self) -> Option<u64> {
-        match self.bounds {
-            Some((lo, hi)) => {
-                let v = lo.checked_sub(GAP)?;
-                self.bounds = Some((v, hi));
-                Some(v)
-            }
-            None => {
-                self.bounds = Some((BASE, BASE));
-                Some(BASE)
-            }
+        None => {
+            let model: Model = graph
+                .flags
+                .iter()
+                .map(|&f| (f, lit_comp(Lit::pos(f)) < lit_comp(Lit::neg(f))))
+                .collect();
+            let proof = want_proof.then(|| Proof::Sat(model.clone()));
+            (SatResult::Sat(model), proof)
         }
-    }
-
-    fn place_high(&mut self) -> Option<u64> {
-        match self.bounds {
-            Some((lo, hi)) => {
-                let v = hi.checked_add(GAP)?;
-                self.bounds = Some((lo, v));
-                Some(v)
-            }
-            None => {
-                self.bounds = Some((BASE, BASE));
-                Some(BASE)
-            }
-        }
-    }
-
-    /// Repairs the SCC bookkeeping for freshly inserted edges. Returns
-    /// `false` when a full rebuild is required instead.
-    pub(crate) fn repair(&mut self, inserted: &[(usize, usize)]) -> bool {
-        // New nodes become fresh singleton components, keyed lazily on
-        // their first edge.
-        let nodes = 2 * self.graph.nflags;
-        while self.comp.len() < nodes {
-            self.comp.push(self.order.len() as u32);
-            self.order.push(UNPLACED);
-        }
-        for &(u, v) in inserted {
-            let (cu, cv) = (self.comp[u] as usize, self.comp[v] as usize);
-            if cu == cv {
-                continue;
-            }
-            match (self.order[cu] == UNPLACED, self.order[cv] == UNPLACED) {
-                (false, false) => {
-                    if self.order[cv] >= self.order[cu] {
-                        return false;
-                    }
-                }
-                (true, true) => {
-                    let (Some(lo), Some(hi)) = (self.place_low(), self.place_high()) else {
-                        return false;
-                    };
-                    self.order[cv] = lo;
-                    self.order[cu] = hi;
-                }
-                (false, true) => {
-                    let Some(lo) = self.place_low() else {
-                        return false;
-                    };
-                    self.order[cv] = lo;
-                }
-                (true, false) => {
-                    let Some(hi) = self.place_high() else {
-                        return false;
-                    };
-                    self.order[cu] = hi;
-                }
-            }
-        }
-        true
-    }
-
-    /// Full Tarjan pass: exact components, keys monotone in comp id,
-    /// contradiction rescan.
-    pub(crate) fn rebuild_sccs(&mut self) {
-        self.comp = self.graph.tarjan();
-        let ncomps = self.comp.iter().copied().max().map_or(0, |m| m as u64 + 1);
-        self.order = (0..ncomps).map(|c| BASE + c * GAP).collect();
-        self.bounds = (ncomps > 0).then(|| (BASE, BASE + (ncomps - 1) * GAP));
-        // Latch the lowest contradictory flag, so the reported chain
-        // does not depend on the order flags were first mentioned in.
-        self.contradiction = self
-            .graph
-            .flags
-            .iter()
-            .copied()
-            .filter(|&f| {
-                self.comp[self.graph.code(Lit::pos(f))] == self.comp[self.graph.code(Lit::neg(f))]
-            })
-            .min();
     }
 }
 
@@ -433,13 +311,11 @@ fn chain_resolve(
 mod tests {
     use super::*;
     use crate::classify::SatClass;
-    use crate::sat::session::Session;
-    use crate::sat::{check_model, SatBudget, SatResult};
+    use crate::sat::{check_model, solve_as, SatBudget};
 
     /// Solves `b` with the 2-SAT engine.
     fn two_sat(b: &Cnf) -> SatResult {
-        Session::cold(b)
-            .solve_as(SatClass::TwoSat, &SatBudget::unlimited())
+        solve_as(b, SatClass::TwoSat, &SatBudget::unlimited())
             .expect("linear engines ignore the budget")
     }
 

@@ -1,23 +1,22 @@
-//! One-shot solving through a cold [`Session`]: one `sync`, one proved
-//! solve. The conflict chain, unsat core and deletion-minimized core of
-//! an unsat formula feed `--explain`, so over seeded random CNFs of
+//! One-shot solving: one cold proved solve ([`sat::solve_proved`]) per
+//! formula. The conflict chain, unsat core and deletion-minimized core
+//! of an unsat formula feed `--explain`, so over seeded random CNFs of
 //! every solver class an FNV-1a digest of those cold answers must equal
-//! the one captured from the one-shot per-class drivers the cold session
-//! replaced; any drift in them fails here. Verdicts are checked against
-//! model enumeration and every proof replays through [`ProofChecker`].
+//! the one captured from the original one-shot per-class drivers; any
+//! drift in them fails here. Verdicts are checked against model
+//! enumeration and every proof replays through [`ProofChecker`].
 
-use rowpoly_boolfun::sat::check_model;
+use rowpoly_boolfun::sat::{self, check_model};
 use rowpoly_boolfun::{
     classify, minimize_core, Clause, Cnf, Flag, Lit, Proof, ProofChecker, SatBudget, SatResult,
-    Session,
 };
 use rowpoly_obs::rng::SplitMix64;
 
 /// Formulas per solver class.
 const CASES: usize = 500;
 
-/// FNV-1a over the answers of every case, captured from the one-shot
-/// class-dispatched drivers before they were folded into [`Session`].
+/// FNV-1a over the answers of every case, captured from the original
+/// one-shot class-dispatched drivers.
 const DIGEST: u64 = 0x0d07_7194_fdc8_2bef;
 
 #[derive(Clone, Copy)]
@@ -59,9 +58,7 @@ fn gen_cnf(rng: &mut SplitMix64, shape: Shape) -> Cnf {
 }
 
 fn cold_solve(cnf: &Cnf) -> (SatResult, Proof) {
-    Session::cold(cnf)
-        .solve_proved(&SatBudget::unlimited())
-        .expect("unlimited budget")
+    sat::solve_proved(cnf, &SatBudget::unlimited()).expect("unlimited budget")
 }
 
 struct Fnv(u64);

@@ -7,7 +7,7 @@
 //! counts scale with the `exhaustive` feature via `rowpoly_obs::cases`.
 
 use rowpoly_boolfun::{
-    classify, Clause, Cnf, Flag, FlagSet, Lit, SatBudget, SatClass, SatResult, Session,
+    classify, sat, Clause, Cnf, Flag, FlagSet, Lit, SatBudget, SatClass, SatResult,
 };
 use rowpoly_obs::cases;
 use rowpoly_obs::rng::SplitMix64;
@@ -37,11 +37,9 @@ fn universe() -> Vec<Flag> {
     (0..N).map(Flag).collect()
 }
 
-/// Solves `f` on a cold session with the engine of `class` forced.
+/// Solves `f` with the engine of `class` forced.
 fn solve_as(f: &Cnf, class: SatClass) -> SatResult {
-    Session::cold(f)
-        .solve_as(class, &SatBudget::unlimited())
-        .expect("unlimited budget")
+    sat::solve_as(f, class, &SatBudget::unlimited()).expect("unlimited budget")
 }
 
 /// Every solver agrees with brute-force model enumeration.

@@ -85,13 +85,6 @@ pub struct FlowInfer {
     /// can simplify formulas back down, so this is sampled before each
     /// projection and each SAT check).
     pub worst_class: rowpoly_boolfun::SatClass,
-    /// Incremental SAT session: solver state (CDCL learned clauses and
-    /// activity, the 2-SAT SCC order, Horn watch lists) persists across
-    /// the [`Self::check_sat`] calls of a definition group, reconciled
-    /// with β by [`rowpoly_boolfun::Session::sync`]. Callers may swap in
-    /// a session that outlives the engine (per-worker scratch, serve's
-    /// per-document sessions).
-    pub sat_session: rowpoly_boolfun::Session,
 }
 
 impl FlowInfer {
@@ -110,7 +103,6 @@ impl FlowInfer {
             replaying: false,
             guarded: 0,
             worst_class: rowpoly_boolfun::SatClass::Trivial,
-            sat_session: rowpoly_boolfun::Session::new(),
         }
     }
 
@@ -229,7 +221,6 @@ impl FlowInfer {
                 dead.dedup();
                 let outcome = self.beta.project_out_sorted(&dead);
                 self.counts.note_projection(&outcome);
-                self.sat_session.reserve_from_stats(&outcome);
                 self.clock.exit();
             }
             self.pending_dead.extend(replaced.env);
@@ -405,7 +396,6 @@ impl FlowInfer {
         if !dead.is_empty() {
             let outcome = self.beta.project_out_sorted(&dead);
             self.counts.note_projection(&outcome);
-            self.sat_session.reserve_from_stats(&outcome);
             // Projected flags leave the pool: this fork's β no longer
             // mentions them, so re-filtering them at every subsequent
             // rule is pure overhead. [`Self::with_forked_beta`] restores
@@ -489,17 +479,14 @@ impl FlowInfer {
             max_steps: self.opts.sat_budget,
             cancel: self.opts.cancel.clone(),
         };
-        // The session reconciles with β (O(1) when β has only grown
-        // since the last check) and answers from warm solver state.
-        // Only the verdict bit is used on the hot path, so the
-        // diagnostics below stay independent of solve history.
-        self.sat_session.sync(&self.beta);
-        let verdict = self.sat_session.check(&budget);
+        // One cold solve with the engine of the class just sampled. Only
+        // the verdict bit is used on the hot path.
+        let verdict = rowpoly_boolfun::sat::solve_as(&self.beta, class, &budget);
         self.clock.exit();
         self.counts.sat_calls += 1;
         self.counts.note_sat_class(class);
         let sat = match verdict {
-            Ok(sat) => sat,
+            Ok(res) => res.is_sat(),
             Err(stop) => {
                 if obs::enabled() {
                     obs::counter_add("sat.budget_stops", 1);
@@ -515,16 +502,17 @@ impl FlowInfer {
         if sat {
             return Ok(());
         }
-        // Unsatisfiable: the error path is cold, so one cold proved solve
-        // gives both the conflict chain and the proof, independent of
-        // what the warm session happened to learn first. The checked
+        // Unsatisfiable: the error path is rare, so a second, proved
+        // solve gives both the conflict chain and the proof. The checked
         // unsat core names the β clauses the verdict rests on, and
         // narrowing the chain to the flags of the deletion-minimized core
         // keeps the diagnostic to the minimal path.
-        let solved = rowpoly_boolfun::Session::cold(&self.beta)
-            .solve_proved(&rowpoly_boolfun::SatBudget::unlimited());
+        let solved = rowpoly_boolfun::sat::solve_proved(
+            &self.beta,
+            &rowpoly_boolfun::SatBudget::unlimited(),
+        );
         let Ok((SatResult::Unsat(chain), Proof::Unsat(proof))) = solved else {
-            unreachable!("a cold solve of β agrees with the warm unsat verdict");
+            unreachable!("a proved solve of β agrees with the unsat verdict");
         };
         let (proof_info, chain) = self.prove_conflict(chain, &proof);
         // Identify the offending field from the conflict chain.

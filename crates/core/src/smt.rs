@@ -100,20 +100,13 @@ pub fn solve_conditional(beta: &Cnf, eqs: &[CondEq], vars: &mut VarAlloc) -> Smt
     // them; mention them with tautologies... instead we default unmentioned
     // guards to false in `active_in` and enumerate flips via blocking
     // clauses over the guard literals that *were* true.
-    //
-    // The loop only ever *appends* blocking clauses to `working`, so an
-    // incremental session rides its fast sync path: each iteration
-    // re-solves with the previous iteration's learned clauses, activity,
-    // and watch state warm instead of from scratch.
-    let mut session = rowpoly_boolfun::Session::new();
     let budget = rowpoly_boolfun::SatBudget::unlimited();
     let mut iterations = 0;
     let mut theory_checks: u64 = 0;
     let mut blocking_clauses: u64 = 0;
     let out = loop {
         iterations += 1;
-        session.sync(&working);
-        let solved = session.solve(&budget).expect("unlimited budget");
+        let solved = sat::solve(&working, &budget).expect("unlimited budget");
         let model = match solved {
             SatResult::Sat(m) => m,
             SatResult::Unsat(_) => break SmtOutcome::Unsat { iterations },

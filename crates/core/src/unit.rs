@@ -111,16 +111,12 @@ impl GroupOutcome {
 pub struct EngineScratch {
     /// Clause storage for the engine's β, recycled between groups.
     beta: Vec<Clause>,
-    /// Incremental SAT session threaded into the engine for the group
-    /// run, recycled for its allocations.
-    sat: rowpoly_boolfun::Session,
 }
 
 impl std::fmt::Debug for EngineScratch {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EngineScratch")
             .field("beta_clauses", &self.beta.len())
-            .field("sat_slots", &self.sat.slot_len())
             .finish()
     }
 }
@@ -158,15 +154,6 @@ pub fn run_group_spec(spec: &GroupSpec<'_>, scratch: &mut EngineScratch) -> Grou
     let _span = obs_span(spec.program, spec.def_indices);
     let mut engine = FlowInfer::new(spec.opts.clone());
     engine.beta = Cnf::top_reusing(std::mem::take(&mut scratch.beta));
-    // A session carried over from a different formula history reconciles
-    // via `Session::sync` (prefix compare), which is exactly what gives
-    // serve its cross-edit reuse. Cap stale-slot growth so a batch
-    // worker cycling many unrelated groups does not accumulate an
-    // unbounded retracted-slot arena.
-    if scratch.sat.slot_len() > 4 * scratch.sat.active_len() + 256 {
-        scratch.sat.reset();
-    }
-    engine.sat_session = std::mem::take(&mut scratch.sat);
     let needed: BTreeSet<Symbol> = spec.free_names.iter().copied().collect();
     let mut env = builtin_env(&mut engine, &needed);
     // Dependency schemes come from other engines; rename them into
@@ -220,7 +207,6 @@ pub fn run_group_spec(spec: &GroupSpec<'_>, scratch: &mut EngineScratch) -> Grou
     }
     let stats = engine.stats();
     flush_stats_metrics(&stats);
-    scratch.sat = std::mem::take(&mut engine.sat_session);
     scratch.beta = std::mem::take(&mut engine.beta).into_storage();
     GroupOutcome { items, stats }
 }

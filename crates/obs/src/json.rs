@@ -152,11 +152,19 @@ fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
 }
 
-/// Parses a complete JSON document; trailing non-whitespace is an error.
+/// The deepest nesting of arrays and objects [`parse`] accepts. The
+/// parser recurses once per level, so a bound keeps hostile input (a
+/// request line or a cache file of nothing but `[`) from overflowing
+/// the stack; the documents rowpoly writes stay far below it.
+const MAX_DEPTH: usize = 512;
+
+/// Parses a complete JSON document; trailing non-whitespace is an error,
+/// and so is nesting deeper than 512 arrays and objects.
 pub fn parse(input: &str) -> Result<Json, String> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -170,6 +178,8 @@ pub fn parse(input: &str) -> Result<Json, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -199,8 +209,22 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let nested = if self.peek() == Some(b'{') {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                nested
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -416,6 +440,17 @@ mod tests {
             doc.get("k").unwrap().as_arr().unwrap()[1].as_str().unwrap(),
             "A\t"
         );
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        let err = parse(&nest(MAX_DEPTH + 1)).expect_err("too deep");
+        assert!(err.contains("nesting deeper than"), "{err}");
+        // Far deeper than any stack could recurse: an error, not a crash.
+        assert!(parse(&"[".repeat(200_000)).is_err());
+        assert!(parse(&"{\"a\":".repeat(200_000)).is_err());
     }
 
     #[test]

@@ -405,6 +405,16 @@ impl ServeEngine {
                     edit.start_line, edit.start_character, edit.end_line, edit.end_character
                 ));
             }
+            for (line, character, at) in [
+                (edit.start_line, edit.start_character, start),
+                (edit.end_line, edit.end_character, end),
+            ] {
+                if !text.is_char_boundary(at as usize) {
+                    return Err(format!(
+                        "invalid edit range: {line}:{character} falls inside a character"
+                    ));
+                }
+            }
             text.replace_range(start as usize..end as usize, &edit.text);
         }
         Ok(self.revise(path, text, version, true))

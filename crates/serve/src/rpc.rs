@@ -407,6 +407,21 @@ mod tests {
         }
     }
 
+    /// A request nested deeper than the JSON parser's bound is a parse
+    /// error, not a stack overflow, and the daemon keeps serving.
+    #[test]
+    fn a_deeply_nested_request_is_a_parse_error() {
+        let deep = "[".repeat(200_000);
+        let responses = run(&[&deep, r#"{"id":1,"method":"counters"}"#]);
+        assert_eq!(responses.len(), 2);
+        let code = responses[0]
+            .get("error")
+            .and_then(|e| e.get("code"))
+            .and_then(Json::as_i64);
+        assert_eq!(code, Some(-32700), "{}", responses[0]);
+        assert!(responses[1].get("result").is_some(), "{}", responses[1]);
+    }
+
     /// Editing a document that was never opened (or was closed) is an
     /// invalid-params error (`-32602`), not a crash; the other failure
     /// shapes carry their standard JSON-RPC codes too.
@@ -441,5 +456,39 @@ mod tests {
         assert_eq!(code(&responses[3]), -32602, "{}", responses[3]);
         assert_eq!(code(&responses[4]), -32601, "{}", responses[4]);
         assert_eq!(code(&responses[5]), -32700, "{}", responses[5]);
+    }
+
+    /// An edit position inside a multi-byte character is invalid params,
+    /// like a start after its end; the daemon keeps serving and the
+    /// document keeps its text.
+    #[test]
+    fn an_edit_inside_a_multibyte_character_is_invalid_params() {
+        let responses = run(&[
+            r#"{"id":1,"method":"open","params":{"path":"a.rp","text":"-- é\ndef a = 1","version":1}}"#,
+            r#"{"id":2,"method":"edit","params":{"path":"a.rp","version":2,"changes":[{"range":{"start":{"line":0,"character":4},"end":{"line":0,"character":4}},"text":"x"}]}}"#,
+            r#"{"id":3,"method":"edit","params":{"path":"a.rp","version":3,"changes":[{"range":{"start":{"line":0,"character":3},"end":{"line":0,"character":4}},"text":"x"}]}}"#,
+            r#"{"id":4,"method":"edit","params":{"path":"a.rp","version":4,"changes":[{"range":{"start":{"line":0,"character":1},"end":{"line":0,"character":0}},"text":"x"}]}}"#,
+            r#"{"id":5,"method":"hover","params":{"path":"a.rp","line":1,"character":4}}"#,
+        ]);
+        assert_eq!(responses.len(), 5);
+        for r in &responses[1..4] {
+            let error = r.get("error").expect("edit rejected");
+            assert_eq!(
+                error.get("code").and_then(Json::as_i64),
+                Some(-32602),
+                "{r}"
+            );
+            assert!(error
+                .get("message")
+                .and_then(Json::as_str)
+                .expect("message")
+                .starts_with("invalid edit range"));
+        }
+        let hover = responses[4].get("result").expect("result");
+        assert_eq!(
+            hover.get("scheme").and_then(Json::as_str),
+            Some("Int"),
+            "{hover}"
+        );
     }
 }

@@ -1,12 +1,12 @@
 //! The Boolean substrate on its own: build the formulas the record
 //! operations generate, classify them (Section 5's complexity table), and
-//! watch the class-dispatched session agree with one forced onto CDCL.
+//! watch the class-dispatched solver agree with one forced onto CDCL.
 //!
 //! ```sh
 //! cargo run --example sat_playground
 //! ```
 
-use rowpoly::boolfun::{classify, Cnf, FlagAlloc, Lit, SatBudget, SatClass, Session};
+use rowpoly::boolfun::{classify, sat, Cnf, FlagAlloc, Lit, SatBudget, SatClass};
 
 fn main() {
     let mut flags = FlagAlloc::new();
@@ -61,9 +61,8 @@ fn main() {
 fn show(name: &str, cnf: &Cnf) {
     let class = classify(cnf);
     let auto = cnf.solve();
-    let cdcl = Session::cold(cnf)
-        .solve_as(SatClass::General, &SatBudget::unlimited())
-        .expect("unlimited budget");
+    let cdcl =
+        sat::solve_as(cnf, SatClass::General, &SatBudget::unlimited()).expect("unlimited budget");
     assert_eq!(auto.is_sat(), cdcl.is_sat(), "solvers must agree");
     println!("{name}");
     println!("  β      = {cnf:?}");

@@ -52,18 +52,6 @@ rm -rf "$proj_dir"
 # gate (w/o-fields time per definition, largest workload over smallest).
 python3 scripts/check_projection.py BENCH_fig9.json
 
-echo "==> incremental SAT gate (committed BENCH_project.json + quick edit replay)"
-# The committed report must show the incremental session re-checking a
-# single-clause edit >= 1.5x faster than a fresh solve, with identical
-# per-edit verdicts and classes; the live quick run re-proves parity
-# (and every session verdict is replayed through the proof checker).
-python3 scripts/check_projection.py BENCH_project.json
-incr_dir=$(mktemp -d)
-ROWPOLY_CHECK_PROOFS=1 cargo run --release -p rowpoly-bench --bin project -- --quick --json \
-  > "$incr_dir/project.json"
-python3 scripts/check_projection.py "$incr_dir/project.json"
-rm -rf "$incr_dir"
-
 echo "==> batch smoke (parallel check + warm cache)"
 # programs/bad_select.rp is deliberately ill-typed, so `check programs/`
 # exits 1 by design — assert on the JSON report, not the exit code.

@@ -3,8 +3,9 @@
 //!
 //! The batch engine must agree with the serial [`Session`] driver on
 //! both verdicts and rendered schemes, and the serve daemon must agree
-//! with the batch engine after any edit history, whatever the worker
-//! count on either side and whether or not `check` starts warm. This is the regression net for
+//! with the batch engine and the serial driver after any edit history,
+//! whatever the worker count on either side and whether or not `check`
+//! starts warm. This is the regression net for
 //! cross-engine scheme transport: dependency schemes travel between
 //! engines in closed form and are renamed into the consumer's flag and
 //! variable spaces (`import_scheme`); a bug there shows up as a
@@ -14,7 +15,7 @@
 use std::path::PathBuf;
 
 use rowpoly::batch::{check_sources, BatchOptions, FileInput, Verdict};
-use rowpoly::core::Session;
+use rowpoly::core::{Session, SessionError};
 use rowpoly::gen::generate_with_lines;
 use rowpoly::gen::rng::SplitMix64;
 use rowpoly::serve::{Analysis, DefStatus, ServeConfig, ServeEngine};
@@ -93,6 +94,42 @@ fn batch_outcomes_with(source: &str, mut options: BatchOptions) -> (Vec<Outcome>
         })
         .collect();
     (outcomes, report.stats.cache_hits)
+}
+
+/// What the serial driver reports for a whole program: every scheme, or
+/// the explained diagnostic of the first failing definition.
+#[derive(Debug, PartialEq)]
+enum Serial {
+    Schemes(Vec<(String, String)>),
+    Rejected(String),
+}
+
+fn serial_outcome(source: &str) -> Serial {
+    match Session::default().infer_source(source) {
+        Ok(report) => Serial::Schemes(
+            report
+                .defs
+                .iter()
+                .map(|d| (d.name.to_string(), d.render(false)))
+                .collect(),
+        ),
+        Err(e @ SessionError::Type(_)) => Serial::Rejected(e.render_explained(source)),
+        Err(e) => panic!("serial driver failed to parse: {e}"),
+    }
+}
+
+/// The serial driver's view of serve's outcomes: all schemes when every
+/// definition checked, else the rendering at the first failure.
+fn serial_view(served: &[Outcome]) -> Serial {
+    match served.iter().find(|(_, word, _)| *word != "ok") {
+        Some((_, _, rendered)) => Serial::Rejected(rendered.clone()),
+        None => Serial::Schemes(
+            served
+                .iter()
+                .map(|(name, _, scheme)| (name.clone(), scheme.clone()))
+                .collect(),
+        ),
+    }
 }
 
 fn serve_outcomes(engine: &ServeEngine, path: &str) -> Vec<Outcome> {
@@ -300,6 +337,11 @@ fn serve_matches_batch_after_an_edit_history() {
                 .iter()
                 .filter(|(_, word, _)| *word == "error")
                 .count();
+            assert_eq!(
+                serial_outcome(&src),
+                serial_view(&served),
+                "serve and the serial driver disagree after edit {version} (seed {seed})"
+            );
             let (warmed, hits) = batch_outcomes_with(
                 &src,
                 BatchOptions {

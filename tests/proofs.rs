@@ -120,8 +120,7 @@ fn minimized_core_is_strictly_smaller_than_beta() {
         clause(vec![Lit::pos(f(5)), Lit::neg(f(3))]),
         clause(vec![Lit::neg(f(1))]),
     ]);
-    let (res, proof) = rowpoly::boolfun::Session::cold(&cnf)
-        .solve_proved(&SatBudget::unlimited())
+    let (res, proof) = rowpoly::boolfun::sat::solve_proved(&cnf, &SatBudget::unlimited())
         .expect("unlimited budget");
     assert!(!res.is_sat());
     let unsat = proof.unsat().expect("unsat proof");

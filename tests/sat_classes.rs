@@ -5,10 +5,9 @@
 use rowpoly::boolfun::{classify, Cnf, Flag, Lit, SatBudget, SatClass};
 use rowpoly::core::Session;
 
-/// Decides `cnf` on a cold SAT session with the engine of `class` forced.
+/// Decides `cnf` with the engine of `class` forced.
 fn sat_as(class: SatClass, cnf: &Cnf) -> bool {
-    rowpoly::boolfun::Session::cold(cnf)
-        .solve_as(class, &SatBudget::unlimited())
+    rowpoly::boolfun::sat::solve_as(cnf, class, &SatBudget::unlimited())
         .expect("unlimited budget")
         .is_sat()
 }
