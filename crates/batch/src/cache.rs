@@ -23,9 +23,13 @@
 //! at the first failure) and their diagnostics carry spans that would
 //! go stale the moment the file is edited.
 //!
-//! Persistence is one mini-JSON document per cache directory. Loading
-//! tolerates anything — a missing, truncated, corrupted, or
-//! wrong-version file is an empty cache, never an error. What saving
+//! Persistence is one mini-JSON document per cache directory,
+//! `{"version": …, "entries": [ … ]}`, written with its header on the
+//! first line and each entry on a line of its own. Loading reads it
+//! line by line and tolerates anything: a missing, truncated,
+//! corrupted, or wrong-version file is an empty cache, never an error,
+//! and an entry line that fails to parse or decode (say, a scheme nested
+//! past the JSON parser's bound) drops only its own entry. What saving
 //! writes follows from whether the store is bounded (see [`Cache`]).
 
 use std::collections::BTreeMap;
@@ -43,7 +47,7 @@ use crate::codec;
 use crate::step::Answer;
 
 /// Bump when the key derivation or entry layout changes.
-const FORMAT: &str = "rowpoly-batch-cache-v2";
+const FORMAT: &str = "rowpoly-batch-cache-v3";
 
 /// File name inside the cache directory.
 pub const CACHE_FILE: &str = "cache.json";
@@ -316,52 +320,59 @@ impl Cache {
     }
 }
 
-/// Reads the entries of `dir`'s cache file; any failure reads as none.
+/// The first line of a cache file: the document up to its first entry.
+fn header() -> String {
+    format!("{{\"version\":\"{FORMAT}\",\"entries\":[")
+}
+
+/// The last line of a cache file.
+const TRAILER: &str = "]}";
+
+/// Reads the entries of `dir`'s cache file. A file that is missing or
+/// whose first line is not this format's header reads as none; an entry
+/// line that does not parse or decode reads as no entry.
 fn read(dir: &Path) -> Vec<(u64, Vec<DefReport>)> {
     let Ok(text) = std::fs::read_to_string(dir.join(CACHE_FILE)) else {
         return Vec::new();
     };
-    let Ok(doc) = json::parse(&text) else {
-        return Vec::new();
-    };
-    if doc.get("version").and_then(Json::as_str) != Some(FORMAT) {
+    let mut lines = text.lines();
+    if lines.next() != Some(header().as_str()) {
         return Vec::new();
     }
-    let Some(entries) = doc.get("entries").and_then(Json::as_arr) else {
-        return Vec::new();
-    };
-    entries
-        .iter()
-        .filter_map(|entry| {
+    lines
+        .take_while(|&line| line != TRAILER)
+        .filter_map(|line| {
             // One bad entry must not poison the rest.
-            let defs = decode_entry(entry)?;
+            let entry = json::parse(line.strip_suffix(',').unwrap_or(line)).ok()?;
+            let defs = decode_entry(&entry)?;
             let key = entry.get("key")?.as_str()?;
             Some((u64::from_str_radix(key, 16).ok()?, defs))
         })
         .collect()
 }
 
-/// Writes `entries`, in key order, as `dir`'s cache file.
+/// Writes `entries`, in key order, as `dir`'s cache file: the header
+/// line, one line per entry, and the closing line.
 fn write<'a>(
     dir: &Path,
     entries: impl Iterator<Item = (u64, &'a [DefReport])>,
 ) -> std::io::Result<()> {
     std::fs::create_dir_all(dir)?;
-    let doc = Json::obj(vec![
-        ("version", Json::Str(FORMAT.to_string())),
-        (
-            "entries",
-            Json::Arr(entries.map(|(key, defs)| encode_entry(key, defs)).collect()),
-        ),
-    ]);
     // Write-then-rename so a crashed run leaves either the old
     // cache or the new one, never a torn file.
     let tmp = dir.join(format!("{CACHE_FILE}.tmp.{}", std::process::id()));
     let target = dir.join(CACHE_FILE);
     {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(doc.render().as_bytes())?;
-        f.write_all(b"\n")?;
+        let mut f = std::io::BufWriter::new(std::fs::File::create(&tmp)?);
+        writeln!(f, "{}", header())?;
+        for (i, (key, defs)) in entries.enumerate() {
+            if i > 0 {
+                writeln!(f, ",")?;
+            }
+            write!(f, "{}", encode_entry(key, defs).render())?;
+        }
+        writeln!(f, "\n{TRAILER}")?;
+        f.flush()?;
     }
     std::fs::rename(&tmp, &target)
 }
@@ -631,11 +642,36 @@ mod tests {
             "{\"version\":\"other\",\"entries\":[]}",
             // The format before per-member digests keyed differently.
             "{\"version\":\"rowpoly-batch-cache-v1\",\"entries\":[{\"key\":\"2a\",\"defs\":[]}]}",
+            // The single-document format before one entry per line.
+            "{\"version\":\"rowpoly-batch-cache-v2\",\"entries\":[{\"key\":\"2a\",\"defs\":[]}]}",
             "[1,2]",
         ] {
             std::fs::write(dir.join(CACHE_FILE), bad).unwrap();
             assert!(loaded(&dir).is_empty(), "loaded entries from {bad:?}");
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_bad_line_drops_only_its_own_entry() {
+        let dir = temp_dir("bad-line");
+        let mut cache = Cache::default();
+        for (key, tag) in [(1, "a"), (2, "b"), (3, "c")] {
+            cache.insert(key, defs(tag), 1);
+        }
+        cache.save(&dir).expect("saves");
+        let text = std::fs::read_to_string(dir.join(CACHE_FILE)).unwrap();
+        let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+        assert_eq!(lines.len(), 5, "a header, one line per entry, a trailer");
+        assert!(json::parse(&text).is_ok(), "the file is one JSON document");
+        // Nesting past the JSON parser's bound, then a line that parses
+        // but does not decode.
+        lines[1] = format!("{}{},", "[".repeat(600), "]".repeat(600));
+        lines[2] = "{\"key\":\"2\",\"defs\":[{\"name\":\"b\"}]},".to_string();
+        std::fs::write(dir.join(CACHE_FILE), lines.join("\n")).unwrap();
+        let mut back = loaded(&dir);
+        assert_eq!(back.len(), 1);
+        assert!(back.lookup(3, 1).is_some(), "the intact entry survives");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

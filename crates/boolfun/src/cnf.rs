@@ -168,6 +168,25 @@ impl Cnf {
         self.normalized = false;
     }
 
+    /// Conjoins another Boolean function, taking its clauses. Both sides
+    /// are normalised and merged linearly, so the result is the sorted,
+    /// deduplicated clause set [`Cnf::and`] plus [`Cnf::normalize`] give,
+    /// without copying `other`'s clauses or re-sorting the union.
+    pub fn conjoin(&mut self, mut other: Cnf) {
+        self.normalize();
+        other.normalize();
+        if other.clauses.is_empty() {
+            return;
+        }
+        if self.clauses.is_empty() {
+            *self = other;
+            return;
+        }
+        let mut merged = Vec::new();
+        crate::project::merge_dedup_into(&mut self.clauses, &mut other.clauses, &mut merged);
+        self.clauses = merged;
+    }
+
     /// Sorts and deduplicates the clause set.
     pub fn normalize(&mut self) {
         if !self.normalized {
@@ -359,6 +378,37 @@ mod tests {
     }
     fn n(i: u32) -> Lit {
         Lit::neg(Flag(i))
+    }
+
+    #[test]
+    fn conjoin_equals_and_then_normalize() {
+        let mut rng = rowpoly_obs::rng::SplitMix64::seed_from_u64(0xc0);
+        let mut random = |len: usize| {
+            let mut cnf = Cnf::top();
+            for _ in 0..len {
+                let a = Lit::new(Flag(rng.gen_range(0..6u32)), rng.gen_bool(0.5));
+                let b = Lit::new(Flag(rng.gen_range(0..6u32)), rng.gen_bool(0.5));
+                cnf.add_lits(if rng.gen_bool(0.3) {
+                    vec![a]
+                } else {
+                    vec![a, b]
+                });
+            }
+            if rng.gen_bool(0.5) {
+                cnf.normalize();
+            }
+            cnf
+        };
+        for case in 0..200 {
+            let (a, b) = (random(case % 13), random(case % 7));
+            let mut want = a.clone();
+            want.and(&b);
+            want.normalize();
+            let mut got = a;
+            got.conjoin(b);
+            assert_eq!(got.clauses(), want.clauses());
+            assert!(got.normalized);
+        }
     }
 
     #[test]

@@ -103,7 +103,7 @@ fn run_elimination(db: &mut ClauseDb, worklist: &[Flag], queue: &mut Vec<Reverse
 
 /// Merges two sorted, deduplicated clause runs into `out`, dropping
 /// duplicates across the runs and leaving both inputs empty.
-fn merge_dedup_into(a: &mut Vec<Clause>, b: &mut Vec<Clause>, out: &mut Vec<Clause>) {
+pub(crate) fn merge_dedup_into(a: &mut Vec<Clause>, b: &mut Vec<Clause>, out: &mut Vec<Clause>) {
     out.reserve(a.len() + b.len());
     let mut ia = a.drain(..).peekable();
     let mut ib = b.drain(..).peekable();

@@ -161,11 +161,7 @@ impl Session {
     fn infer_program_impl(&self, program: &Program) -> Result<ProgramReport, TypeError> {
         let wall_start = Instant::now();
         let mut engine = FlowInfer::new(self.opts.clone());
-        let needed = if program.defs.is_empty() {
-            Default::default()
-        } else {
-            program.to_expr().free_vars()
-        };
+        let needed = program.free_vars();
         let mut env = builtin_env(&mut engine, &needed);
         bind_free_vars(&mut engine, &mut env, &needed);
         env.freeze();

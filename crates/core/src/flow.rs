@@ -31,8 +31,8 @@ use rowpoly_lang::{BinOp, Def, Expr, ExprKind, FieldName, Span, Symbol};
 use rowpoly_obs as obs;
 use rowpoly_obs::{Phase, PhaseClock};
 use rowpoly_types::{
-    apply_subst_flow, flag_lits, generalize, instantiate, mgu, Binding, FieldEntry, RowTail,
-    Scheme, Subst, Ty, TyEnv, Var, VarAlloc, NO_FLAG,
+    apply_subst_flow, flag_lits, generalize, instantiate, mgu, Binding, Entry, FieldEntry,
+    ReplacedFlags, RowTail, Scheme, Subst, Ty, TyEnv, Var, VarAlloc, NO_FLAG,
 };
 
 use crate::config::{Compaction, Options, Stats};
@@ -68,11 +68,16 @@ pub struct FlowInfer {
     /// `applyS`) lands in exactly one bucket.
     clock: PhaseClock,
     opts: Options,
-    /// Flags of suspended sibling judgements (kept live by projection).
-    held: Vec<Vec<Flag>>,
+    /// Flags of suspended sibling judgements (kept live by projection),
+    /// one run per [`Self::with_held`] level, stacked.
+    held: Vec<Flag>,
     /// Flags that have been dropped from some structure and await
     /// projection once no live structure mentions them.
-    pending_dead: FlagSet,
+    pending_dead: DeadPool,
+    /// [`Self::compact`]'s keep set, recycled.
+    keep: Vec<Flag>,
+    /// [`apply_subst_flow`]'s output, recycled.
+    replaced: ReplacedFlags,
     /// Set while [`Self::infer_checked`] replays a rejected step: β is
     /// then checked after every rule that asserts a field requirement,
     /// before compaction can resolve the conflict away from its source.
@@ -99,7 +104,9 @@ impl FlowInfer {
             clock: PhaseClock::new(),
             opts,
             held: Vec::new(),
-            pending_dead: FlagSet::new(),
+            pending_dead: DeadPool::default(),
+            keep: Vec::new(),
+            replaced: ReplacedFlags::default(),
             replaying: false,
             guarded: 0,
             worst_class: rowpoly_boolfun::SatClass::Trivial,
@@ -191,9 +198,17 @@ impl FlowInfer {
         self.clock.enter(Phase::ApplyS);
         if self.opts.track_fields {
             let _mem = BETA_MEM.scope();
-            let replaced = apply_subst_flow(subst, kappa, env, &mut self.beta, &mut self.flags);
-            for (old, news) in &replaced.copies {
-                if let Some((span, origin)) = self.prov.get(*old).cloned() {
+            let mut replaced = std::mem::take(&mut self.replaced);
+            apply_subst_flow(
+                subst,
+                kappa,
+                env,
+                &mut self.beta,
+                &mut self.flags,
+                &mut replaced,
+            );
+            for (old, news) in replaced.copies() {
+                if let Some((span, origin)) = self.prov.get(old).cloned() {
                     for &n in news {
                         self.prov.record(n, span, origin.clone());
                     }
@@ -208,7 +223,7 @@ impl FlowInfer {
                 // all of β to find a literal handful of clauses;
                 // batching them with the rule's other deaths costs one
                 // scan instead of several.
-                self.pending_dead.extend(replaced.kappa);
+                self.pending_dead.extend(replaced.kappa.iter().copied());
             } else if !replaced.kappa.is_empty() {
                 // Without per-rule compaction there is no later batch to
                 // join, so the κ-exclusive flags are projected at once —
@@ -216,14 +231,15 @@ impl FlowInfer {
                 // though it runs inside `applyS`.
                 let _span = obs::span(Phase::Project.name());
                 self.clock.enter(Phase::Project);
-                let mut dead = replaced.kappa;
+                let dead = &mut replaced.kappa;
                 dead.sort_unstable();
                 dead.dedup();
-                let outcome = self.beta.project_out_sorted(&dead);
+                let outcome = self.beta.project_out_sorted(dead);
                 self.counts.note_projection(&outcome);
                 self.clock.exit();
             }
-            self.pending_dead.extend(replaced.env);
+            self.pending_dead.extend(replaced.env.iter().copied());
+            self.replaced = replaced;
         } else {
             *kappa = subst.apply(kappa);
             env.apply_subst(subst);
@@ -261,7 +277,15 @@ impl FlowInfer {
     /// projection. [`Self::compact`] filters out any that are still live.
     fn register_dead_ty(&mut self, t: &Ty) {
         if self.opts.track_fields {
-            self.pending_dead.extend(t.flags());
+            self.pending_dead.push_ty(t);
+        }
+    }
+
+    /// Marks the flags of a removed environment entry as candidates for
+    /// projection.
+    fn register_dead_entry(&mut self, entry: &Entry) {
+        if self.opts.track_fields {
+            self.pending_dead.extend(entry.flags().iter().copied());
         }
     }
 
@@ -269,12 +293,12 @@ impl FlowInfer {
     /// `kept`'s view of the same name (bindings equal on both sides share
     /// their flags with the kept environment and stay live).
     fn register_dead_env_diff(&mut self, dropped: &TyEnv, kept: &TyEnv) {
-        if !self.opts.track_fields {
+        if !self.opts.track_fields || dropped.same(kept) {
             return;
         }
-        for (name, b) in dropped.iter_local() {
-            if kept.get(name) != Some(b) {
-                self.pending_dead.extend(b.ty().flags());
+        for (name, e) in dropped.local_entries() {
+            if !kept.entry(name).is_some_and(|k| Entry::same(k, e)) {
+                self.pending_dead.extend(e.flags().iter().copied());
             }
         }
     }
@@ -287,31 +311,25 @@ impl FlowInfer {
         if !self.opts.track_fields || a.same(b) {
             return;
         }
-        debug_assert!(a.same_global(b), "meets stay within one definition");
-        let keys: std::collections::BTreeSet<Symbol> = a
-            .iter_local()
-            .map(|(s, _)| s)
-            .chain(b.iter_local().map(|(s, _)| s))
-            .collect();
-        for k in keys {
-            let (Some(ba), Some(bb)) = (a.get(k), b.get(k)) else {
-                unreachable!("environment domains diverged at `{k}`")
-            };
-            if ba != bb {
-                self.beta.iff_seq(&flag_lits(ba.ty()), &flag_lits(bb.ty()));
-            }
+        for (_, ea, eb) in TyEnv::local_diff(a, b) {
+            self.beta
+                .iff_seq(&flag_lits(ea.binding().ty()), &flag_lits(eb.binding().ty()));
         }
     }
 
-    /// Runs `body` with extra flag roots held live.
+    /// Runs `body` with extra flag roots, which `roots` appends to the
+    /// held stack, kept live. Skeleton mode collects no roots.
     fn with_held<R>(
         &mut self,
-        roots: impl IntoIterator<Item = Flag>,
+        roots: impl FnOnce(&mut Vec<Flag>),
         body: impl FnOnce(&mut Self) -> R,
     ) -> R {
-        self.held.push(roots.into_iter().collect());
+        let mark = self.held.len();
+        if self.opts.track_fields {
+            roots(&mut self.held);
+        }
         let r = body(self);
-        self.held.pop();
+        self.held.truncate(mark);
         r
     }
 
@@ -334,27 +352,16 @@ impl FlowInfer {
         // forks are conjoined. Flags both allocated *and* projected inside
         // `body` are genuinely gone — they postdate the saved β — and the
         // union below correctly leaves them out.
-        let pool = self.pending_dead.clone();
+        let pool = self.pending_dead.snapshot();
         let r = body(self);
         let fork = std::mem::replace(&mut self.beta, saved);
-        self.pending_dead.extend(pool);
+        self.pending_dead.extend(pool.flags);
         (r, fork)
     }
 
     /// Conjoins a forked β back into the current one (`β1σ ∧ β2σ`).
     fn merge_beta(&mut self, fork: Cnf) {
-        self.beta.and(&fork);
-        self.beta.normalize();
-    }
-
-    /// Flags of a judgement's own structures: its type plus the local
-    /// layer of its environment. (Global-layer flags are protected
-    /// wholesale by the cached global flag set, so they never need to be
-    /// held explicitly.)
-    fn judgement_flags(ty: &Ty, env: &TyEnv) -> Vec<Flag> {
-        let mut fs = ty.flags();
-        fs.extend(env.local_flags());
-        fs
+        self.beta.conjoin(fork);
     }
 
     /// Projects the pending-dead flags that are no longer mentioned by
@@ -374,25 +381,27 @@ impl FlowInfer {
         self.clock.enter(Phase::Project);
         // The keep set lives for one membership sweep over the (small)
         // pending pool: a sorted vector beats hashing every flag in.
-        let mut keep: Vec<Flag> = ty.flags();
+        let mut keep = std::mem::take(&mut self.keep);
+        keep.clear();
+        ty.collect_flags(&mut keep);
         keep.extend(env.local_flags());
-        for roots in &self.held {
-            keep.extend(roots.iter().copied());
-        }
+        keep.extend_from_slice(&self.held);
         keep.sort_unstable();
         keep.dedup();
         let global = env.global_flags();
         // Unmentioned flags cost the engine nothing (they never enter the
         // clause database), so there is no need to materialise β's flag
         // set here.
-        // Ascending because the pool iterates in order, so the slice is
+        // Ascending because the pool is kept sorted, so the slice is
         // ready for `project_out_sorted` as-is.
         let dead: Vec<Flag> = self
             .pending_dead
+            .sorted()
             .iter()
             .copied()
             .filter(|f| keep.binary_search(f).is_err() && !global.contains(f))
             .collect();
+        self.keep = keep;
         if !dead.is_empty() {
             let outcome = self.beta.project_out_sorted(&dead);
             self.counts.note_projection(&outcome);
@@ -400,9 +409,7 @@ impl FlowInfer {
             // mentions them, so re-filtering them at every subsequent
             // rule is pure overhead. [`Self::with_forked_beta`] restores
             // them where a sibling β could still hold their clauses.
-            for f in &dead {
-                self.pending_dead.remove(f);
-            }
+            self.pending_dead.remove_sorted(&dead);
         }
         self.clock.exit();
     }
@@ -424,7 +431,7 @@ impl FlowInfer {
         let _span = obs::span(Phase::Project.name());
         self.clock.enter(Phase::Project);
         let scheme_flags: FlagSet = scheme.ty.flags().into_iter().collect();
-        let locals: std::collections::HashSet<Flag> = env.local_flags().into_iter().collect();
+        let locals: std::collections::HashSet<Flag> = env.local_flags().collect();
         let outcome = {
             let global = env.global_flags();
             self.beta.project_unless(|f| {
@@ -677,26 +684,25 @@ impl FlowInfer {
 
     /// (VAR) and (VAR-LET).
     fn rule_var(&mut self, env: &TyEnv, x: Symbol, span: Span) -> Infer<(Ty, TyEnv)> {
-        let Some(binding) = env.get(x) else {
+        let Some(entry) = env.entry(x) else {
             return Err(TypeError::new(TypeErrorKind::Unbound(x), span));
         };
-        // `binding` borrows from `env`, not from the engine, so neither
+        // `entry` borrows from `env`, not from the engine, so neither
         // rule needs to copy it (a scheme carries its whole stored flow).
-        match binding {
+        match entry.binding() {
             Binding::Mono(t) => {
                 // tx = ⇑RP(⇓RP(ρ(x))) with *tx+ ⇒ *ρ(x)+.
                 let tx = self.decorate(t);
                 if self.opts.track_fields {
                     self.beta.imply_seq(&flag_lits(&tx), &flag_lits(t));
-                    self.inherit_provenance(&t.flags(), &tx.flags());
+                    self.inherit_provenance(entry.flags(), &tx.flags());
                 }
                 Ok((tx, env.clone()))
             }
             Binding::Poly(scheme) => {
                 let t = if self.opts.track_fields {
-                    let old = scheme.ty.flags();
                     let inst = instantiate(scheme, &mut self.vars, &mut self.flags, &mut self.beta);
-                    self.inherit_provenance(&old, &inst.flags());
+                    self.inherit_provenance(entry.flags(), &inst.flags());
                     inst
                 } else {
                     // Skeleton instantiation: rename quantified variables.
@@ -719,13 +725,13 @@ impl FlowInfer {
         // Save only a *local* shadowed binding: removing the binder later
         // already re-reveals a global one, and re-inserting it locally
         // would just inflate the local layer.
-        let shadowed = inner.get_local(x).cloned();
+        let shadowed = inner.local_entry(x).cloned();
         inner.insert(x, Binding::Mono(a));
         let (t2, mut env1) = self.infer(&inner, body)?;
-        let tx = env1.get(x).expect("lambda binder stays bound").ty().clone();
-        env1.remove(x);
+        let binder = env1.remove(x).expect("lambda binder stays bound");
+        let tx = Entry::into_binding(binder).into_ty();
         if let Some(prev) = shadowed {
-            env1.insert(x, prev);
+            env1.insert_entry(x, prev);
         }
         let t = Ty::fun(tx, t2);
         self.compact(&env1, &t);
@@ -739,11 +745,10 @@ impl FlowInfer {
         // while e2 runs. β is forked: e1 evolves the incoming β into β1,
         // e2 starts again from the incoming β (yielding β2), and each
         // judgement's applyS expands its own fork before the conjunction.
-        let input_roots = env.local_flags();
         let base = self.beta.clone();
-        let (t1, mut env1) = self.with_held(input_roots, |s| s.infer(env, f))?;
+        let (t1, mut env1) = self.with_held(locals(env), |s| s.infer(env, f))?;
         let (r2, beta2) = self.with_forked_beta(base, |s| {
-            s.with_held(Self::judgement_flags(&t1, &env1), |s| s.infer(env, a))
+            s.with_held(judgement(&t1, &env1), |s| s.infer(env, a))
         });
         let (t2, mut env2) = r2?;
         let r = self.fresh_var();
@@ -752,12 +757,12 @@ impl FlowInfer {
         pairs.extend(self.env_pairs(&env1, &env2));
         let subst = self.mgu(pairs, span)?;
         let mut tf = t1;
-        self.with_held(Self::judgement_flags(&t2r, &env2), |s| {
+        self.with_held(judgement(&t2r, &env2), |s| {
             s.apply_flow(&subst, &mut tf, &mut env1);
         });
         let mut tar = t2r;
         let ((), beta2s) = self.with_forked_beta(beta2, |s| {
-            s.with_held(Self::judgement_flags(&tf, &env1), |s| {
+            s.with_held(judgement(&tf, &env1), |s| {
                 s.apply_flow(&subst, &mut tar, &mut env2);
             })
         });
@@ -796,15 +801,15 @@ impl FlowInfer {
         body: &Expr,
         span: Span,
     ) -> Infer<(Ty, TyEnv)> {
-        let shadowed = env.get_local(name).cloned();
+        let shadowed = env.local_entry(name).cloned();
         let (scheme, mut env_after) = self.infer_def(env, name, bound, span)?;
         env_after.insert(name, Binding::Poly(scheme));
         let (t, mut env_body) = self.infer(&env_after, body)?;
-        if let Some(b) = env_body.remove(name) {
-            self.register_dead_ty(b.ty());
+        if let Some(e) = env_body.remove(name) {
+            self.register_dead_entry(&e);
         }
         if let Some(prev) = shadowed {
-            env_body.insert(name, prev);
+            env_body.insert_entry(name, prev);
         }
         self.compact(&env_body, &t);
         Ok((t, env_body))
@@ -821,8 +826,7 @@ impl FlowInfer {
         bound: &Expr,
         span: Span,
     ) -> Infer<(Scheme, TyEnv)> {
-        let recursive = bound.free_vars().contains(&name);
-        if !recursive {
+        if !bound.mentions(name) {
             let (tb, envb) = self.infer(env, bound)?;
             Ok((generalize(&envb, &tb), envb))
         } else {
@@ -835,9 +839,9 @@ impl FlowInfer {
                 env_x.insert(name, Binding::Poly(scheme));
                 let (t_next, mut env_next) = self.infer(&env_x, bound)?;
                 let done = alpha_eq_skeleton(&t_next, &cur_ty);
-                if let Some(b) = env_next.remove(name) {
+                if let Some(e) = env_next.remove(name) {
                     // The iteration's scheme (sharing cur_ty's flags) dies.
-                    self.register_dead_ty(b.ty());
+                    self.register_dead_entry(&e);
                 }
                 cur_env = env_next;
                 cur_ty = t_next;
@@ -871,25 +875,22 @@ impl FlowInfer {
         self.register_dead_ty(&ts);
         self.compact(&envc, &Ty::Int);
 
-        let branch_roots = envc.local_flags();
         let base = self.beta.clone();
-        let (tt, mut envt) = self.with_held(branch_roots, |s| s.infer(&envc, then_e))?;
+        let (tt, mut envt) = self.with_held(locals(&envc), |s| s.infer(&envc, then_e))?;
         let (re, beta2) = self.with_forked_beta(base, |s| {
-            s.with_held(Self::judgement_flags(&tt, &envt), |s| {
-                s.infer(&envc, else_e)
-            })
+            s.with_held(judgement(&tt, &envt), |s| s.infer(&envc, else_e))
         });
         let (te, mut enve) = re?;
         let mut pairs = vec![(tt.clone(), te.clone())];
         pairs.extend(self.env_pairs(&envt, &enve));
         let subst = self.mgu(pairs, span)?;
         let mut tts = tt;
-        self.with_held(Self::judgement_flags(&te, &enve), |s| {
+        self.with_held(judgement(&te, &enve), |s| {
             s.apply_flow(&subst, &mut tts, &mut envt);
         });
         let mut tes = te;
         let ((), beta2s) = self.with_forked_beta(beta2, |s| {
-            s.with_held(Self::judgement_flags(&tts, &envt), |s| {
+            s.with_held(judgement(&tts, &envt), |s| {
                 s.apply_flow(&subst, &mut tes, &mut enve);
             })
         });
@@ -1147,11 +1148,10 @@ impl FlowInfer {
         symmetric: bool,
         span: Span,
     ) -> Infer<(Ty, TyEnv)> {
-        let input_roots = env.local_flags();
         let base = self.beta.clone();
-        let (t1, mut env1) = self.with_held(input_roots, |s| s.infer(env, e1))?;
+        let (t1, mut env1) = self.with_held(locals(env), |s| s.infer(env, e1))?;
         let (r2, beta2) = self.with_forked_beta(base, |s| {
-            s.with_held(Self::judgement_flags(&t1, &env1), |s| s.infer(env, e2))
+            s.with_held(judgement(&t1, &env1), |s| s.infer(env, e2))
         });
         let (t2, mut env2) = r2?;
         // Force both operands onto a common record skeleton.
@@ -1161,12 +1161,12 @@ impl FlowInfer {
         pairs.extend(self.env_pairs(&env1, &env2));
         let subst = self.mgu(pairs, span)?;
         let mut t1s = t1;
-        self.with_held(Self::judgement_flags(&t2, &env2), |s| {
+        self.with_held(judgement(&t2, &env2), |s| {
             s.apply_flow(&subst, &mut t1s, &mut env1);
         });
         let mut t2s = t2;
         let ((), beta2s) = self.with_forked_beta(beta2, |s| {
-            s.with_held(Self::judgement_flags(&t1s, &env1), |s| {
+            s.with_held(judgement(&t1s, &env1), |s| {
                 s.apply_flow(&subst, &mut t2s, &mut env2);
             })
         });
@@ -1249,15 +1249,14 @@ impl FlowInfer {
         // β on return, so both branches start from the same βs and their
         // constraint sets come back as guarded clause lists.
         let tx_flags = txs.flags();
-        let branch_roots: Vec<Flag> = tx_flags.iter().copied().chain(envs.local_flags()).collect();
-        let (tt, mut envt, then_guarded) = self.with_held(branch_roots.clone(), |s| {
+        let (tt, mut envt, then_guarded) = self.with_held(judgement(&txs, &envs), |s| {
             s.infer_guarded(&envs, then_e, Lit::pos(ff))
         })?;
         let (te, mut enve, else_guarded) = self.with_held(
-            branch_roots
-                .iter()
-                .copied()
-                .chain(Self::judgement_flags(&tt, &envt)),
+            |held: &mut Vec<Flag>| {
+                judgement(&txs, &envs)(held);
+                judgement(&tt, &envt)(held);
+            },
             |s| s.infer_guarded(&envs, else_e, Lit::neg(ff)),
         )?;
 
@@ -1274,10 +1273,10 @@ impl FlowInfer {
         }
         let mut tts = tt;
         self.with_held(
-            tx_flags
-                .iter()
-                .copied()
-                .chain(Self::judgement_flags(&te, &enve)),
+            |held: &mut Vec<Flag>| {
+                held.extend_from_slice(&tx_flags);
+                judgement(&te, &enve)(held);
+            },
             |s| s.apply_flow(&subst, &mut tts, &mut envt),
         );
         let mut beta_else = base;
@@ -1289,10 +1288,10 @@ impl FlowInfer {
         let mut tes = te;
         let ((), beta_else_s) = self.with_forked_beta(beta_else, |s| {
             s.with_held(
-                tx_flags
-                    .iter()
-                    .copied()
-                    .chain(Self::judgement_flags(&tts, &envt)),
+                |held: &mut Vec<Flag>| {
+                    held.extend_from_slice(&tx_flags);
+                    judgement(&tts, &envt)(held);
+                },
                 |s| s.apply_flow(&subst, &mut tes, &mut enve),
             )
         });
@@ -1369,17 +1368,15 @@ impl FlowInfer {
             let elem = self.fresh_var();
             return Ok((Ty::list(elem), env.clone()));
         }
-        let input_roots = env.local_flags();
         let base = self.beta.clone();
-        let (mut elem, mut env_acc) =
-            self.with_held(input_roots.clone(), |s| s.infer(env, &items[0]))?;
+        let (mut elem, mut env_acc) = self.with_held(locals(env), |s| s.infer(env, &items[0]))?;
         for item in &items[1..] {
             let (ri, beta2) = self.with_forked_beta(base.clone(), |s| {
                 s.with_held(
-                    input_roots
-                        .iter()
-                        .copied()
-                        .chain(Self::judgement_flags(&elem, &env_acc)),
+                    |held: &mut Vec<Flag>| {
+                        locals(env)(held);
+                        judgement(&elem, &env_acc)(held);
+                    },
                     |s| s.infer(env, item),
                 )
             });
@@ -1388,12 +1385,12 @@ impl FlowInfer {
             pairs.extend(self.env_pairs(&env_acc, &env_i));
             let subst = self.mgu(pairs, span)?;
             let mut env_i = env_i;
-            self.with_held(Self::judgement_flags(&ti, &env_i), |s| {
+            self.with_held(judgement(&ti, &env_i), |s| {
                 s.apply_flow(&subst, &mut elem, &mut env_acc);
             });
             let mut tis = ti;
             let ((), beta2s) = self.with_forked_beta(beta2, |s| {
-                s.with_held(Self::judgement_flags(&elem, &env_acc), |s| {
+                s.with_held(judgement(&elem, &env_acc), |s| {
                     s.apply_flow(&subst, &mut tis, &mut env_i);
                 })
             });
@@ -1419,23 +1416,22 @@ impl FlowInfer {
         b: &Expr,
         span: Span,
     ) -> Infer<(Ty, TyEnv)> {
-        let input_roots = env.local_flags();
         let base = self.beta.clone();
-        let (ta, mut env1) = self.with_held(input_roots, |s| s.infer(env, a))?;
+        let (ta, mut env1) = self.with_held(locals(env), |s| s.infer(env, a))?;
         let (r2, beta2) = self.with_forked_beta(base, |s| {
-            s.with_held(Self::judgement_flags(&ta, &env1), |s| s.infer(env, b))
+            s.with_held(judgement(&ta, &env1), |s| s.infer(env, b))
         });
         let (tb, mut env2) = r2?;
         let mut pairs = vec![(ta.clone(), Ty::Int), (tb.clone(), Ty::Int)];
         pairs.extend(self.env_pairs(&env1, &env2));
         let subst = self.mgu(pairs, span)?;
         let mut ta = ta;
-        self.with_held(Self::judgement_flags(&tb, &env2), |s| {
+        self.with_held(judgement(&tb, &env2), |s| {
             s.apply_flow(&subst, &mut ta, &mut env1);
         });
         let mut tb = tb;
         let ((), beta2s) = self.with_forked_beta(beta2, |s| {
-            s.with_held(Self::judgement_flags(&ta, &env1), |s| {
+            s.with_held(judgement(&ta, &env1), |s| {
                 s.apply_flow(&subst, &mut tb, &mut env2);
             })
         });
@@ -1446,6 +1442,80 @@ impl FlowInfer {
         self.register_dead_env_diff(&env2, &env1);
         self.compact(&env1, &Ty::Int);
         Ok((Ty::Int, env1))
+    }
+}
+
+/// Held roots of an environment: the flags of its local layer, read
+/// from the entries' summaries. (Global-layer flags are protected
+/// wholesale by the cached global flag set, so they never need to be
+/// held explicitly.)
+fn locals(env: &TyEnv) -> impl FnOnce(&mut Vec<Flag>) + '_ {
+    move |held| held.extend(env.local_flags())
+}
+
+/// Held roots of a judgement: the flags of its type plus the local
+/// layer of its environment.
+fn judgement<'a>(ty: &'a Ty, env: &'a TyEnv) -> impl FnOnce(&mut Vec<Flag>) + 'a {
+    move |held| {
+        ty.collect_flags(held);
+        held.extend(env.local_flags());
+    }
+}
+
+/// Flags dropped from some structure that await projection once no live
+/// structure mentions them. A push appends; the run is sorted and
+/// deduplicated when read, so a snapshot is one flat copy.
+#[derive(Clone, Debug, Default)]
+struct DeadPool {
+    flags: Vec<Flag>,
+    /// Whether `flags` is sorted and duplicate-free.
+    sorted: bool,
+}
+
+impl DeadPool {
+    fn extend(&mut self, flags: impl IntoIterator<Item = Flag>) {
+        let before = self.flags.len();
+        self.flags.extend(flags);
+        if self.flags.len() != before {
+            self.sorted = false;
+        }
+    }
+
+    fn push_ty(&mut self, t: &Ty) {
+        t.collect_flags(&mut self.flags);
+        self.sorted = false;
+    }
+
+    fn is_empty(&self) -> bool {
+        self.flags.is_empty()
+    }
+
+    fn clear(&mut self) {
+        self.flags.clear();
+        self.sorted = true;
+    }
+
+    /// The pool, ascending and duplicate-free.
+    fn sorted(&mut self) -> &[Flag] {
+        if !self.sorted {
+            self.flags.sort_unstable();
+            self.flags.dedup();
+            self.sorted = true;
+        }
+        &self.flags
+    }
+
+    /// A copy of the pool, deduplicated first so that re-adding it after
+    /// a fork at most doubles the pool until the next read.
+    fn snapshot(&mut self) -> DeadPool {
+        self.sorted();
+        self.clone()
+    }
+
+    /// Removes `dead`, a sorted subset of the sorted pool.
+    fn remove_sorted(&mut self, dead: &[Flag]) {
+        debug_assert!(self.sorted, "removal from a sorted pool");
+        self.flags.retain(|f| dead.binary_search(f).is_err());
     }
 }
 
@@ -1461,24 +1531,9 @@ fn env_pairs_opt(a: &TyEnv, b: &TyEnv, use_versions: bool) -> Vec<(Ty, Ty)> {
         }
         // Both environments share their frozen global layer, so only the
         // local layers can differ — and of those, only bindings that are
-        // not structurally identical contribute non-trivial equations.
-        debug_assert!(a.same_global(b), "meets stay within one definition");
-        let keys: std::collections::BTreeSet<Symbol> = a
-            .iter_local()
-            .map(|(s, _)| s)
-            .chain(b.iter_local().map(|(s, _)| s))
-            .collect();
-        keys.into_iter()
-            .filter_map(|k| {
-                let (Some(ba), Some(bb)) = (a.get(k), b.get(k)) else {
-                    unreachable!("environment domains diverged at `{k}`")
-                };
-                if ba == bb {
-                    None
-                } else {
-                    Some((ba.ty().clone(), bb.ty().clone()))
-                }
-            })
+        // not identical contribute non-trivial equations.
+        TyEnv::local_diff(a, b)
+            .map(|(_, ea, eb)| (ea.binding().ty().clone(), eb.binding().ty().clone()))
             .collect()
     } else {
         // Ablation: the naive meet pairs every binding.

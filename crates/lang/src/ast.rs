@@ -124,6 +124,35 @@ impl Expr {
         Expr { kind, span }
     }
 
+    /// Whether `name` occurs free: `free_vars().contains(&name)`, without
+    /// building the set and stopping at the first occurrence.
+    pub fn mentions(&self, name: Symbol) -> bool {
+        match &self.kind {
+            ExprKind::Var(x) => *x == name,
+            ExprKind::Int(_) | ExprKind::Str(_) | ExprKind::Empty => false,
+            ExprKind::Select(_) | ExprKind::Remove(_) | ExprKind::Rename(_, _) => false,
+            ExprKind::List(es) => es.iter().any(|e| e.mentions(name)),
+            ExprKind::Lam(x, body) => *x != name && body.mentions(name),
+            ExprKind::Let {
+                name: x,
+                bound,
+                body,
+            } => *x != name && (bound.mentions(name) || body.mentions(name)),
+            ExprKind::If(c, t, e) => c.mentions(name) || t.mentions(name) || e.mentions(name),
+            ExprKind::Update(_, e) => e.mentions(name),
+            ExprKind::App(a, b)
+            | ExprKind::Concat(a, b)
+            | ExprKind::SymConcat(a, b)
+            | ExprKind::BinOp(_, a, b) => a.mentions(name) || b.mentions(name),
+            ExprKind::When {
+                subject,
+                then_branch,
+                else_branch,
+                ..
+            } => *subject == name || then_branch.mentions(name) || else_branch.mentions(name),
+        }
+    }
+
     /// The set of free variables.
     pub fn free_vars(&self) -> BTreeSet<Symbol> {
         let mut out = BTreeSet::new();
@@ -320,6 +349,20 @@ pub struct Program {
 }
 
 impl Program {
+    /// The free variables of the program: those of [`Program::to_expr`],
+    /// computed per definition without building the nested expression.
+    /// A body's own name and the names defined before it are bound in
+    /// it; a name defined later stays free there.
+    pub fn free_vars(&self) -> BTreeSet<Symbol> {
+        let mut defined = BTreeSet::new();
+        let mut out = BTreeSet::new();
+        for def in &self.defs {
+            defined.insert(def.name);
+            def.body.free_vars_into(&mut defined, &mut out);
+        }
+        out
+    }
+
     /// Folds the program into a single expression: nested `let`s ending in
     /// a reference to the last definition.
     ///
@@ -402,6 +445,34 @@ mod tests {
         assert!(fv.contains(&Symbol::intern("s")));
         assert!(fv.contains(&Symbol::intern("a")));
         assert!(fv.contains(&Symbol::intern("b")));
+    }
+
+    #[test]
+    fn program_free_vars_keep_later_names_free_in_earlier_bodies() {
+        let p = crate::parse_program(
+            "def a = b + c\ndef b = a\ndef c = \\x . x y\ndef d = let y = d in y",
+        )
+        .expect("parses");
+        let names = |xs: &[&str]| xs.iter().map(|x| Symbol::intern(x)).collect();
+        let fv = p.free_vars();
+        assert_eq!(fv, names(&["b", "c", "y"]));
+        assert_eq!(fv, p.to_expr().free_vars());
+    }
+
+    #[test]
+    fn mentions_agrees_with_free_vars() {
+        let p = crate::parse_program(
+            "def a = \\x . let y = x in when n in z then y else w\n\
+             def b = [u, \\u . u, (let v = v in v) @ {}]",
+        )
+        .expect("parses");
+        for def in &p.defs {
+            let fv = def.body.free_vars();
+            for x in ["x", "y", "z", "w", "u", "v", "n", "a"] {
+                let x = Symbol::intern(x);
+                assert_eq!(def.body.mentions(x), fv.contains(&x), "{x} in {}", def.name);
+            }
+        }
     }
 
     #[test]

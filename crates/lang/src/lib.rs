@@ -37,7 +37,7 @@ mod token;
 pub use ast::{BinOp, Def, Expr, ExprKind, FieldName, Program};
 pub use diag::{Diag, Severity};
 pub use lexer::lex;
-pub use parser::{parse_expr, parse_program};
+pub use parser::{parse_expr, parse_program, MAX_DEPTH};
 pub use pretty::{pretty_def, pretty_expr, pretty_program};
 pub use span::{LineMap, Span};
 pub use symbol::Symbol;

@@ -54,14 +54,28 @@ pub fn parse_program(source: &str) -> Result<Program, Diag> {
 pub fn parse_expr(source: &str) -> Result<Expr, Diag> {
     let tokens = lex(source)?;
     let mut p = Parser::new(tokens);
-    let e = p.expr()?;
+    let (e, _) = p.expr()?;
     p.expect(TokenKind::Eof)?;
     Ok(e)
 }
 
+/// The deepest expression the parser accepts, counted in AST nodes from
+/// a definition's root to its deepest leaf; parenthesised and other
+/// nested expressions the parser recurses into count against the same
+/// bound. Inference, rendering and the cache recurse on the tree, so
+/// the bound keeps every accepted program within the stack of any
+/// thread that checks it, including 2 MiB pool workers (DESIGN.md,
+/// "Expression depth"). The deepest generated Fig. 9 decoder nests 122.
+pub const MAX_DEPTH: u32 = 256;
+
+/// An expression with its AST depth.
+type Parsed = (Expr, u32);
+
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// How many [`Parser::expr`] calls are open.
+    nesting: u32,
     /// Multi-field updates desugared so far in the current definition
     /// (their binders are `r#1`, `r#2`, …).
     binders: u32,
@@ -72,6 +86,7 @@ impl Parser {
         Parser {
             tokens,
             pos: 0,
+            nesting: 0,
             binders: 0,
         }
     }
@@ -130,6 +145,15 @@ impl Parser {
         }
     }
 
+    /// A node of AST depth `depth`, or a located diagnostic at `at` if
+    /// that is deeper than [`MAX_DEPTH`].
+    fn node(&self, kind: ExprKind, span: Span, depth: u32, at: Span) -> Result<Parsed, Diag> {
+        if depth > MAX_DEPTH {
+            return Err(too_deep(at));
+        }
+        Ok((Expr::new(kind, span), depth))
+    }
+
     fn def(&mut self) -> Result<Def, Diag> {
         let start = self.expect(TokenKind::Def)?.span;
         self.binders = 0;
@@ -140,26 +164,34 @@ impl Parser {
             self.bump();
         }
         self.expect(TokenKind::Eq)?;
-        let mut body = self.expr()?;
+        let (mut body, mut depth) = self.expr()?;
         let span = start.to(body.span);
         for &p in params.iter().rev() {
             let bspan = body.span;
-            body = Expr::new(ExprKind::Lam(p, Box::new(body)), bspan);
+            (body, depth) = self.node(ExprKind::Lam(p, Box::new(body)), bspan, depth + 1, span)?;
         }
         Ok(Def { name, span, body })
     }
 
-    fn expr(&mut self) -> Result<Expr, Diag> {
-        match self.peek() {
+    /// An expression. Every nested expression passes through here, so
+    /// this is where the parser's own recursion is bounded.
+    fn expr(&mut self) -> Result<Parsed, Diag> {
+        if self.nesting >= MAX_DEPTH {
+            return Err(too_deep(self.peek_span()));
+        }
+        self.nesting += 1;
+        let e = match self.peek() {
             TokenKind::Lambda => self.lambda(),
             TokenKind::Let => self.let_expr(),
             TokenKind::If => self.if_expr(),
             TokenKind::When => self.when_expr(),
             _ => self.binary(1),
-        }
+        };
+        self.nesting -= 1;
+        e
     }
 
-    fn lambda(&mut self) -> Result<Expr, Diag> {
+    fn lambda(&mut self) -> Result<Parsed, Diag> {
         let start = self.bump().span; // `\`
         let mut params = vec![self.ident()?.0];
         while let TokenKind::Ident(_) = self.peek() {
@@ -169,37 +201,40 @@ impl Parser {
         if !self.eat(&TokenKind::Dot) {
             self.expect(TokenKind::Arrow)?;
         }
-        let mut body = self.expr()?;
+        let (mut body, mut depth) = self.expr()?;
         let span = start.to(body.span);
         for &p in params.iter().rev() {
-            body = Expr::new(ExprKind::Lam(p, Box::new(body)), span);
+            (body, depth) = self.node(ExprKind::Lam(p, Box::new(body)), span, depth + 1, span)?;
         }
-        Ok(body)
+        Ok((body, depth))
     }
 
-    fn let_expr(&mut self) -> Result<Expr, Diag> {
+    fn let_expr(&mut self) -> Result<Parsed, Diag> {
         let start = self.bump().span; // `let`
         let mut bindings = vec![self.binding()?];
         while self.eat(&TokenKind::Semi) {
             bindings.push(self.binding()?);
         }
         self.expect(TokenKind::In)?;
-        let mut body = self.expr()?;
+        let (mut body, mut depth) = self.expr()?;
         let span = start.to(body.span);
-        for (name, bound) in bindings.into_iter().rev() {
-            body = Expr::new(
+        for (name, (bound, bound_depth)) in bindings.into_iter().rev() {
+            let at = bound.span;
+            (body, depth) = self.node(
                 ExprKind::Let {
                     name,
                     bound: Box::new(bound),
                     body: Box::new(body),
                 },
                 span,
-            );
+                depth.max(bound_depth) + 1,
+                at,
+            )?;
         }
-        Ok(body)
+        Ok((body, depth))
     }
 
-    fn binding(&mut self) -> Result<(Symbol, Expr), Diag> {
+    fn binding(&mut self) -> Result<(Symbol, Parsed), Diag> {
         let (name, _) = self.ident()?;
         let mut params = Vec::new();
         while let TokenKind::Ident(p) = self.peek() {
@@ -207,39 +242,41 @@ impl Parser {
             self.bump();
         }
         self.expect(TokenKind::Eq)?;
-        let mut bound = self.expr()?;
+        let (mut bound, mut depth) = self.expr()?;
         for &p in params.iter().rev() {
             let span = bound.span;
-            bound = Expr::new(ExprKind::Lam(p, Box::new(bound)), span);
+            (bound, depth) = self.node(ExprKind::Lam(p, Box::new(bound)), span, depth + 1, span)?;
         }
-        Ok((name, bound))
+        Ok((name, (bound, depth)))
     }
 
-    fn if_expr(&mut self) -> Result<Expr, Diag> {
+    fn if_expr(&mut self) -> Result<Parsed, Diag> {
         let start = self.bump().span; // `if`
-        let cond = self.expr()?;
+        let (cond, dc) = self.expr()?;
         self.expect(TokenKind::Then)?;
-        let then_branch = self.expr()?;
+        let (then_branch, dt) = self.expr()?;
         self.expect(TokenKind::Else)?;
-        let else_branch = self.expr()?;
+        let (else_branch, de) = self.expr()?;
         let span = start.to(else_branch.span);
-        Ok(Expr::new(
+        self.node(
             ExprKind::If(Box::new(cond), Box::new(then_branch), Box::new(else_branch)),
             span,
-        ))
+            dc.max(dt).max(de) + 1,
+            start,
+        )
     }
 
-    fn when_expr(&mut self) -> Result<Expr, Diag> {
+    fn when_expr(&mut self) -> Result<Parsed, Diag> {
         let start = self.bump().span; // `when`
         let (field, _) = self.ident()?;
         self.expect(TokenKind::In)?;
         let (subject, _) = self.ident()?;
         self.expect(TokenKind::Then)?;
-        let then_branch = self.expr()?;
+        let (then_branch, dt) = self.expr()?;
         self.expect(TokenKind::Else)?;
-        let else_branch = self.expr()?;
+        let (else_branch, de) = self.expr()?;
         let span = start.to(else_branch.span);
-        Ok(Expr::new(
+        self.node(
             ExprKind::When {
                 field,
                 subject,
@@ -247,17 +284,19 @@ impl Parser {
                 else_branch: Box::new(else_branch),
             },
             span,
-        ))
+            dt.max(de) + 1,
+            start,
+        )
     }
 
     /// Precedence climbing over binary operators. Levels:
     /// 1 `||`, 2 `&&`, 3 comparisons (non-associative), 4 `@`/`@@`,
     /// 5 `+`/`-`, 6 `*`; application binds tighter than all of them.
-    fn binary(&mut self, level: u8) -> Result<Expr, Diag> {
+    fn binary(&mut self, level: u8) -> Result<Parsed, Diag> {
         if level > 6 {
             return self.application();
         }
-        let mut lhs = self.binary(level + 1)?;
+        let (mut lhs, mut depth) = self.binary(level + 1)?;
         loop {
             let op = match (level, self.peek()) {
                 (1, TokenKind::OrOr) => Some(BinaryTok::Op(BinOp::Or)),
@@ -272,33 +311,43 @@ impl Parser {
                 (6, TokenKind::Star) => Some(BinaryTok::Op(BinOp::Mul)),
                 _ => None,
             };
-            let Some(op) = op else { return Ok(lhs) };
-            self.bump();
-            let rhs = self.binary(level + 1)?;
+            let Some(op) = op else {
+                return Ok((lhs, depth));
+            };
+            let at = self.bump().span;
+            let (rhs, rhs_depth) = self.binary(level + 1)?;
             let span = lhs.span.to(rhs.span);
-            lhs = Expr::new(
+            (lhs, depth) = self.node(
                 match op {
                     BinaryTok::Op(o) => ExprKind::BinOp(o, Box::new(lhs), Box::new(rhs)),
                     BinaryTok::Concat => ExprKind::Concat(Box::new(lhs), Box::new(rhs)),
                     BinaryTok::SymConcat => ExprKind::SymConcat(Box::new(lhs), Box::new(rhs)),
                 },
                 span,
-            );
+                depth.max(rhs_depth) + 1,
+                at,
+            )?;
             // Comparisons are non-associative.
             if level == 3 {
-                return Ok(lhs);
+                return Ok((lhs, depth));
             }
         }
     }
 
-    fn application(&mut self) -> Result<Expr, Diag> {
-        let mut head = self.atom()?;
+    fn application(&mut self) -> Result<Parsed, Diag> {
+        let (mut head, mut depth) = self.atom()?;
         while self.starts_atom() {
-            let arg = self.atom()?;
+            let (arg, arg_depth) = self.atom()?;
             let span = head.span.to(arg.span);
-            head = Expr::new(ExprKind::App(Box::new(head), Box::new(arg)), span);
+            let at = arg.span;
+            (head, depth) = self.node(
+                ExprKind::App(Box::new(head), Box::new(arg)),
+                span,
+                depth.max(arg_depth) + 1,
+                at,
+            )?;
         }
-        Ok(head)
+        Ok((head, depth))
     }
 
     fn starts_atom(&self) -> bool {
@@ -317,16 +366,16 @@ impl Parser {
         )
     }
 
-    fn atom(&mut self) -> Result<Expr, Diag> {
+    fn atom(&mut self) -> Result<Parsed, Diag> {
         let span = self.peek_span();
         match self.peek().clone() {
             TokenKind::Ident(s) => {
                 self.bump();
-                Ok(Expr::new(ExprKind::Var(s), span))
+                Ok((Expr::new(ExprKind::Var(s), span), 1))
             }
             TokenKind::Int(n) => {
                 self.bump();
-                Ok(Expr::new(ExprKind::Int(n), span))
+                Ok((Expr::new(ExprKind::Int(n), span), 1))
             }
             TokenKind::Minus => {
                 // Negative integer literal: `-` directly before a number
@@ -336,7 +385,7 @@ impl Parser {
                 match self.peek().clone() {
                     TokenKind::Int(n) => {
                         let end = self.bump().span;
-                        Ok(Expr::new(ExprKind::Int(-n), span.to(end)))
+                        Ok((Expr::new(ExprKind::Int(-n), span.to(end)), 1))
                     }
                     other => Err(Diag::error(
                         self.peek_span(),
@@ -346,53 +395,64 @@ impl Parser {
             }
             TokenKind::Str(s) => {
                 self.bump();
-                Ok(Expr::new(ExprKind::Str(s), span))
+                Ok((Expr::new(ExprKind::Str(s), span), 1))
             }
             TokenKind::LParen => {
                 self.bump();
-                let e = self.expr()?;
+                let (e, depth) = self.expr()?;
                 let end = self.expect(TokenKind::RParen)?.span;
-                Ok(Expr::new(e.kind, span.to(end)))
+                Ok((Expr::new(e.kind, span.to(end)), depth))
             }
             TokenKind::LBracket => {
                 self.bump();
                 let mut items = Vec::new();
+                let mut depth = 0;
                 if self.peek() != &TokenKind::RBracket {
-                    items.push(self.expr()?);
-                    while self.eat(&TokenKind::Comma) {
-                        items.push(self.expr()?);
+                    loop {
+                        let (item, d) = self.expr()?;
+                        items.push(item);
+                        depth = depth.max(d);
+                        if !self.eat(&TokenKind::Comma) {
+                            break;
+                        }
                     }
                 }
                 let end = self.expect(TokenKind::RBracket)?.span;
-                Ok(Expr::new(ExprKind::List(items), span.to(end)))
+                Ok((Expr::new(ExprKind::List(items), span.to(end)), depth + 1))
             }
             TokenKind::LBrace => {
                 self.bump();
                 if self.peek() == &TokenKind::RBrace {
                     let end = self.bump().span;
-                    return Ok(Expr::new(ExprKind::Empty, span.to(end)));
+                    return Ok((Expr::new(ExprKind::Empty, span.to(end)), 1));
                 }
                 // Record literal sugar: {a = e1, b = e2} desugars to
                 // updates applied to {}.
                 let fields = self.field_list()?;
                 let end = self.expect(TokenKind::RBrace)?.span;
                 let full = span.to(end);
-                let mut record = Expr::new(ExprKind::Empty, full);
-                for (name, value) in fields {
+                let mut record = (Expr::new(ExprKind::Empty, full), 1);
+                for (name, (value, value_depth)) in fields {
+                    let at = value.span;
                     let update = Expr::new(ExprKind::Update(name, Box::new(value)), full);
-                    record = Expr::new(ExprKind::App(Box::new(update), Box::new(record)), full);
+                    record = self.node(
+                        ExprKind::App(Box::new(update), Box::new(record.0)),
+                        full,
+                        (value_depth + 1).max(record.1) + 1,
+                        at,
+                    )?;
                 }
                 Ok(record)
             }
             TokenKind::Hash => {
                 self.bump();
                 let (name, end) = self.ident()?;
-                Ok(Expr::new(ExprKind::Select(name), span.to(end)))
+                Ok((Expr::new(ExprKind::Select(name), span.to(end)), 1))
             }
             TokenKind::Percent => {
                 self.bump();
                 let (name, end) = self.ident()?;
-                Ok(Expr::new(ExprKind::Remove(name), span.to(end)))
+                Ok((Expr::new(ExprKind::Remove(name), span.to(end)), 1))
             }
             TokenKind::CaretBrace => {
                 self.bump();
@@ -400,7 +460,7 @@ impl Parser {
                 self.expect(TokenKind::Arrow)?;
                 let (to, _) = self.ident()?;
                 let end = self.expect(TokenKind::RBrace)?.span;
-                Ok(Expr::new(ExprKind::Rename(from, to), span.to(end)))
+                Ok((Expr::new(ExprKind::Rename(from, to), span.to(end)), 1))
             }
             TokenKind::AtBrace => {
                 self.bump();
@@ -410,20 +470,31 @@ impl Parser {
                 match fields.len() {
                     0 => Err(Diag::error(full, "update `@{…}` needs at least one field")),
                     1 => {
-                        let (name, value) = fields.into_iter().next().expect("one field");
-                        Ok(Expr::new(ExprKind::Update(name, Box::new(value)), full))
+                        let (name, (value, depth)) = fields.into_iter().next().expect("one field");
+                        self.node(
+                            ExprKind::Update(name, Box::new(value)),
+                            full,
+                            depth + 1,
+                            full,
+                        )
                     }
                     _ => {
                         // Multi-field update sugar: a function composing
                         // the single-field updates left to right.
                         self.binders += 1;
                         let r = Symbol::intern(&format!("r#{}", self.binders));
-                        let mut body = Expr::new(ExprKind::Var(r), full);
-                        for (name, value) in fields {
+                        let mut body = (Expr::new(ExprKind::Var(r), full), 1);
+                        for (name, (value, value_depth)) in fields {
+                            let at = value.span;
                             let update = Expr::new(ExprKind::Update(name, Box::new(value)), full);
-                            body = Expr::new(ExprKind::App(Box::new(update), Box::new(body)), full);
+                            body = self.node(
+                                ExprKind::App(Box::new(update), Box::new(body.0)),
+                                full,
+                                (value_depth + 1).max(body.1) + 1,
+                                at,
+                            )?;
                         }
-                        Ok(Expr::new(ExprKind::Lam(r, Box::new(body)), full))
+                        self.node(ExprKind::Lam(r, Box::new(body.0)), full, body.1 + 1, full)
                     }
                 }
             }
@@ -434,7 +505,7 @@ impl Parser {
         }
     }
 
-    fn field_list(&mut self) -> Result<Vec<(Symbol, Expr)>, Diag> {
+    fn field_list(&mut self) -> Result<Vec<(Symbol, Parsed)>, Diag> {
         let mut fields = Vec::new();
         loop {
             let (name, _) = self.ident()?;
@@ -446,6 +517,14 @@ impl Parser {
             }
         }
     }
+}
+
+/// The diagnostic for an expression nested deeper than [`MAX_DEPTH`].
+fn too_deep(at: Span) -> Diag {
+    Diag::error(
+        at,
+        format!("expression nests deeper than {MAX_DEPTH} levels"),
+    )
 }
 
 enum BinaryTok {

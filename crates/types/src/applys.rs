@@ -15,10 +15,12 @@
 //!    position inside `τ` (Example 3);
 //! 4. existentially project the now-dead original flags out of β.
 
+use std::cell::Cell;
+
 use rowpoly_boolfun::{Cnf, Flag, FlagAlloc, Lit, ProjectStats};
 
-use crate::env::{Binding, Scheme, TyEnv};
-use crate::flags::{flag_lits, row_suffix_lits};
+use crate::env::{Scheme, TyEnv};
+use crate::flags::{push_flag_lits, push_row_suffix_lits};
 use crate::subst::Subst;
 use crate::ty::{Row, RowTail, Ty, Var, VarAlloc, NO_FLAG};
 
@@ -29,22 +31,66 @@ use crate::ty::{Row, RowTail, Ty, Var, VarAlloc, NO_FLAG};
 /// environment bindings may still occur in *clones* of the environment
 /// held by sibling judgements, so their projection must be deferred until
 /// the enclosing rule knows they are globally dead.
+///
+/// [`apply_subst_flow`] clears and refills a caller-owned value, so an
+/// engine that keeps one allocates nothing here once it has warmed up.
 #[derive(Debug, Default)]
 pub struct ReplacedFlags {
     /// Occurrence flags replaced in the κ type (safe to project now).
     pub kappa: Vec<Flag>,
     /// Occurrence flags replaced in environment bindings (defer).
     pub env: Vec<Flag>,
+    /// Per occurrence: the replaced flag and the end of its copy's
+    /// flags in `copy_flags`.
+    copies: Vec<(Flag, usize)>,
+    copy_flags: Vec<Flag>,
+}
+
+impl ReplacedFlags {
     /// Per occurrence: the replaced flag and the flags of its decorated
     /// copy. The expansion transports the occurrence flag's flow onto
     /// every copy flag, so diagnostic provenance recorded against the
     /// original carries over to each copy (the original is about to be
     /// projected out of β and would otherwise take its story with it).
-    pub copies: Vec<(Flag, Vec<Flag>)>,
+    pub fn copies(&self) -> impl Iterator<Item = (Flag, &[Flag])> {
+        let mut start = 0;
+        self.copies.iter().map(move |&(f, end)| {
+            let copy = &self.copy_flags[start..end];
+            start = end;
+            (f, copy)
+        })
+    }
+
+    fn clear(&mut self) {
+        self.kappa.clear();
+        self.env.clear();
+        self.copies.clear();
+        self.copy_flags.clear();
+    }
+}
+
+/// Working storage of [`apply_subst_flow`], flat and recycled per thread.
+#[derive(Default)]
+struct Scratch {
+    /// Per occurrence, in traversal order: the substituted variable, the
+    /// replaced flag and the end of its copy's `*τ+` in `lits`.
+    occ: Vec<(Var, Flag, usize)>,
+    lits: Vec<Lit>,
+    /// The substituted variables, in first-encounter order.
+    vars: Vec<Var>,
+    /// One group's occurrence indices, source flags and current column.
+    members: Vec<usize>,
+    sources: Vec<Flag>,
+    column: Vec<Lit>,
+}
+
+thread_local! {
+    static SCRATCH: Cell<Scratch> = Cell::default();
 }
 
 /// Applies `subst` to the judgement `kappa; env | beta`, transporting flow
-/// information per Fig. 4. See the module documentation.
+/// information per Fig. 4, and leaves the replaced occurrence flags in
+/// `replaced`. See the module documentation.
 ///
 /// Only environment bindings that mention the substitution's domain are
 /// rewritten (global-layer bindings are promoted into the local layer
@@ -65,12 +111,37 @@ pub fn apply_subst_flow(
     env: &mut TyEnv,
     beta: &mut Cnf,
     flags: &mut FlagAlloc,
-) -> ReplacedFlags {
+    replaced: &mut ReplacedFlags,
+) {
+    replaced.clear();
     if subst.is_empty() {
-        return ReplacedFlags::default();
+        return;
     }
-    let mut occ: Vec<(Var, Flag, Vec<Lit>)> = Vec::new();
-    walk(kappa, subst, flags, &mut occ);
+    let mut scratch = SCRATCH.take();
+    transport(subst, kappa, env, beta, flags, replaced, &mut scratch);
+    SCRATCH.set(scratch);
+}
+
+fn transport(
+    subst: &Subst,
+    kappa: &mut Ty,
+    env: &mut TyEnv,
+    beta: &mut Cnf,
+    flags: &mut FlagAlloc,
+    replaced: &mut ReplacedFlags,
+    scratch: &mut Scratch,
+) {
+    let Scratch {
+        occ,
+        lits,
+        vars,
+        members,
+        sources,
+        column,
+    } = scratch;
+    occ.clear();
+    lits.clear();
+    walk(kappa, subst, flags, occ, lits);
     let kappa_count = occ.len();
 
     // Promote global bindings the substitution touches, then rewrite only
@@ -78,88 +149,92 @@ pub fn apply_subst_flow(
     for name in env.globals_touched_by(subst) {
         env.promote(name);
     }
-    let touched: Vec<rowpoly_lang::Symbol> = env
-        .iter_local()
-        .filter(|(_, b)| b.free_vars().iter().any(|v| subst.binds(*v)))
-        .map(|(s, _)| s)
-        .collect();
-    if !touched.is_empty() {
-        for (name, binding) in env.iter_local_mut() {
-            if !touched.contains(&name) {
-                continue;
-            }
-            match binding {
-                Binding::Mono(t) => walk(t, subst, flags, &mut occ),
-                Binding::Poly(s) => walk(&mut s.ty, subst, flags, &mut occ),
-            }
-        }
-    }
+    env.rewrite_local(
+        |e| e.touched_by(subst),
+        |b| walk(b.ty_mut(), subst, flags, occ, lits),
+    );
     if occ.is_empty() {
-        return ReplacedFlags::default();
+        return;
     }
-    let mut replaced = ReplacedFlags::default();
-    for (i, (_, f, lits)) in occ.iter().enumerate() {
+    let mut start = 0;
+    for (i, &(_, f, end)) in occ.iter().enumerate() {
         if i < kappa_count {
-            replaced.kappa.push(*f);
+            replaced.kappa.push(f);
         } else {
-            replaced.env.push(*f);
+            replaced.env.push(f);
         }
         replaced
-            .copies
-            .push((*f, lits.iter().map(|l| l.flag()).collect()));
+            .copy_flags
+            .extend(lits[start..end].iter().map(|l| l.flag()));
+        replaced.copies.push((f, replaced.copy_flags.len()));
+        start = end;
     }
-    // Group occurrences by variable, preserving encounter order.
-    let mut grouped: Vec<(Var, Vec<Flag>, Vec<Vec<Lit>>)> = Vec::new();
-    for (v, f, vec) in occ {
-        match grouped.iter_mut().find(|(w, _, _)| *w == v) {
-            Some((_, fs, vecs)) => {
-                fs.push(f);
-                vecs.push(vec);
-            }
-            None => grouped.push((v, vec![f], vec![vec])),
+    // Group occurrences by variable, preserving encounter order, and
+    // replicate each group's flow once per flag column of its copies.
+    vars.clear();
+    for &(v, _, _) in occ.iter() {
+        if !vars.contains(&v) {
+            vars.push(v);
         }
     }
-    for (_, sources, vecs) in &grouped {
+    for &v in vars.iter() {
+        members.clear();
+        sources.clear();
+        for (i, &(w, f, _)) in occ.iter().enumerate() {
+            if w == v {
+                members.push(i);
+                sources.push(f);
+            }
+        }
         debug_assert!(
             sources.iter().all(|&f| f != NO_FLAG),
             "applyS on a skeleton judgement"
         );
-        let width = vecs[0].len();
+        let span = |i: usize| (if i == 0 { 0 } else { occ[i - 1].2 })..occ[i].2;
+        let width = span(members[0]).len();
         debug_assert!(
-            vecs.iter().all(|v| v.len() == width),
+            members.iter().all(|&i| span(i).len() == width),
             "copies share a shape"
         );
         for j in 0..width {
-            let column: Vec<Lit> = vecs.iter().map(|v| v[j]).collect();
-            beta.expand(sources, &column);
+            column.clear();
+            column.extend(members.iter().map(|&i| lits[span(i).start + j]));
+            beta.expand(sources, column);
         }
     }
-    replaced
 }
 
-fn walk(t: &mut Ty, subst: &Subst, flags: &mut FlagAlloc, occ: &mut Vec<(Var, Flag, Vec<Lit>)>) {
+fn walk(
+    t: &mut Ty,
+    subst: &Subst,
+    flags: &mut FlagAlloc,
+    occ: &mut Vec<(Var, Flag, usize)>,
+    lits: &mut Vec<Lit>,
+) {
     match t {
         Ty::Var(v, f) => {
             if let Some(binding) = subst.ty_binding(*v) {
                 let copy = binding.decorate(flags);
-                occ.push((*v, *f, flag_lits(&copy)));
+                push_flag_lits(&copy, lits);
+                occ.push((*v, *f, lits.len()));
                 *t = copy;
             }
         }
         Ty::Int | Ty::Str => {}
-        Ty::List(inner) => walk(inner, subst, flags, occ),
+        Ty::List(inner) => walk(inner, subst, flags, occ, lits),
         Ty::Fun(a, b) => {
-            walk(a, subst, flags, occ);
-            walk(b, subst, flags, occ);
+            walk(a, subst, flags, occ, lits);
+            walk(b, subst, flags, occ, lits);
         }
         Ty::Record(row) => {
             for fe in &mut row.fields {
-                walk(&mut fe.ty, subst, flags, occ);
+                walk(&mut fe.ty, subst, flags, occ, lits);
             }
             if let RowTail::Var(v, f) = row.tail {
                 if let Some(suffix) = subst.row_binding(v) {
                     let copy = decorate_row(suffix, flags);
-                    occ.push((v, f, row_suffix_lits(&copy)));
+                    push_row_suffix_lits(&copy, lits);
+                    occ.push((v, f, lits.len()));
                     row.fields.extend(copy.fields);
                     row.fields.sort_by_key(|f| f.name);
                     debug_assert!(
@@ -367,7 +442,15 @@ mod tests {
         let mut subst = Subst::new();
         subst.bind_ty(a, &Ty::fun(Ty::svar(b), Ty::svar(b)));
         let mut env = TyEnv::new();
-        let replaced = apply_subst_flow(&subst, &mut kappa, &mut env, &mut beta, &mut flags);
+        let mut replaced = ReplacedFlags::default();
+        apply_subst_flow(
+            &subst,
+            &mut kappa,
+            &mut env,
+            &mut beta,
+            &mut flags,
+            &mut replaced,
+        );
         beta.project_out(
             &replaced
                 .kappa
@@ -432,7 +515,15 @@ mod tests {
         let mut subst = Subst::new();
         subst.bind_ty(a, &record);
         let mut env = TyEnv::new();
-        let replaced = apply_subst_flow(&subst, &mut kappa, &mut env, &mut beta, &mut flags);
+        let mut replaced = ReplacedFlags::default();
+        apply_subst_flow(
+            &subst,
+            &mut kappa,
+            &mut env,
+            &mut beta,
+            &mut flags,
+            &mut replaced,
+        );
         beta.project_out(
             &replaced
                 .kappa
@@ -498,7 +589,15 @@ mod tests {
         let mut subst = Subst::new();
         subst.bind_row(r, &suffix);
         let mut env = TyEnv::new();
-        let replaced = apply_subst_flow(&subst, &mut kappa, &mut env, &mut beta, &mut flags);
+        let mut replaced = ReplacedFlags::default();
+        apply_subst_flow(
+            &subst,
+            &mut kappa,
+            &mut env,
+            &mut beta,
+            &mut flags,
+            &mut replaced,
+        );
         beta.project_out(
             &replaced
                 .kappa

@@ -78,11 +78,101 @@ impl Binding {
         }
     }
 
-    /// Free variables of the binding.
-    pub fn free_vars(&self) -> BTreeSet<Var> {
+    /// The underlying type term, by value.
+    pub fn into_ty(self) -> Ty {
         match self {
-            Binding::Mono(t) => t.vars_set(),
-            Binding::Poly(s) => s.free_vars(),
+            Binding::Mono(t) => t,
+            Binding::Poly(s) => s.ty,
+        }
+    }
+
+    /// The underlying type term, mutably.
+    pub(crate) fn ty_mut(&mut self) -> &mut Ty {
+        match self {
+            Binding::Mono(t) => t,
+            Binding::Poly(s) => &mut s.ty,
+        }
+    }
+}
+
+/// One binding of an environment together with two summaries computed
+/// once, when the entry is built or rewritten: the binding's flags and
+/// its free type variables.
+///
+/// Environments share entries behind `Rc`, so copying a layer copies
+/// pointers, an entry untouched since two environments split is the
+/// same allocation on both sides (the Section 6 version tag, applied
+/// per binding), and every walk of a layer reads the summaries instead
+/// of re-walking the type trees.
+#[derive(Clone, Debug)]
+pub struct Entry {
+    binding: Binding,
+    /// The flags of `binding.ty()`, in Definition 1 order (`Ty::flags`).
+    flags: Vec<Flag>,
+    /// The free type variables of `binding`, sorted and deduplicated.
+    free_vars: Vec<Var>,
+}
+
+impl Entry {
+    /// An entry for `binding`, with its summaries.
+    pub fn new(binding: Binding) -> Entry {
+        let mut entry = Entry {
+            binding,
+            flags: Vec::new(),
+            free_vars: Vec::new(),
+        };
+        entry.summarize();
+        entry
+    }
+
+    /// The binding.
+    pub fn binding(&self) -> &Binding {
+        &self.binding
+    }
+
+    /// The binding's flags, in Definition 1 order.
+    pub fn flags(&self) -> &[Flag] {
+        &self.flags
+    }
+
+    /// The binding's free type variables, sorted.
+    pub fn free_vars(&self) -> &[Var] {
+        &self.free_vars
+    }
+
+    /// Whether `v` is free in the binding.
+    pub fn mentions(&self, v: Var) -> bool {
+        self.free_vars.binary_search(&v).is_ok()
+    }
+
+    /// Whether the substitution binds a free variable of the binding.
+    pub fn touched_by(&self, s: &Subst) -> bool {
+        self.free_vars.iter().any(|v| s.binds(*v))
+    }
+
+    /// Whether the two entries hold equal bindings: pointer equality
+    /// first, then the flag summaries, then the type trees.
+    pub fn same(a: &Rc<Entry>, b: &Rc<Entry>) -> bool {
+        Rc::ptr_eq(a, b) || (a.flags == b.flags && a.binding == b.binding)
+    }
+
+    /// The binding, copied only when another environment shares it.
+    pub fn into_binding(entry: Rc<Entry>) -> Binding {
+        Rc::try_unwrap(entry)
+            .map(|e| e.binding)
+            .unwrap_or_else(|shared| shared.binding.clone())
+    }
+
+    /// Recomputes both summaries from the binding.
+    fn summarize(&mut self) {
+        self.flags.clear();
+        self.binding.ty().collect_flags(&mut self.flags);
+        self.free_vars.clear();
+        self.binding.ty().push_vars(&mut self.free_vars);
+        self.free_vars.sort_unstable();
+        self.free_vars.dedup();
+        if let Binding::Poly(s) = &self.binding {
+            self.free_vars.retain(|v| !s.vars.contains(v));
         }
     }
 }
@@ -92,6 +182,8 @@ static ENV_VERSION: AtomicU64 = AtomicU64::new(1);
 fn next_version() -> u64 {
     ENV_VERSION.fetch_add(1, Ordering::Relaxed)
 }
+
+type Layer = BTreeMap<Symbol, Rc<Entry>>;
 
 /// The frozen outer layer of an environment: top-level definitions that
 /// no longer change during the current definition's inference.
@@ -103,7 +195,7 @@ fn next_version() -> u64 {
 /// definition costs O(|local| log n) rather than a copy of the layer.
 #[derive(Clone, Debug, Default)]
 struct GlobalLayer {
-    map: BTreeMap<Symbol, Binding>,
+    map: Layer,
     /// All flags occurring in the layer.
     flags: BTreeSet<Flag>,
     /// All free type variables of the layer (top-level schemes are almost
@@ -119,6 +211,8 @@ struct GlobalLayer {
 /// versions and the same global layer are identical. This implements the
 /// optimisation described in Section 6 of the paper, where the meet of
 /// two environments short-circuits when both carry the same version.
+/// Bindings are shared [`Entry`]s, so the same shortcut applies to single
+/// bindings by pointer.
 ///
 /// The environment is layered: [`TyEnv::freeze`] moves the local bindings
 /// into the shared global layer (used by the driver between top-level
@@ -126,7 +220,7 @@ struct GlobalLayer {
 #[derive(Clone, Debug)]
 pub struct TyEnv {
     global: Rc<GlobalLayer>,
-    local: Rc<BTreeMap<Symbol, Binding>>,
+    local: Rc<Layer>,
     version: u64,
 }
 
@@ -167,12 +261,17 @@ impl TyEnv {
 
     /// Looks up a binding (local layer shadows global).
     pub fn get(&self, name: Symbol) -> Option<&Binding> {
+        self.entry(name).map(|e| &e.binding)
+    }
+
+    /// Looks up a binding's entry (local layer shadows global).
+    pub fn entry(&self, name: Symbol) -> Option<&Rc<Entry>> {
         self.local.get(&name).or_else(|| self.global.map.get(&name))
     }
 
-    /// Looks up a binding in the local layer only (used to save/restore
+    /// Looks up an entry in the local layer only (used to save/restore
     /// shadowed bindings without duplicating global entries locally).
-    pub fn get_local(&self, name: Symbol) -> Option<&Binding> {
+    pub fn local_entry(&self, name: Symbol) -> Option<&Rc<Entry>> {
         self.local.get(&name)
     }
 
@@ -183,19 +282,24 @@ impl TyEnv {
 
     /// Adds or replaces a binding in the local layer.
     pub fn insert(&mut self, name: Symbol, binding: Binding) {
-        Rc::make_mut(&mut self.local).insert(name, binding);
+        self.insert_entry(name, Rc::new(Entry::new(binding)));
+    }
+
+    /// Adds or replaces a local binding with an existing entry.
+    pub fn insert_entry(&mut self, name: Symbol, entry: Rc<Entry>) {
+        Rc::make_mut(&mut self.local).insert(name, entry);
         self.version = next_version();
     }
 
     /// Removes a local binding (the projection `∃x` on environments). A
     /// shadowed global binding becomes visible again; global bindings
     /// themselves cannot be removed.
-    pub fn remove(&mut self, name: Symbol) -> Option<Binding> {
-        let removed = Rc::make_mut(&mut self.local).remove(&name);
-        if removed.is_some() {
-            self.version = next_version();
+    pub fn remove(&mut self, name: Symbol) -> Option<Rc<Entry>> {
+        if !self.local.contains_key(&name) {
+            return None;
         }
-        removed
+        self.version = next_version();
+        Rc::make_mut(&mut self.local).remove(&name)
     }
 
     /// Number of bindings (local + non-shadowed global).
@@ -227,10 +331,10 @@ impl TyEnv {
         let local = Rc::try_unwrap(std::mem::take(&mut self.local))
             .unwrap_or_else(|shared| (*shared).clone());
         let global = Rc::make_mut(&mut self.global);
-        for (name, binding) in local {
-            global.flags.extend(binding.ty().flags());
-            global.free_vars.extend(binding.free_vars());
-            global.map.insert(name, binding);
+        for (name, entry) in local {
+            global.flags.extend(entry.flags.iter().copied());
+            global.free_vars.extend(entry.free_vars.iter().copied());
+            global.map.insert(name, entry);
         }
         self.version = next_version();
     }
@@ -238,37 +342,54 @@ impl TyEnv {
     /// Iterates *all* bindings in symbol order (global entries shadowed by
     /// local ones are skipped).
     pub fn iter(&self) -> impl Iterator<Item = (Symbol, &Binding)> {
-        // Both maps are sorted; merge them, preferring local.
-        MergedIter {
-            local: self.local.iter().peekable(),
-            global: self.global.map.iter().peekable(),
+        Merge {
+            a: self.local.iter().peekable(),
+            b: self.global.map.iter().peekable(),
         }
+        .map(|(s, l, g)| (s, &l.or(g).expect("merged key").binding))
     }
 
-    /// Iterates the local layer only.
-    pub fn iter_local(&self) -> impl Iterator<Item = (Symbol, &Binding)> {
-        self.local.iter().map(|(s, b)| (*s, b))
+    /// Iterates the local layer's entries.
+    pub fn local_entries(&self) -> impl Iterator<Item = (Symbol, &Rc<Entry>)> {
+        self.local.iter().map(|(s, e)| (*s, e))
     }
 
-    /// Mutable iteration over the local layer (bumps the version).
-    pub fn iter_local_mut(&mut self) -> impl Iterator<Item = (Symbol, &mut Binding)> {
+    /// Rewrites, in symbol order, every local binding `touches` selects,
+    /// refreshing its summaries. Entries are copied only where another
+    /// environment shares them, and the map itself copies pointers. If
+    /// nothing is selected the environment, version included, is left
+    /// alone. Returns whether anything was rewritten.
+    pub fn rewrite_local(
+        &mut self,
+        touches: impl Fn(&Entry) -> bool,
+        mut rewrite: impl FnMut(&mut Binding),
+    ) -> bool {
+        if !self.local.values().any(|e| touches(e)) {
+            return false;
+        }
+        for entry in Rc::make_mut(&mut self.local).values_mut() {
+            if touches(entry) {
+                let entry = Rc::make_mut(entry);
+                rewrite(&mut entry.binding);
+                entry.summarize();
+            }
+        }
         self.version = next_version();
-        Rc::make_mut(&mut self.local)
-            .iter_mut()
-            .map(|(s, b)| (*s, b))
+        true
     }
 
     /// Promotes a global binding into the local layer (so it can be
     /// rewritten by a substitution that touches its free variables) and
-    /// returns whether the name was global.
+    /// returns whether the name was global. The entry is shared, not
+    /// copied.
     pub fn promote(&mut self, name: Symbol) -> bool {
         if self.local.contains_key(&name) {
             return false;
         }
         match self.global.map.get(&name) {
-            Some(b) => {
-                let b = b.clone();
-                self.insert(name, b);
+            Some(e) => {
+                let e = Rc::clone(e);
+                self.insert_entry(name, e);
                 true
             }
             None => false,
@@ -297,29 +418,19 @@ impl TyEnv {
         self.global
             .map
             .iter()
-            .filter(|(k, b)| {
-                !self.local.contains_key(k) && b.free_vars().iter().any(|v| s.binds(*v))
-            })
+            .filter(|(k, e)| !self.local.contains_key(k) && e.touched_by(s))
             .map(|(k, _)| *k)
             .collect()
     }
 
-    /// Free variables of the whole environment.
-    pub fn free_vars(&self) -> BTreeSet<Var> {
-        let mut out = self.global.free_vars.clone();
-        for (_, b) in self.iter_local() {
-            out.extend(b.free_vars());
-        }
-        out
+    /// Whether `v` is free in some local binding.
+    pub fn local_mentions(&self, v: Var) -> bool {
+        self.local.values().any(|e| e.mentions(v))
     }
 
     /// All flags of the local layer, in binding order.
-    pub fn local_flags(&self) -> Vec<Flag> {
-        let mut out = Vec::new();
-        for (_, b) in self.iter_local() {
-            out.extend(b.ty().flags());
-        }
-        out
+    pub fn local_flags(&self) -> impl Iterator<Item = Flag> + '_ {
+        self.local.values().flat_map(|e| e.flags.iter().copied())
     }
 
     /// All flags occurring in the environment (including scheme bodies).
@@ -351,49 +462,76 @@ impl TyEnv {
         for name in self.globals_touched_by(subst) {
             self.promote(name);
         }
-        let touched: Vec<Symbol> = self
-            .iter_local()
-            .filter(|(_, b)| b.free_vars().iter().any(|v| subst.binds(*v)))
-            .map(|(s, _)| s)
-            .collect();
-        if touched.is_empty() {
-            return;
+        self.rewrite_local(
+            |e| e.touched_by(subst),
+            |b| {
+                let t = b.ty_mut();
+                *t = subst.apply(t);
+            },
+        );
+    }
+
+    /// The local bindings on which `a` and `b` differ, in symbol order:
+    /// every name bound locally on either side whose entries are not
+    /// [`Entry::same`], with `a`'s entry first. A name local to one side
+    /// is compared with the other side's global entry, so both
+    /// environments must share their global layer. Walks the two sorted
+    /// local layers in one merge.
+    pub fn local_diff<'a>(
+        a: &'a TyEnv,
+        b: &'a TyEnv,
+    ) -> impl Iterator<Item = (Symbol, &'a Rc<Entry>, &'a Rc<Entry>)> {
+        debug_assert!(a.same_global(b), "meets stay within one definition");
+        Merge {
+            a: a.local.iter().peekable(),
+            b: b.local.iter().peekable(),
         }
-        let local = Rc::make_mut(&mut self.local);
-        for name in touched {
-            let b = local.get_mut(&name).expect("touched binding exists");
-            match b {
-                Binding::Mono(t) => *t = subst.apply(t),
-                Binding::Poly(s) => s.ty = subst.apply(&s.ty),
-            }
-        }
-        self.version = next_version();
+        .filter_map(move |(k, ea, eb)| {
+            let (Some(ea), Some(eb)) = (
+                ea.or_else(|| a.global.map.get(&k)),
+                eb.or_else(|| b.global.map.get(&k)),
+            ) else {
+                unreachable!("environment domains diverged at `{k}`")
+            };
+            (!Entry::same(ea, eb)).then_some((k, ea, eb))
+        })
     }
 }
 
-struct MergedIter<'a> {
-    local: std::iter::Peekable<std::collections::btree_map::Iter<'a, Symbol, Binding>>,
-    global: std::iter::Peekable<std::collections::btree_map::Iter<'a, Symbol, Binding>>,
+/// A merge of two sorted layers: every key of either, in order, with its
+/// entry on each side.
+struct Merge<'a> {
+    a: std::iter::Peekable<std::collections::btree_map::Iter<'a, Symbol, Rc<Entry>>>,
+    b: std::iter::Peekable<std::collections::btree_map::Iter<'a, Symbol, Rc<Entry>>>,
 }
 
-impl<'a> Iterator for MergedIter<'a> {
-    type Item = (Symbol, &'a Binding);
+type Merged<'a> = (Symbol, Option<&'a Rc<Entry>>, Option<&'a Rc<Entry>>);
 
-    fn next(&mut self) -> Option<(Symbol, &'a Binding)> {
-        match (self.local.peek(), self.global.peek()) {
-            (Some((ls, _)), Some((gs, _))) => match ls.cmp(gs) {
-                std::cmp::Ordering::Less => self.local.next().map(|(s, b)| (*s, b)),
-                std::cmp::Ordering::Greater => self.global.next().map(|(s, b)| (*s, b)),
-                std::cmp::Ordering::Equal => {
-                    // Local shadows global.
-                    self.global.next();
-                    self.local.next().map(|(s, b)| (*s, b))
-                }
-            },
-            (Some(_), None) => self.local.next().map(|(s, b)| (*s, b)),
-            (None, Some(_)) => self.global.next().map(|(s, b)| (*s, b)),
-            (None, None) => None,
-        }
+impl<'a> Iterator for Merge<'a> {
+    type Item = Merged<'a>;
+
+    fn next(&mut self) -> Option<Merged<'a>> {
+        let order = match (self.a.peek(), self.b.peek()) {
+            (Some((ka, _)), Some((kb, _))) => ka.cmp(kb),
+            (Some(_), None) => std::cmp::Ordering::Less,
+            (None, Some(_)) => std::cmp::Ordering::Greater,
+            (None, None) => return None,
+        };
+        Some(match order {
+            std::cmp::Ordering::Less => {
+                let (k, e) = self.a.next()?;
+                (*k, Some(e), None)
+            }
+            std::cmp::Ordering::Greater => {
+                let (k, e) = self.b.next()?;
+                (*k, None, Some(e))
+            }
+            std::cmp::Ordering::Equal => {
+                let (k, ea) = self.a.next()?;
+                let (_, eb) = self.b.next()?;
+                (*k, Some(ea), Some(eb))
+            }
+        })
     }
 }
 
@@ -401,14 +539,10 @@ impl<'a> Iterator for MergedIter<'a> {
 /// `∀(vars(ty) \ vars(env)) . ty` (the (LETREC) rule's scheme).
 pub fn generalize(env: &TyEnv, ty: &Ty) -> Scheme {
     let global_fv = env.global_free_vars();
-    let mut env_vars: BTreeSet<Var> = BTreeSet::new();
-    for (_, b) in env.iter_local() {
-        env_vars.extend(b.free_vars());
-    }
     let vars: Vec<Var> = ty
         .vars()
         .into_iter()
-        .filter(|v| !env_vars.contains(v) && !global_fv.contains(v))
+        .filter(|v| !global_fv.contains(v) && !env.local_mentions(*v))
         .collect();
     Scheme::new(vars, ty.clone())
 }
@@ -418,6 +552,7 @@ mod tests {
     use super::*;
     use crate::ty::{VarAlloc, NO_FLAG};
     use rowpoly_boolfun::FlagAlloc;
+    use rowpoly_obs::rng::SplitMix64;
 
     fn sym(s: &str) -> Symbol {
         Symbol::intern(s)
@@ -452,7 +587,7 @@ mod tests {
         let mut env = TyEnv::new();
         env.insert(sym("g"), Binding::Mono(Ty::var(Var(0), f)));
         env.freeze();
-        assert!(env.iter_local().next().is_none());
+        assert!(env.local_entries().next().is_none());
         assert!(env.get(sym("g")).is_some());
         assert!(env.global_flags().contains(&f));
         assert!(env.global_free_vars().contains(&Var(0)));
@@ -485,13 +620,13 @@ mod tests {
         assert!(!env.same_global(&snapshot));
         // The clone still sees `b` as local and its global layer as it
         // was before the freeze.
-        assert!(snapshot.get_local(sym("b")).is_some());
+        assert!(snapshot.local_entry(sym("b")).is_some());
         assert!(!snapshot.global.map.contains_key(&sym("b")));
         assert!(!snapshot.global_flags().contains(&g));
         assert!(!snapshot.global_free_vars().contains(&Var(1)));
         assert!(env.global_flags().contains(&g));
         assert!(env.global_free_vars().contains(&Var(1)));
-        assert!(env.iter_local().next().is_none());
+        assert!(env.local_entries().next().is_none());
     }
 
     #[test]
@@ -544,7 +679,7 @@ mod tests {
         assert!(env.promote(sym("x")));
         assert!(!env.promote(sym("x")), "already local");
         assert!(!env.promote(sym("nope")));
-        assert!(env.iter_local().any(|(s, _)| s == sym("x")));
+        assert!(env.local_entries().any(|(s, _)| s == sym("x")));
     }
 
     #[test]
@@ -601,7 +736,10 @@ mod tests {
         s.bind_ty(a, &Ty::Int);
         env.apply_subst(&s);
         assert_eq!(env.get(sym("free")), Some(&Binding::Mono(Ty::Int)));
-        assert!(env.iter_local().any(|(s, _)| s == sym("free")), "promoted");
+        assert!(
+            env.local_entries().any(|(s, _)| s == sym("free")),
+            "promoted"
+        );
     }
 
     #[test]
@@ -619,6 +757,120 @@ mod tests {
         env.insert(sym("aa"), Binding::Mono(Ty::var(Var(1), f2)));
         assert_eq!(env.flag_seq(), vec![Lit::pos(f2), Lit::pos(f1)]);
         let _ = NO_FLAG;
+    }
+
+    /// Random skeleton types over variables `t0..t5`, with row tails
+    /// drawn from the disjoint pool `t6..t8`.
+    fn skeleton(rng: &mut SplitMix64, depth: usize) -> Ty {
+        if depth == 0 || rng.gen_bool(0.4) {
+            return match rng.gen_range(0..3u8) {
+                0 | 1 => Ty::svar(Var(rng.gen_range(0..6u32))),
+                _ => Ty::Int,
+            };
+        }
+        match rng.gen_range(0..3u8) {
+            0 => Ty::fun(skeleton(rng, depth - 1), skeleton(rng, depth - 1)),
+            1 => Ty::list(skeleton(rng, depth - 1)),
+            _ => {
+                let mut fields = Vec::new();
+                for n in ["a", "b"] {
+                    if rng.gen_bool(0.5) {
+                        fields.push(crate::ty::FieldEntry {
+                            name: sym(n),
+                            flag: NO_FLAG,
+                            ty: skeleton(rng, depth - 1),
+                        });
+                    }
+                }
+                let tail = if rng.gen_bool(0.5) {
+                    crate::ty::RowTail::Var(Var(rng.gen_range(6..9u32)), NO_FLAG)
+                } else {
+                    crate::ty::RowTail::Closed
+                };
+                Ty::record(fields, tail)
+            }
+        }
+    }
+
+    fn binding(rng: &mut SplitMix64, flags: &mut FlagAlloc) -> Binding {
+        let ty = skeleton(rng, 3).decorate(flags);
+        if rng.gen_bool(0.5) {
+            Binding::Mono(ty)
+        } else {
+            let vars = ty
+                .vars()
+                .into_iter()
+                .filter(|_| rng.gen_bool(0.5))
+                .collect();
+            Binding::Poly(Scheme::new(vars, ty))
+        }
+    }
+
+    /// Every entry's summaries equal a fresh walk of its binding, and
+    /// the global layer's caches cover its entries.
+    fn assert_summaries_fresh(env: &TyEnv) {
+        let entries = env.local.values().chain(env.global.map.values());
+        for e in entries {
+            assert_eq!(e.flags(), e.binding.ty().flags().as_slice(), "{e:?}");
+            let fresh: Vec<Var> = match &e.binding {
+                Binding::Mono(t) => t.vars_set().into_iter().collect(),
+                Binding::Poly(s) => s.free_vars().into_iter().collect(),
+            };
+            assert_eq!(e.free_vars(), fresh.as_slice(), "{e:?}");
+        }
+        for e in env.global.map.values() {
+            assert!(e.flags.iter().all(|f| env.global.flags.contains(f)));
+            assert!(e.free_vars.iter().all(|v| env.global.free_vars.contains(v)));
+        }
+    }
+
+    #[test]
+    fn summaries_match_a_fresh_walk_after_random_edits() {
+        let mut rng = SplitMix64::seed_from_u64(0xe47);
+        let names = ["w", "x", "y", "z"];
+        for _ in 0..rowpoly_obs::cases(200) {
+            let mut flags = FlagAlloc::new();
+            let mut env = TyEnv::new();
+            // Clones share entries with `env`, so rewrites must copy on
+            // write and leave them intact.
+            let mut clones = Vec::new();
+            for _ in 0..24 {
+                let name = sym(names[rng.gen_range(0..names.len())]);
+                match rng.gen_range(0..6u8) {
+                    0 | 1 => env.insert(name, binding(&mut rng, &mut flags)),
+                    2 => drop(env.remove(name)),
+                    3 => drop(env.promote(name)),
+                    4 => {
+                        let v = Var(rng.gen_range(0..6u32));
+                        let to = loop {
+                            let t = skeleton(&mut rng, 2);
+                            if !t.mentions_var(v) {
+                                break t;
+                            }
+                        };
+                        let mut subst = Subst::new();
+                        subst.bind_ty(v, &to);
+                        let mut kappa = skeleton(&mut rng, 2).decorate(&mut flags);
+                        let mut beta = rowpoly_boolfun::Cnf::top();
+                        let mut replaced = crate::applys::ReplacedFlags::default();
+                        crate::applys::apply_subst_flow(
+                            &subst,
+                            &mut kappa,
+                            &mut env,
+                            &mut beta,
+                            &mut flags,
+                            &mut replaced,
+                        );
+                    }
+                    _ => env.freeze(),
+                }
+                if rng.gen_bool(0.3) {
+                    clones.push(env.clone());
+                }
+                assert_summaries_fresh(&env);
+            }
+            clones.iter().for_each(assert_summaries_fresh);
+        }
     }
 
     #[test]

@@ -30,13 +30,17 @@ pub fn flag_lits(t: &Ty) -> Vec<Lit> {
     out
 }
 
-/// `*·+` of a row *suffix*: the sequence a row variable's flags expand to
-/// when the variable is substituted by `row` (fields + tail first, then
-/// the field types). Used by `applyS` for row substitutions.
-pub fn row_suffix_lits(row: &Row) -> Vec<Lit> {
-    let mut out = Vec::new();
-    collect_row(row, false, &mut out);
-    out
+/// Appends `*t+` to `out` (see [`flag_lits`]).
+pub(crate) fn push_flag_lits(t: &Ty, out: &mut Vec<Lit>) {
+    collect(t, false, out);
+}
+
+/// Appends `*·+` of a row *suffix* to `out`: the sequence a row
+/// variable's flags expand to when the variable is substituted by `row`
+/// (fields + tail first, then the field types). Used by `applyS` for
+/// row substitutions.
+pub(crate) fn push_row_suffix_lits(row: &Row, out: &mut Vec<Lit>) {
+    collect_row(row, false, out);
 }
 
 fn collect(t: &Ty, neg: bool, out: &mut Vec<Lit>) {

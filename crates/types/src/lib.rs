@@ -40,8 +40,8 @@ mod ty;
 mod unify;
 
 pub use applys::{apply_subst_flow, compact_flow, import_scheme, instantiate, ReplacedFlags};
-pub use env::{generalize, Binding, Scheme, TyEnv};
-pub use flags::{flag_lits, row_suffix_lits};
+pub use env::{generalize, Binding, Entry, Scheme, TyEnv};
+pub use flags::flag_lits;
 pub use pretty::{render_scheme, render_scheme_with_flow, render_ty};
 pub use subst::Subst;
 pub use ty::{FieldEntry, Row, RowTail, Ty, Var, VarAlloc, NO_FLAG};

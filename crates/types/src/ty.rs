@@ -187,6 +187,27 @@ impl Ty {
         }
     }
 
+    /// Appends every variable occurrence to `out`, duplicates included.
+    pub(crate) fn push_vars(&self, out: &mut Vec<Var>) {
+        match self {
+            Ty::Var(v, _) => out.push(*v),
+            Ty::Int | Ty::Str => {}
+            Ty::List(t) => t.push_vars(out),
+            Ty::Fun(a, b) => {
+                a.push_vars(out);
+                b.push_vars(out);
+            }
+            Ty::Record(row) => {
+                for f in &row.fields {
+                    f.ty.push_vars(out);
+                }
+                if let RowTail::Var(v, _) = row.tail {
+                    out.push(v);
+                }
+            }
+        }
+    }
+
     /// Whether the variable `v` occurs in this type (occurs check).
     pub fn mentions_var(&self, v: Var) -> bool {
         match self {
@@ -210,7 +231,8 @@ impl Ty {
         out
     }
 
-    fn collect_flags(&self, out: &mut Vec<Flag>) {
+    /// Appends the term's flags to `out`, in [`Ty::flags`] order.
+    pub fn collect_flags(&self, out: &mut Vec<Flag>) {
         match self {
             Ty::Var(_, f) => {
                 if *f != NO_FLAG {

@@ -70,6 +70,59 @@ assert [f['path'] for f in one['files']] == [f['path'] for f in two['files']]
 print(f"    {one['stats']['defs']} defs, warm run hit {two['stats']['cache_hits']} cached groups")
 PY
 
+echo "==> depth smoke (deep nesting is a diagnostic, never a stack overflow)"
+# 3,000 nested parentheses and a 20,000-term chain must exit 1 with the
+# parser's depth diagnostic (exit 134 is an overflowed stack). Files at
+# the bound must check with two workers, one of them a 2 MiB pool thread.
+depth_dir=$(mktemp -d)
+python3 - "$depth_dir" <<'PY'
+import os, sys
+d = sys.argv[1]
+os.makedirs(f"{d}/too_deep")
+os.makedirs(f"{d}/at_bound")
+def write(path, body):
+    open(path, "w").write(f"def x = {body}\ndef y = 2\n")
+write(f"{d}/too_deep/parens.rp", "(" * 3000 + "1" + ")" * 3000)
+write(f"{d}/too_deep/chain.rp", " + ".join(["1"] * 20000))
+for i in range(4):
+    write(f"{d}/at_bound/chain{i}.rp", " + ".join(["1"] * 256))
+    write(f"{d}/at_bound/record{i}.rp", "{a = " * 127 + "1" + "}" * 127)
+    write(f"{d}/at_bound/parens{i}.rp", "(" * 255 + "1" + ")" * 255)
+PY
+for f in parens chain; do
+  status=0
+  diag=$(cargo run --release --quiet --bin rowpoly -- check "$depth_dir/too_deep/$f.rp" --no-cache 2>&1) || status=$?
+  if [ "$status" -ne 1 ] || ! grep -qF 'nests deeper than 256 levels' <<< "$diag"; then
+    echo "$f.rp: exit $status, expected 1 with the depth diagnostic:"
+    echo "$diag"
+    exit 1
+  fi
+  echo "    $f.rp: exit 1, $(grep -m1 -F 'nests deeper' <<< "$diag")"
+done
+cargo run --release --quiet --bin rowpoly -- check "$depth_dir/at_bound" --jobs 2 --no-cache > /dev/null
+echo "    12 files at the bound check with --jobs 2"
+
+echo "==> cache smoke (an entry too deep to load drops only itself)"
+# `v`'s scheme nests records 180 deep, past the JSON parser's bound, so
+# its cache line is dropped on load; `w`'s and `y`'s groups still hit.
+python3 - "$depth_dir/deep_entry.rp" <<'PY'
+import sys
+record = "{a = " * 10 + "x" + "}" * 10
+apply = "w (" * 18 + "1" + ")" * 18
+open(sys.argv[1], "w").write(f"def w x = {record}\ndef v = {apply}\ndef y = 2\n")
+PY
+for run in 1 2; do
+  report=$(cargo run --release --quiet --bin rowpoly -- check "$depth_dir/deep_entry.rp" \
+    --cache-dir "$depth_dir/cache" --json)
+done
+REPORT="$report" python3 - <<'PY'
+import json, os
+stats = json.loads(os.environ['REPORT'])['stats']
+assert stats['cache_hits'] > 0, stats
+print(f"    second run: {stats['cache_hits']} hits, {stats['cache_misses']} misses")
+PY
+rm -rf "$depth_dir"
+
 echo "==> diagnostic smoke (explain and check --explain print the same error)"
 # programs/bad_select.rp is rejected (exit 1). Both commands must name
 # the field, point at the access and print the minimal core.

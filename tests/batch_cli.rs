@@ -109,13 +109,51 @@ fn second_run_hits_the_cache_and_output_is_stable() {
     );
 
     let json = stdout(&rowpoly(&["check", ".", "--jobs", "2", "--json"], &s.dir));
-    let hits = json
-        .split("\"cache_hits\":")
+    assert!(
+        stat(&json, "cache_hits") > 0,
+        "warm run reported no cache hits: {json}"
+    );
+}
+
+/// `check --json` stats counter `name` from a JSON report.
+fn stat(json: &str, name: &str) -> u64 {
+    json.split(&format!("\"{name}\":"))
         .nth(1)
         .and_then(|t| t.split([',', '}']).next())
         .and_then(|n| n.trim().parse::<u64>().ok())
-        .expect("cache_hits in JSON report");
-    assert!(hits > 0, "warm run reported no cache hits: {json}");
+        .unwrap_or_else(|| panic!("{name} in JSON report: {json}"))
+}
+
+#[test]
+fn an_entry_too_deep_to_load_does_not_empty_the_cache() {
+    // `v`'s scheme nests records 180 deep: its cache line parses past the
+    // JSON bound and is dropped on load, but `w`'s and `y`'s still hit.
+    let s = Scratch::new("deep-entry");
+    let record = format!("{}x{}", "{a = ".repeat(10), "}".repeat(10));
+    let apply = format!("{}1{}", "w (".repeat(18), ")".repeat(18));
+    s.write(
+        "deep.rp",
+        &format!("def w x = {record}\ndef v = {apply}\ndef y = 2\n"),
+    );
+    let cold = stdout(&rowpoly(&["check", "deep.rp", "--json"], &s.dir));
+    assert_eq!(stat(&cold, "cache_hits"), 0, "{cold}");
+    let warm = stdout(&rowpoly(&["check", "deep.rp", "--json"], &s.dir));
+    assert_eq!(stat(&warm, "cache_hits"), 2, "{warm}");
+    assert_eq!(stat(&warm, "cache_misses"), 1, "{warm}");
+}
+
+#[test]
+fn deep_nesting_exits_with_a_diagnostic() {
+    let s = Scratch::new("deep-source");
+    let parens = format!("def x = {}1{}\n", "(".repeat(3_000), ")".repeat(3_000));
+    let chain = format!("def x = {}\n", vec!["1"; 20_000].join(" + "));
+    for (name, src) in [("parens.rp", parens), ("chain.rp", chain)] {
+        s.write(name, &src);
+        let out = rowpoly(&["check", name, "--no-cache"], &s.dir);
+        let text = format!("{}{}", stdout(&out), String::from_utf8_lossy(&out.stderr));
+        assert_eq!(out.status.code(), Some(1), "{name}: {text}");
+        assert!(text.contains("nests deeper than"), "{name}: {text}");
+    }
 }
 
 #[test]
