@@ -7,10 +7,12 @@
 //! 1. the cache format version,
 //! 2. a fingerprint of the inference options (anything that changes
 //!    verdicts or schemes),
-//! 3. one digest per group member ([`def_digest`]: the Fx hash of the
-//!    pretty-printed definition, so whitespace and comments never
-//!    invalidate),
-//! 4. each dependency's name and *closed scheme*, sorted by name.
+//! 3. one digest per group member ([`def_digest`]: an Fx hash of the
+//!    definition's syntax tree without spans, so whitespace and comments
+//!    never invalidate),
+//! 4. each dependency's name and *scheme digest* (the Fx hash of its
+//!    closed scheme's canonical JSON, [`Checked::scheme_digest`]), sorted
+//!    by name.
 //!
 //! Point 4 gives incremental builds early cutoff for free: editing a
 //! definition re-keys it, but its dependents only miss if the edit
@@ -25,29 +27,42 @@
 //!
 //! Persistence is one mini-JSON document per cache directory,
 //! `{"version": …, "entries": [ … ]}`, written with its header on the
-//! first line and each entry on a line of its own. Loading reads it
-//! line by line and tolerates anything: a missing, truncated,
-//! corrupted, or wrong-version file is an empty cache, never an error,
-//! and an entry line that fails to parse or decode (say, a scheme nested
-//! past the JSON parser's bound) drops only its own entry. What saving
-//! writes follows from whether the store is bounded (see [`Cache`]).
+//! first line and each entry on a line of its own, in key order:
+//!
+//! ```text
+//! {"key":"<16 hex>","sum":"<16 hex>","defs":[{"name":…,"class":…,"digest":"<16 hex>","rendered":…,"scheme":{…}},…]}
+//! ```
+//!
+//! A member stores what a hit needs without re-deriving it: the rendered
+//! scheme a report prints, the scheme digest dependents key on, and the
+//! scheme JSON inference reads. `sum` is the Fx hash of the key and the
+//! `defs` text, so a damaged line is caught when it loads, not when it
+//! is used. Loading reads the file line by line and tolerates anything:
+//! a missing, truncated, corrupted, or wrong-version file is an empty
+//! cache, never an error, and an entry line that fails its sum, to
+//! parse or to decode (say, a scheme nested past the JSON parser's
+//! bound) drops only its own entry. What saving writes follows from
+//! whether the store is bounded (see [`Cache`]); a `check` run that
+//! changed nothing writes nothing at all (see [`Sharded::save`]).
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::io::Write;
+use std::fmt::Write as _;
+use std::io::{BufRead, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use rowpoly_core::DefReport;
-use rowpoly_lang::{Def, Symbol};
+use rowpoly_lang::{Def, Expr, ExprKind, Symbol};
 use rowpoly_obs::contention::LockTimer;
-use rowpoly_obs::json::{self, Json};
+use rowpoly_obs::json;
 use rowpoly_obs::MemSite;
 
 use crate::codec;
 use crate::step::Answer;
 
 /// Bump when the key derivation or entry layout changes.
-const FORMAT: &str = "rowpoly-batch-cache-v3";
+const FORMAT: &str = "rowpoly-batch-cache-v4";
 
 /// File name inside the cache directory.
 pub const CACHE_FILE: &str = "cache.json";
@@ -61,37 +76,171 @@ pub const BOUNDED_CAP: usize = 4096;
 static CACHE_MEM: MemSite = MemSite::new("batch.cache");
 
 /// The closed per-definition reports of the members of a group that
-/// checked, with each member's canonical scheme JSON (what dependents
-/// key on) and rendered scheme (what reports show), each made at most
-/// once. A store entry is one of these behind an [`Arc`], shared by
-/// every result that replays it: a hit neither copies nor re-renders.
+/// checked, with what each member's scheme derives to: its digest (what
+/// dependents key on) and its rendering (what reports show), each made
+/// at most once, and its canonical JSON, kept only once a bounded
+/// store's size estimate asks for it. An entry loaded from disk has its
+/// digests and renderings from its line already. A store entry is one
+/// of these behind an [`Arc`], shared by every result that replays it:
+/// a hit neither copies, re-encodes nor re-renders.
 #[derive(Debug)]
 pub struct Checked {
     /// The reports, in group order.
     pub defs: Vec<DefReport>,
-    json: Vec<OnceLock<String>>,
-    rendered: Vec<OnceLock<String>>,
+    derived: Vec<Derived>,
+}
+
+/// What one member's scheme derives to, made on first use.
+#[derive(Debug, Default)]
+struct Derived {
+    json: OnceLock<String>,
+    digest: OnceLock<u64>,
+    rendered: OnceLock<String>,
 }
 
 impl Checked {
     /// Wraps reports whose derived strings are not made yet.
     pub fn new(defs: Vec<DefReport>) -> Checked {
         Checked {
-            json: defs.iter().map(|_| OnceLock::new()).collect(),
-            rendered: defs.iter().map(|_| OnceLock::new()).collect(),
+            derived: defs.iter().map(|_| Derived::default()).collect(),
             defs,
         }
     }
 
-    /// Canonical JSON of member `k`'s closed scheme.
+    /// Canonical JSON of member `k`'s closed scheme, kept once made.
     pub fn scheme_json(&self, k: usize) -> &str {
-        self.json[k].get_or_init(|| codec::scheme_to_json(&self.defs[k].scheme).render())
+        self.derived[k]
+            .json
+            .get_or_init(|| codec::scheme_to_json(&self.defs[k].scheme))
+    }
+
+    /// Member `k`'s canonical scheme JSON: the kept one, if
+    /// [`Checked::scheme_json`] made it, or a fresh encoding that is not
+    /// kept (a `check` run's entries need it only to digest and save).
+    fn scheme_text(&self, k: usize) -> Cow<'_, str> {
+        match self.derived[k].json.get() {
+            Some(json) => Cow::Borrowed(json),
+            None => Cow::Owned(codec::scheme_to_json(&self.defs[k].scheme)),
+        }
+    }
+
+    /// Member `k`'s scheme digest: the Fx hash of its canonical JSON.
+    pub fn scheme_digest(&self, k: usize) -> u64 {
+        *self.derived[k]
+            .digest
+            .get_or_init(|| digest_of(&self.scheme_text(k)))
     }
 
     /// Member `k`'s scheme rendered without flags.
     pub fn rendered(&self, k: usize) -> &str {
-        self.rendered[k].get_or_init(|| self.defs[k].render(false))
+        self.derived[k]
+            .rendered
+            .get_or_init(|| self.defs[k].render(false))
     }
+
+    /// Appends the entry's cache line under `key` (without a separating
+    /// comma). A loaded entry encodes to the line it was loaded from.
+    fn write_line(&self, key: u64, out: &mut String) {
+        let mut defs = String::from("[");
+        for (k, d) in self.defs.iter().enumerate() {
+            if k > 0 {
+                defs.push(',');
+            }
+            defs.push_str("{\"name\":");
+            json::write_escaped(d.name.as_str(), &mut defs);
+            defs.push_str(",\"class\":");
+            json::write_escaped(d.sat_class.name(), &mut defs);
+            let json = self.scheme_text(k);
+            let digest = *self.derived[k].digest.get_or_init(|| digest_of(&json));
+            let _ = write!(defs, ",\"digest\":\"{digest:016x}\"");
+            defs.push_str(",\"rendered\":");
+            json::write_escaped(self.rendered(k), &mut defs);
+            defs.push_str(",\"scheme\":");
+            defs.push_str(&json);
+            defs.push('}');
+        }
+        defs.push(']');
+        let _ = write!(
+            out,
+            "{{\"key\":\"{key:016x}\",\"sum\":\"{:016x}\",\"defs\":{defs}}}",
+            line_sum(key, &defs)
+        );
+    }
+}
+
+/// A scheme digest: the Fx hash of the scheme's canonical JSON.
+fn digest_of(scheme_json: &str) -> u64 {
+    let mut h = FxHash64::default();
+    h.write(scheme_json.as_bytes());
+    h.finish()
+}
+
+/// The checksum of an entry line: the Fx hash of its key and its `defs`
+/// text.
+fn line_sum(key: u64, defs: &str) -> u64 {
+    let mut h = FxHash64::default();
+    h.add(key);
+    h.write(defs.as_bytes());
+    h.finish()
+}
+
+/// Decodes one entry line (without its separating comma) straight from
+/// its text. `None` unless the line has the layout
+/// [`Checked::write_line`] writes, its sum matches and every member
+/// decodes.
+fn parse_line(line: &str) -> Option<(u64, Checked)> {
+    let (key, rest) = hex16(line.strip_prefix("{\"key\":\"")?)?;
+    let (sum, rest) = hex16(rest.strip_prefix("\",\"sum\":\"")?)?;
+    let defs_text = rest.strip_prefix("\",\"defs\":")?.strip_suffix('}')?;
+    if line_sum(key, defs_text) != sum {
+        return None;
+    }
+    let mut r = codec::Reader::new(defs_text);
+    let members = r
+        .list(|r| {
+            r.lit("{\"name\":")?;
+            let name = Symbol::intern(&r.string()?);
+            r.lit(",\"class\":")?;
+            let sat_class = codec::sat_class_from_name(&r.string()?)?;
+            r.lit(",\"digest\":")?;
+            let digest = match hex16(&r.string()?) {
+                Some((digest, "")) => digest,
+                _ => return Err("digest: not 16 hex digits".to_string()),
+            };
+            r.lit(",\"rendered\":")?;
+            let rendered = r.string()?;
+            r.lit(",\"scheme\":")?;
+            let scheme = r.scheme()?;
+            r.lit("}")?;
+            let report = DefReport {
+                name,
+                scheme,
+                sat_class,
+            };
+            let derived = Derived {
+                digest: OnceLock::from(digest),
+                rendered: OnceLock::from(rendered),
+                ..Derived::default()
+            };
+            Ok((report, derived))
+        })
+        .ok()?;
+    r.end().ok()?;
+    let (defs, derived) = members.into_iter().unzip();
+    Some((key, Checked { defs, derived }))
+}
+
+/// Splits 16 lowercase hex digits off the front of `s`, as the line
+/// writer prints a `u64`.
+fn hex16(s: &str) -> Option<(u64, &str)> {
+    let digits = s.get(..16)?;
+    if !digits
+        .bytes()
+        .all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'))
+    {
+        return None;
+    }
+    Some((u64::from_str_radix(digits, 16).ok()?, &s[16..]))
 }
 
 /// One stored group outcome: a fully-successful group's reports.
@@ -134,13 +283,14 @@ pub struct Cache {
     pub misses: u64,
     /// Entries dropped by pruning.
     pub evicted: u64,
+    /// Entries stored by [`Cache::insert`].
+    inserted: u64,
 }
 
 /// Deterministic size estimate of one entry: fixed struct sizes plus
-/// the canonical-JSON length of each scheme — the same rendering
-/// [`Cache::key`] hashes, so the estimate tracks the scheme's real
-/// complexity without depending on allocator state. The JSON is kept
-/// in the entry for the dependents that key on it.
+/// the canonical-JSON length of each scheme, so the estimate tracks the
+/// scheme's real complexity without depending on allocator state. The
+/// JSON is kept in the entry for the line a save encodes.
 fn entry_bytes(checked: &Checked) -> u64 {
     let fixed = std::mem::size_of::<Entry>() + std::mem::size_of_val(checked.defs.as_slice());
     let schemes: usize = (0..checked.defs.len())
@@ -149,13 +299,83 @@ fn entry_bytes(checked: &Checked) -> u64 {
     (fixed + schemes) as u64
 }
 
-/// The content digest of one definition: the Fx hash of its
-/// pretty-printed form. A group's key folds one per member, so a caller
+/// The content digest of one definition: the Fx hash of its name and
+/// syntax tree, spans left out. Two definitions digest alike exactly
+/// when they pretty-print alike ([`rowpoly_lang::pretty_def`]), without
+/// printing either. A group's key folds one per member, so a caller
 /// that keeps a definition's AST (the serve daemon) keeps its digest.
 pub fn def_digest(def: &Def) -> u64 {
     let mut h = FxHash64::default();
-    h.write(rowpoly_lang::pretty_def(def).as_bytes());
+    h.write(def.name.as_str().as_bytes());
+    hash_expr(&def.body, &mut h);
     h.finish()
+}
+
+/// Folds one node into `h`: a tag word for its form, its payload
+/// (symbols by spelling, so digests are stable across processes), then
+/// its children in order. Every form has a fixed arity except lists,
+/// which fold their length, so distinct trees fold distinct word
+/// sequences.
+fn hash_expr(e: &Expr, h: &mut FxHash64) {
+    let sym = |h: &mut FxHash64, s: &Symbol| h.write(s.as_str().as_bytes());
+    match &e.kind {
+        ExprKind::Var(x) => {
+            h.add(0);
+            sym(h, x);
+        }
+        ExprKind::Int(n) => {
+            h.add(1);
+            h.add(*n as u64);
+        }
+        ExprKind::Str(s) => {
+            h.add(2);
+            h.write(s.as_bytes());
+        }
+        ExprKind::List(items) => {
+            h.add(3);
+            h.add(items.len() as u64);
+        }
+        ExprKind::Lam(x, _) => {
+            h.add(4);
+            sym(h, x);
+        }
+        ExprKind::App(..) => h.add(5),
+        ExprKind::Let { name, .. } => {
+            h.add(6);
+            sym(h, name);
+        }
+        ExprKind::If(..) => h.add(7),
+        ExprKind::Empty => h.add(8),
+        ExprKind::Select(n) => {
+            h.add(9);
+            sym(h, n);
+        }
+        ExprKind::Update(n, _) => {
+            h.add(10);
+            sym(h, n);
+        }
+        ExprKind::Remove(n) => {
+            h.add(11);
+            sym(h, n);
+        }
+        ExprKind::Rename(from, to) => {
+            h.add(12);
+            sym(h, from);
+            sym(h, to);
+        }
+        ExprKind::Concat(..) => h.add(13),
+        ExprKind::SymConcat(..) => h.add(14),
+        ExprKind::When { field, subject, .. } => {
+            h.add(15);
+            sym(h, field);
+            sym(h, subject);
+        }
+        ExprKind::BinOp(op, ..) => {
+            h.add(16);
+            h.add(*op as u64);
+        }
+    }
+    e.for_each_child(|c| hash_expr(c, h));
 }
 
 impl Cache {
@@ -173,16 +393,15 @@ impl Cache {
     /// JSON, wrong format version — as an empty file.
     pub fn load(&mut self, dir: &Path) {
         let _mem = CACHE_MEM.scope();
-        for (key, defs) in read(dir) {
-            self.put(key, Arc::new(Checked::new(defs)), 0);
+        for (key, checked) in read(dir).entries {
+            self.put(key, Arc::new(checked), 0);
         }
     }
 
     /// Computes a group's cache key from its members' digests
-    /// ([`def_digest`], in group order) and its dependencies' closed
-    /// schemes, already rendered to their canonical JSON (each
-    /// dependency renders once, however many dependents key on it).
-    pub fn key(options_fingerprint: &str, members: &[u64], deps: &[(Symbol, &str)]) -> u64 {
+    /// ([`def_digest`], in group order) and its dependencies' names and
+    /// scheme digests ([`Checked::scheme_digest`]).
+    pub fn key(options_fingerprint: &str, members: &[u64], deps: &[(Symbol, u64)]) -> u64 {
         let mut h = FxHash64::default();
         h.write(FORMAT.as_bytes());
         h.write(options_fingerprint.as_bytes());
@@ -190,9 +409,9 @@ impl Cache {
             h.add(*digest);
         }
         h.add(members.len() as u64);
-        for (name, scheme_json) in deps {
+        for (name, scheme_digest) in deps {
             h.write(name.as_str().as_bytes());
-            h.write(scheme_json.as_bytes());
+            h.add(*scheme_digest);
         }
         h.finish()
     }
@@ -225,6 +444,7 @@ impl Cache {
     /// `stamp`, then prunes a bounded store back under its bounds.
     pub fn insert(&mut self, key: u64, checked: Arc<Checked>, stamp: u64) {
         let _mem = CACHE_MEM.scope();
+        self.inserted += 1;
         self.put(key, checked, stamp);
         self.prune();
     }
@@ -292,11 +512,19 @@ impl Cache {
     }
 
     /// The entries [`Cache::save`] writes, in key order.
-    fn saved(&self) -> impl Iterator<Item = (u64, &[DefReport])> {
+    fn saved(&self) -> impl Iterator<Item = (u64, &Checked)> {
         self.entries
             .iter()
             .filter(|(_, e)| self.bound.is_some() || e.last_used > 0)
-            .map(|(&key, e)| (key, e.checked.defs.as_slice()))
+            .map(|(&key, e)| (key, e.checked.as_ref()))
+    }
+
+    /// Whether [`Cache::save`] would write back exactly the entries
+    /// loaded: nothing was inserted and, in an unbounded store, every
+    /// entry was used.
+    fn unchanged(&self) -> bool {
+        self.inserted == 0
+            && (self.bound.is_some() || self.entries.values().all(|e| e.last_used > 0))
     }
 
     /// Number of entries held.
@@ -328,35 +556,83 @@ fn header() -> String {
 /// The last line of a cache file.
 const TRAILER: &str = "]}";
 
-/// Reads the entries of `dir`'s cache file. A file that is missing or
-/// whose first line is not this format's header reads as none; an entry
-/// line that does not parse or decode reads as no entry.
-fn read(dir: &Path) -> Vec<(u64, Vec<DefReport>)> {
-    let Ok(text) = std::fs::read_to_string(dir.join(CACHE_FILE)) else {
-        return Vec::new();
+/// What [`read`] found in a cache file.
+#[derive(Default)]
+struct Loaded {
+    /// The entries that loaded, in file order.
+    entries: Vec<(u64, Checked)>,
+    /// Whether [`write`] of every entry would reproduce the file byte
+    /// for byte: each line loaded, keys ascend, and the separators and
+    /// trailer are the writer's.
+    pristine: bool,
+}
+
+/// Reads the entries of `dir`'s cache file, one line at a time. A file
+/// that is missing or whose first line is not this format's header
+/// reads as none; an entry line that fails its sum or does not decode
+/// reads as no entry.
+fn read(dir: &Path) -> Loaded {
+    let Ok(file) = std::fs::File::open(dir.join(CACHE_FILE)) else {
+        return Loaded::default();
     };
-    let mut lines = text.lines();
-    if lines.next() != Some(header().as_str()) {
-        return Vec::new();
+    let mut reader = std::io::BufReader::new(file);
+    let mut line = String::new();
+    // Reads the next line, with its line break if it has one. False at
+    // the end of the file and at text that does not read (not UTF-8,
+    // say), which also sets `failed`.
+    let mut failed = false;
+    let mut next = |line: &mut String| {
+        line.clear();
+        match reader.read_line(line) {
+            Ok(n) => n > 0,
+            Err(_) => {
+                failed = true;
+                false
+            }
+        }
+    };
+    if !next(&mut line) || line.strip_suffix('\n') != Some(header().as_str()) {
+        return Loaded::default();
     }
-    lines
-        .take_while(|&line| line != TRAILER)
-        .filter_map(|line| {
-            // One bad entry must not poison the rest.
-            let entry = json::parse(line.strip_suffix(',').unwrap_or(line)).ok()?;
-            let defs = decode_entry(&entry)?;
-            let key = entry.get("key")?.as_str()?;
-            Some((u64::from_str_radix(key, 16).ok()?, defs))
-        })
-        .collect()
+    let mut loaded = Loaded {
+        entries: Vec::new(),
+        pristine: true,
+    };
+    // Whether the last entry line ended in a comma; `None` before the
+    // first one.
+    let mut comma = None;
+    let mut closed = false;
+    while next(&mut line) {
+        let text = line.strip_suffix('\n');
+        loaded.pristine &= text.is_some() && !closed;
+        let text = text.unwrap_or(&line);
+        if closed {
+            break;
+        }
+        if text == TRAILER {
+            loaded.pristine &= comma != Some(true);
+            closed = true;
+            continue;
+        }
+        loaded.pristine &= comma != Some(false);
+        let body = text.strip_suffix(',');
+        comma = Some(body.is_some());
+        // One bad entry must not poison the rest.
+        match parse_line(body.unwrap_or(text)) {
+            Some((key, checked)) => {
+                loaded.pristine &= loaded.entries.last().is_none_or(|&(last, _)| last < key);
+                loaded.entries.push((key, checked));
+            }
+            None => loaded.pristine = false,
+        }
+    }
+    loaded.pristine &= closed && !failed;
+    loaded
 }
 
 /// Writes `entries`, in key order, as `dir`'s cache file: the header
 /// line, one line per entry, and the closing line.
-fn write<'a>(
-    dir: &Path,
-    entries: impl Iterator<Item = (u64, &'a [DefReport])>,
-) -> std::io::Result<()> {
+fn write<'a>(dir: &Path, entries: impl Iterator<Item = (u64, &'a Checked)>) -> std::io::Result<()> {
     std::fs::create_dir_all(dir)?;
     // Write-then-rename so a crashed run leaves either the old
     // cache or the new one, never a torn file.
@@ -365,13 +641,19 @@ fn write<'a>(
     {
         let mut f = std::io::BufWriter::new(std::fs::File::create(&tmp)?);
         writeln!(f, "{}", header())?;
-        for (i, (key, defs)) in entries.enumerate() {
-            if i > 0 {
-                writeln!(f, ",")?;
-            }
-            write!(f, "{}", encode_entry(key, defs).render())?;
+        let mut line = String::new();
+        let mut entries = entries.peekable();
+        while let Some((key, checked)) = entries.next() {
+            line.clear();
+            checked.write_line(key, &mut line);
+            line.push_str(if entries.peek().is_some() {
+                ",\n"
+            } else {
+                "\n"
+            });
+            f.write_all(line.as_bytes())?;
         }
-        writeln!(f, "\n{TRAILER}")?;
+        writeln!(f, "{TRAILER}")?;
         f.flush()?;
     }
     std::fs::rename(&tmp, &target)
@@ -414,6 +696,9 @@ static STRIPE_LOCKS: [LockTimer; STRIPES] = [
 #[derive(Debug)]
 pub struct Sharded {
     stripes: Vec<Mutex<Cache>>,
+    /// The directory [`Sharded::load`] read, when writing back every
+    /// entry it loaded would reproduce its file byte for byte.
+    pristine: Option<PathBuf>,
 }
 
 impl Sharded {
@@ -421,6 +706,7 @@ impl Sharded {
     pub fn new() -> Sharded {
         Sharded {
             stripes: (0..STRIPES).map(|_| Mutex::new(Cache::default())).collect(),
+            pristine: None,
         }
     }
 
@@ -428,13 +714,15 @@ impl Sharded {
     /// and deals the entries out across the stripes.
     pub fn load(dir: &Path) -> Sharded {
         let _mem = CACHE_MEM.scope();
-        let sharded = Sharded::new();
-        for (key, defs) in read(dir) {
+        let mut sharded = Sharded::new();
+        let loaded = read(dir);
+        for (key, checked) in loaded.entries {
             sharded.stripes[stripe_of(key)]
-                .lock()
+                .get_mut()
                 .expect("no other thread holds the stripes yet")
-                .put(key, Arc::new(Checked::new(defs)), 0);
+                .put(key, Arc::new(checked), 0);
         }
+        sharded.pristine = loaded.pristine.then(|| dir.to_path_buf());
         sharded
     }
 
@@ -466,12 +754,19 @@ impl Sharded {
 
     /// Writes every stripe's used or inserted entries as one
     /// `cache.json`, with [`Cache::save`]'s write-then-rename safety.
+    /// Saving into the directory the cache was loaded from writes
+    /// nothing when the file would come out byte-identical: no line was
+    /// dropped at load, nothing was inserted, and every loaded entry
+    /// was used.
     pub fn save(&self, dir: &Path) -> std::io::Result<()> {
         let stripes: Vec<_> = self
             .stripes
             .iter()
             .map(|s| s.lock().expect("a worker panicked holding a cache stripe"))
             .collect();
+        if self.pristine.as_deref() == Some(dir) && stripes.iter().all(|c| c.unchanged()) {
+            return Ok(());
+        }
         // Stripes split the keys by their top bits, so walking the
         // stripes in order walks the keys in order.
         write(dir, stripes.iter().flat_map(|cache| cache.saved()))
@@ -488,42 +783,6 @@ fn stripe_of(key: u64) -> usize {
     // The fingerprint already went through FxHash64's multiply, so the
     // high bits are the best-mixed ones.
     (key >> (64 - STRIPES.trailing_zeros())) as usize
-}
-
-fn encode_entry(key: u64, defs: &[DefReport]) -> Json {
-    Json::obj(vec![
-        ("key", Json::Str(format!("{key:016x}"))),
-        (
-            "defs",
-            Json::Arr(
-                defs.iter()
-                    .map(|d| {
-                        Json::obj(vec![
-                            ("name", Json::Str(d.name.to_string())),
-                            ("class", codec::sat_class_to_json(d.sat_class)),
-                            ("scheme", codec::scheme_to_json(&d.scheme)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn decode_entry(entry: &Json) -> Option<Vec<DefReport>> {
-    let defs = entry.get("defs")?.as_arr()?;
-    let mut out = Vec::with_capacity(defs.len());
-    for d in defs {
-        let name = Symbol::intern(d.get("name")?.as_str()?);
-        let sat_class = codec::sat_class_from_json(d.get("class")?).ok()?;
-        let scheme = codec::scheme_from_json(d.get("scheme")?).ok()?;
-        out.push(DefReport {
-            name,
-            scheme,
-            sat_class,
-        });
-    }
-    Some(out)
 }
 
 /// The 64-bit Fx hash (the FxHasher folding step over byte blocks):
@@ -591,10 +850,16 @@ mod tests {
 
     #[test]
     fn keys_separate_source_options_and_deps() {
-        let json = |ty| codec::scheme_to_json(&Scheme::new(vec![], ty)).render();
-        let (int, string) = (json(Ty::Int), json(Ty::Str));
-        let dep = [(Symbol::intern("d"), int.as_str())];
-        let dep2 = [(Symbol::intern("d"), string.as_str())];
+        let digest_of = |ty| {
+            Checked::new(vec![DefReport {
+                name: Symbol::intern("d"),
+                scheme: Scheme::new(vec![], ty),
+                sat_class: SatClass::Trivial,
+            }])
+            .scheme_digest(0)
+        };
+        let dep = [(Symbol::intern("d"), digest_of(Ty::Int))];
+        let dep2 = [(Symbol::intern("d"), digest_of(Ty::Str))];
         let digest = |src: &str| def_digest(&rowpoly_lang::parse_program(src).unwrap().defs[0]);
         let (one, two) = (digest("def a = 1"), digest("def a = 2"));
         assert_eq!(one, digest("def   a =\n 1 -- a comment"));
@@ -644,6 +909,10 @@ mod tests {
             "{\"version\":\"rowpoly-batch-cache-v1\",\"entries\":[{\"key\":\"2a\",\"defs\":[]}]}",
             // The single-document format before one entry per line.
             "{\"version\":\"rowpoly-batch-cache-v2\",\"entries\":[{\"key\":\"2a\",\"defs\":[]}]}",
+            // One entry per line, before stored renderings and digests.
+            "{\"version\":\"rowpoly-batch-cache-v3\",\"entries\":[\n\
+             {\"key\":\"000000000000002a\",\"defs\":[{\"name\":\"a\",\"class\":\"trivial\",\
+             \"scheme\":{\"vars\":[],\"ty\":\"Int\",\"flow\":[]}}]}\n]}\n",
             "[1,2]",
         ] {
             std::fs::write(dir.join(CACHE_FILE), bad).unwrap();
@@ -656,22 +925,53 @@ mod tests {
     fn a_bad_line_drops_only_its_own_entry() {
         let dir = temp_dir("bad-line");
         let mut cache = Cache::default();
-        for (key, tag) in [(1, "a"), (2, "b"), (3, "c")] {
+        for (key, tag) in [(1, "a"), (2, "b"), (3, "c"), (4, "d"), (5, "e")] {
             cache.insert(key, defs(tag), 1);
         }
         cache.save(&dir).expect("saves");
         let text = std::fs::read_to_string(dir.join(CACHE_FILE)).unwrap();
         let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
-        assert_eq!(lines.len(), 5, "a header, one line per entry, a trailer");
+        assert_eq!(lines.len(), 7, "a header, one line per entry, a trailer");
         assert!(json::parse(&text).is_ok(), "the file is one JSON document");
         // Nesting past the JSON parser's bound, then a line that parses
         // but does not decode.
         lines[1] = format!("{}{},", "[".repeat(600), "]".repeat(600));
         lines[2] = "{\"key\":\"2\",\"defs\":[{\"name\":\"b\"}]},".to_string();
+        // A damaged rendering that still parses and decodes: the sum
+        // drops it.
+        assert!(lines[3].contains("\"rendered\":\"Int\""));
+        lines[3] = lines[3].replace("\"rendered\":\"Int\"", "\"rendered\":\"Ind\"");
+        // A line with a good sum whose defs nest past the parser's bound.
+        let deep = format!("{}{}", "[".repeat(600), "]".repeat(600));
+        lines[4] = format!(
+            "{{\"key\":\"{:016x}\",\"sum\":\"{:016x}\",\"defs\":{deep}}},",
+            4,
+            line_sum(4, &deep)
+        );
         std::fs::write(dir.join(CACHE_FILE), lines.join("\n")).unwrap();
         let mut back = loaded(&dir);
         assert_eq!(back.len(), 1);
-        assert!(back.lookup(3, 1).is_some(), "the intact entry survives");
+        assert!(back.lookup(5, 1).is_some(), "the intact entry survives");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_empty_cache_is_one_document_and_stays_unwritten() {
+        let dir = temp_dir("empty");
+        Cache::default().save(&dir).expect("saves");
+        let file = dir.join(CACHE_FILE);
+        let text = std::fs::read_to_string(&file).unwrap();
+        assert_eq!(text, format!("{}\n{TRAILER}\n", header()));
+        assert!(json::parse(&text).is_ok(), "the file is one JSON document");
+        let stamp = std::time::SystemTime::UNIX_EPOCH + std::time::Duration::from_secs(1 << 30);
+        std::fs::File::options()
+            .write(true)
+            .open(&file)
+            .and_then(|f| f.set_modified(stamp))
+            .expect("sets mtime");
+        Sharded::load(&dir).save(&dir).expect("saves");
+        let modified = std::fs::metadata(&file).and_then(|m| m.modified()).unwrap();
+        assert_eq!(modified, stamp, "an empty cache was rewritten");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -9,9 +9,9 @@
 //! * [`pool`] drains the resulting DAG on a std-only work-stealing
 //!   thread pool;
 //! * [`cache`] keys each group by the content that determines its
-//!   outcome — one digest of each member's pretty-printed source,
-//!   options, and the closed schemes of its dependencies — and persists
-//!   results across runs;
+//!   outcome — one digest of each member's syntax tree, options, and
+//!   the digests of its dependencies' closed schemes — and persists
+//!   results across runs, each with the rendering a report prints;
 //! * [`step`] is how one group gets its verdicts — gather dependency
 //!   schemes, key, replay or infer, hand back the entry to store. The
 //!   serve daemon takes the same step. Inference honours a

@@ -9,8 +9,9 @@
 //!    already-published results, by reference — a failed dependency
 //!    poisons the whole group to `Skipped { after }`;
 //! 2. key the group by its content ([`Cache::key`]: options
-//!    fingerprint, the members' digests, dependency schemes as the
-//!    canonical JSON each dependency renders once, on first use);
+//!    fingerprint, the members' digests, and each dependency's scheme
+//!    digest, which a replayed dependency read from its stored line and
+//!    a recomputed one derives once, on first use);
 //! 3. replay a stored verdict when the caller's store has one that
 //!    lines up with the group's members — the result shares the
 //!    store's entry, so a hit copies nothing;
@@ -68,10 +69,10 @@ pub struct GroupResult {
     /// Index of the first member (a group is a contiguous interval).
     first: usize,
     /// The leading members that checked: every member unless the group
-    /// failed. A replayed group shares the store's entry; the canonical
-    /// JSON of a scheme is made by the first dependent that keys on it,
-    /// so a group nobody depends on never renders, and no scheme
-    /// renders twice however many dependents it has.
+    /// failed. A replayed group shares the store's entry, scheme
+    /// digests included; a recomputed member's digest is made by the
+    /// first dependent that keys on it, so no scheme is encoded twice
+    /// however many dependents it has.
     checked: Arc<Checked>,
     /// Verdicts of the members after those: the failure, then `Skipped`.
     failed: Vec<DefVerdict>,
@@ -191,7 +192,7 @@ impl GroupStep<'_> {
         let group = &self.graph.groups[self.group];
         let mut dep_hits = 0;
         let mut deps: Vec<(Symbol, &Scheme)> = Vec::with_capacity(group.deps.len());
-        let mut dep_json: Vec<(Symbol, &str)> =
+        let mut dep_digests: Vec<(Symbol, u64)> =
             Vec::with_capacity(if keyed { group.deps.len() } else { 0 });
         for (&name, &def_idx) in &group.deps {
             let dep = published(self.graph.group_of[def_idx]);
@@ -211,10 +212,10 @@ impl GroupStep<'_> {
             }
             deps.push((name, &checked.defs[k].scheme));
             if keyed {
-                dep_json.push((name, checked.scheme_json(k)));
+                dep_digests.push((name, checked.scheme_digest(k)));
             }
         }
-        let key = keyed.then(|| Cache::key(self.fingerprint, self.digests, &dep_json));
+        let key = keyed.then(|| Cache::key(self.fingerprint, self.digests, &dep_digests));
         Ok(Slice {
             deps,
             key,

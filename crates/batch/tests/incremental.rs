@@ -172,3 +172,123 @@ fn no_cache_matches_cached_on_the_corpus() {
     assert_eq!(warm.render(), uncached.render());
     assert!(warm.stats.cache_hits > 0);
 }
+
+/// The cache file's bytes and modification time.
+fn cache_state(tmp: &TempCache) -> (Vec<u8>, std::time::SystemTime) {
+    let path = tmp.dir.join(cache::CACHE_FILE);
+    let bytes = std::fs::read(&path).expect("cache saved");
+    let modified = std::fs::metadata(&path)
+        .and_then(|m| m.modified())
+        .expect("mtime");
+    (bytes, modified)
+}
+
+/// Sets the cache file's modification time far in the past, so a
+/// rewrite shows whatever the file system's timestamp resolution.
+fn age_cache(tmp: &TempCache) -> std::time::SystemTime {
+    let stamp = std::time::SystemTime::UNIX_EPOCH + std::time::Duration::from_secs(1 << 30);
+    std::fs::File::options()
+        .write(true)
+        .open(tmp.dir.join(cache::CACHE_FILE))
+        .and_then(|f| f.set_modified(stamp))
+        .expect("sets mtime");
+    stamp
+}
+
+#[test]
+fn a_warm_run_leaves_the_cache_file_untouched() {
+    let tmp = TempCache::new("untouched");
+    let cold = check_sources(corpus(), &tmp.options(2));
+    let (bytes, _) = cache_state(&tmp);
+    let stamp = age_cache(&tmp);
+    let warm = check_sources(corpus(), &tmp.options(2));
+    assert_eq!(warm.render(), cold.render());
+    // Only the groups that fail (never stored) miss.
+    assert_eq!(warm.stats.cache_misses as usize, warm.stats.errors);
+    assert_eq!(
+        cache_state(&tmp),
+        (bytes, stamp),
+        "a warm run rewrote the cache"
+    );
+}
+
+#[test]
+fn dropping_a_file_rewrites_the_cache_without_its_entries() {
+    let tmp = TempCache::new("dropped");
+    let both = [
+        ("a.rp", "def inc x = x + 1\ndef two = inc 1"),
+        ("b.rp", "def tag r = @{t = 1} r\ndef use = #t (tag {})"),
+    ];
+    assert!(check(&both, &tmp.options(2)).ok());
+    let (before, _) = cache_state(&tmp);
+    assert!(String::from_utf8_lossy(&before).contains("\"name\":\"tag\""));
+    let stamp = age_cache(&tmp);
+
+    let only_a = check(&both[..1], &tmp.options(2));
+    assert_eq!(only_a.stats.cache_misses, 0);
+    let (after, modified) = cache_state(&tmp);
+    assert_ne!(modified, stamp, "the unused entries were not aged out");
+    let text = String::from_utf8(after).expect("utf-8");
+    assert!(text.contains("\"name\":\"inc\"") && text.contains("\"name\":\"two\""));
+    assert!(!text.contains("\"name\":\"tag\"") && !text.contains("\"name\":\"use\""));
+
+    // The file is now exactly what a cold run over `a.rp` saves.
+    let fresh = TempCache::new("dropped-fresh");
+    check(&both[..1], &fresh.options(2));
+    assert_eq!(cache_state(&fresh).0, text.into_bytes());
+}
+
+#[test]
+fn a_corrupt_line_forces_a_clean_rewrite() {
+    let tmp = TempCache::new("corrupt-line");
+    let cold = check_sources(corpus(), &tmp.options(2));
+    let (clean, _) = cache_state(&tmp);
+    let text = String::from_utf8(clean.clone()).expect("utf-8");
+    let mut lines: Vec<&str> = text.split('\n').collect();
+    assert!(lines.len() > 4, "the corpus stores several entries");
+    // Flip one digit of the second entry's key: its sum no longer holds.
+    let damaged = lines[2].replacen("\"key\":\"", "\"key\":\"x", 1);
+    lines[2] = &damaged;
+    std::fs::write(tmp.dir.join(cache::CACHE_FILE), lines.join("\n")).unwrap();
+
+    let warm = check_sources(corpus(), &tmp.options(2));
+    assert_eq!(warm.render(), cold.render());
+    assert_eq!(
+        warm.stats.cache_misses as usize,
+        warm.stats.errors + 1,
+        "besides the failing groups, only the damaged entry missed"
+    );
+    assert_eq!(
+        cache_state(&tmp).0,
+        clean,
+        "the rewrite is not the clean file"
+    );
+}
+
+#[test]
+fn loading_and_saving_elsewhere_reproduces_the_file() {
+    // What the benchmark's traced round checks: the file is one JSON
+    // document whose `entries[].key` are hex keys, and loading it, using
+    // every entry and saving into another directory writes it back
+    // byte for byte.
+    let (tmp, elsewhere) = (TempCache::new("resave"), TempCache::new("resave-to"));
+    check_sources(corpus(), &tmp.options(2));
+    let (original, _) = cache_state(&tmp);
+    let doc = rowpoly_obs::json::parse(std::str::from_utf8(&original).expect("utf-8"))
+        .expect("one JSON document");
+    let keys: Vec<u64> = doc
+        .get("entries")
+        .and_then(|e| e.as_arr())
+        .expect("entries")
+        .iter()
+        .map(|e| {
+            let key = e.get("key").and_then(|k| k.as_str()).expect("a key");
+            u64::from_str_radix(key, 16).expect("a hex key")
+        })
+        .collect();
+    assert!(keys.len() > 5, "the corpus stores several entries");
+    let cache = cache::Sharded::load(&tmp.dir);
+    assert!(keys.iter().all(|&k| cache.lookup(k).is_some()));
+    cache.save(&elsewhere.dir).expect("saves");
+    assert_eq!(cache_state(&elsewhere).0, original);
+}

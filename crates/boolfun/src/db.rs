@@ -106,6 +106,12 @@ pub(crate) struct ClauseDb {
     sigs: Vec<u64>,
     /// The sorted, deduplicated literals of the loaded clauses.
     universe: Vec<Lit>,
+    /// Universe positions by literal code, offset by the smallest
+    /// loaded code: `position + 1`, or 0 for a code outside the
+    /// universe. Built when the universe's code span fits in
+    /// [`DENSE_SPAN`] entries and empty otherwise, when lookups binary
+    /// search the universe instead.
+    dense: Vec<u32>,
     /// Occurrence lists by universe position. Lists past
     /// `universe.len()` are spare, kept for their capacity.
     occ: Vec<Occ>,
@@ -122,10 +128,9 @@ pub(crate) struct ClauseDb {
     pub(crate) stats: ProjectStats,
 }
 
-/// Position of `l` in the sorted `universe`, if it occurs there.
-fn position(universe: &[Lit], l: Lit) -> Option<usize> {
-    universe.binary_search(&l).ok()
-}
+/// The widest literal-code span [`ClauseDb`] indexes with a dense
+/// position table.
+const DENSE_SPAN: usize = 4096;
 
 impl ClauseDb {
     /// Builds an indexed database over `clauses`. The initial clauses
@@ -162,6 +167,7 @@ impl ClauseDb {
             o.live = 0;
         }
         self.universe.clear();
+        self.dense.clear();
         self.unsat = false;
         self.stats = ProjectStats::default();
     }
@@ -185,10 +191,20 @@ impl ClauseDb {
         if self.occ.len() < self.universe.len() {
             self.occ.resize_with(self.universe.len(), Occ::default);
         }
+        if let (Some(lo), Some(hi)) = (self.universe.first(), self.universe.last()) {
+            let span = hi.code() - lo.code() + 1;
+            if span <= DENSE_SPAN {
+                self.dense.resize(span, 0);
+                for (i, l) in self.universe.iter().enumerate() {
+                    self.dense[l.code() - lo.code()] = i as u32 + 1;
+                }
+            }
+        }
         for (id, slot) in self.slots.iter().enumerate() {
             let c = slot.as_ref().expect("loaded clauses are live");
             for &l in c.lits() {
-                let o = &mut self.occ[position(&self.universe, l).expect("loaded literal")];
+                let i = self.position(l).expect("loaded literal");
+                let o = &mut self.occ[i];
                 o.slots.push(id as u32);
                 o.live += 1;
             }
@@ -222,14 +238,24 @@ impl ClauseDb {
         flags
     }
 
+    /// Position of `l` in the sorted universe, if it occurs there.
+    fn position(&self, l: Lit) -> Option<usize> {
+        if self.dense.is_empty() {
+            return self.universe.binary_search(&l).ok();
+        }
+        let offset = l.code().checked_sub(self.universe[0].code())?;
+        let slot = *self.dense.get(offset)?;
+        (slot as usize).checked_sub(1)
+    }
+
     fn live(&self, l: Lit) -> usize {
-        position(&self.universe, l).map_or(0, |i| self.occ[i].live as usize)
+        self.position(l).map_or(0, |i| self.occ[i].live as usize)
     }
 
     /// The occurrence list of `l`, which resolution keeps inside the
     /// universe.
     fn occ_mut(&mut self, l: Lit) -> &mut Occ {
-        let i = position(&self.universe, l).expect("literal outside the universe");
+        let i = self.position(l).expect("literal outside the universe");
         &mut self.occ[i]
     }
 
@@ -253,7 +279,7 @@ impl ClauseDb {
         let (mut checks, mut pruned) = (0usize, 0usize);
         let mut subsumed_by_existing = false;
         'fwd: for &l in c.lits() {
-            let Some(i) = position(&self.universe, l) else {
+            let Some(i) = self.position(l) else {
                 continue;
             };
             for &s in &self.occ[i].slots {
@@ -288,7 +314,7 @@ impl ClauseDb {
             .min_by_key(|&l| self.live(l))
             .expect("non-empty clause");
         let mut victims = std::mem::take(&mut self.victims);
-        if let Some(i) = position(&self.universe, anchor) {
+        if let Some(i) = self.position(anchor) {
             for &s in &self.occ[i].slots {
                 let si = s as usize;
                 let Some(existing) = &self.slots[si] else {
@@ -341,7 +367,7 @@ impl ClauseDb {
     /// Moves every live clause containing `l` into `out`, compacting the
     /// occurrence list on the way.
     fn detach(&mut self, l: Lit, out: &mut Vec<Clause>) {
-        let Some(i) = position(&self.universe, l) else {
+        let Some(i) = self.position(l) else {
             return;
         };
         let mut slots = std::mem::take(&mut self.spare);

@@ -389,6 +389,9 @@ impl FlowInfer {
         keep.sort_unstable();
         keep.dedup();
         let global = env.global_flags();
+        // Flags above the global layer's largest are fresh to this
+        // definition: no need to probe the layer for them.
+        let global_max = global.last().copied();
         // Unmentioned flags cost the engine nothing (they never enter the
         // clause database), so there is no need to materialise β's flag
         // set here.
@@ -399,7 +402,10 @@ impl FlowInfer {
             .sorted()
             .iter()
             .copied()
-            .filter(|f| keep.binary_search(f).is_err() && !global.contains(f))
+            .filter(|f| {
+                keep.binary_search(f).is_err()
+                    && !(global_max.is_some_and(|max| *f <= max) && global.contains(f))
+            })
             .collect();
         self.keep = keep;
         if !dead.is_empty() {

@@ -134,7 +134,9 @@ fn write_f64(x: f64, out: &mut String) {
     }
 }
 
-fn write_escaped(s: &str, out: &mut String) {
+/// Appends `s` to `out` as a JSON string literal, quoted and escaped
+/// exactly as [`Json::render`] writes one.
+pub fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {

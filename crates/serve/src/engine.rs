@@ -16,13 +16,13 @@
 //!    the definitions it references;
 //! 3. **verdict** — the per-definition outcomes of a group, keyed by
 //!    the slice fingerprint ([`Cache::key`]: options fingerprint +
-//!    member digests + dependency schemes); a hit shares the store's
-//!    entry, with its schemes' JSON and rendering made once;
+//!    member digests + dependency scheme digests); a hit shares the
+//!    store's entry, with its schemes' digests and renderings made once;
 //! 4. **scheme** — the closed schemes a verdict publishes, which feed
 //!    the slices of dependent groups.
 //!
 //! Early cutoff falls out of the keying, with no dirty bits anywhere:
-//! an edit that does not change a definition's pretty-printed AST
+//! an edit that does not change a definition's AST (spans aside)
 //! leaves its verdict key unchanged (whitespace and comments are
 //! free); an edit that changes the body but not the *closed scheme*
 //! re-keys only that one group, because its dependents key on the

@@ -3,8 +3,8 @@
 //! front end for tests and benchmarks.
 //!
 //! The batch checker (`rowpoly-batch`) already keys every definition
-//! group by the content that determines its outcome — pretty-printed
-//! source, inference options, and the *closed schemes* of its
+//! group by the content that determines its outcome — the members'
+//! syntax trees, inference options, and the *closed schemes* of its
 //! dependencies — and persists those keys across runs. This crate
 //! turns that one-shot cache into a living query graph: a daemon that
 //! holds open documents in memory, re-answers only the queries whose

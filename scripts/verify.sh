@@ -58,7 +58,16 @@ echo "==> batch smoke (parallel check + warm cache)"
 batch_cache=$(mktemp -d)
 trap 'rm -rf "$batch_cache"' EXIT
 run1=$(cargo run --release --bin rowpoly -- check programs/ --jobs 2 --cache-dir "$batch_cache" --json) || true
+# A warm run that changes nothing leaves cache.json as it was: same
+# bytes, and the old modification time set here.
+cp "$batch_cache/cache.json" "$batch_cache/cold.json"
+touch -d '2001-01-01 00:00:00 UTC' "$batch_cache/cache.json"
 run2=$(cargo run --release --bin rowpoly -- check programs/ --jobs 2 --cache-dir "$batch_cache" --json) || true
+cmp "$batch_cache/cold.json" "$batch_cache/cache.json"
+if [ "$(stat -c %Y "$batch_cache/cache.json")" != "$(date -d '2001-01-01 00:00:00 UTC' +%s)" ]; then
+  echo "a warm run rewrote cache.json"
+  exit 1
+fi
 RUN1="$run1" RUN2="$run2" python3 - <<'PY'
 import json, os
 one = json.loads(os.environ['RUN1'])
@@ -66,8 +75,13 @@ two = json.loads(os.environ['RUN2'])
 assert one['stats']['defs'] > 0, one
 assert one['stats']['errors'] == 1, one          # bad_select.rp only
 assert two['stats']['cache_hits'] > 0, two
-assert [f['path'] for f in one['files']] == [f['path'] for f in two['files']]
-print(f"    {one['stats']['defs']} defs, warm run hit {two['stats']['cache_hits']} cached groups")
+# Everything but the scheduling-dependent statistics is identical.
+assert one['files'] == two['files'], 'the warm report differs from the cold one'
+timing = {'cache_hits', 'cache_misses', 'steals', 'wall_ms'}
+assert {k: v for k, v in one['stats'].items() if k not in timing} == \
+       {k: v for k, v in two['stats'].items() if k not in timing}
+print(f"    {one['stats']['defs']} defs, warm run hit {two['stats']['cache_hits']} cached groups, "
+      "identical report, cache.json untouched")
 PY
 
 echo "==> depth smoke (deep nesting is a diagnostic, never a stack overflow)"
