@@ -25,24 +25,35 @@
 //! at the first failure) and their diagnostics carry spans that would
 //! go stale the moment the file is edited.
 //!
+//! Beside the group entries the store keeps *file records*: a
+//! [`FileRecord`] names, for a file whose every definition checked, each
+//! definition's group entry and member, so a warm `check` serves an
+//! unchanged file without parsing it. A record is keyed by
+//! [`Cache::file_key`] (format, options fingerprint and the file's
+//! text, not its path).
+//!
 //! Persistence is one mini-JSON document per cache directory,
-//! `{"version": …, "entries": [ … ]}`, written with its header on the
-//! first line and each entry on a line of its own, in key order:
+//! `{"version": …, "entries": [ … ], "files": [ … ]}`, written with its
+//! header on the first line and each entry, then each record, on a line
+//! of its own, in key order (the `files` array only when there are
+//! records):
 //!
 //! ```text
 //! {"key":"<16 hex>","sum":"<16 hex>","defs":[{"name":…,"class":…,"digest":"<16 hex>","rendered":…,"scheme":{…}},…]}
+//! {"key":"<16 hex>","sum":"<16 hex>","waves":N,"defs":[["<group key>",<member>],…]}
 //! ```
 //!
 //! A member stores what a hit needs without re-deriving it: the rendered
 //! scheme a report prints, the scheme digest dependents key on, and the
 //! scheme JSON inference reads. `sum` is the Fx hash of the key and the
-//! `defs` text, so a damaged line is caught when it loads, not when it
-//! is used. Loading reads the file line by line and tolerates anything:
-//! a missing, truncated, corrupted, or wrong-version file is an empty
-//! cache, never an error, and an entry line that fails its sum, to
+//! rest of the line, so a damaged line is caught when it loads, not when
+//! it is used. Loading reads the file line by line and tolerates
+//! anything: a missing, truncated, corrupted, or wrong-version file is
+//! an empty cache, never an error, and a line that fails its sum, to
 //! parse or to decode (say, a scheme nested past the JSON parser's
-//! bound) drops only its own entry. What saving writes follows from
-//! whether the store is bounded (see [`Cache`]); a `check` run that
+//! bound) drops only its own entry or record. What saving writes
+//! follows from whether the store is bounded (see [`Cache`]): a record
+//! is written exactly when every group it names is. A `check` run that
 //! changed nothing writes nothing at all (see [`Sharded::save`]).
 
 use std::borrow::Cow;
@@ -62,7 +73,7 @@ use crate::codec;
 use crate::step::Answer;
 
 /// Bump when the key derivation or entry layout changes.
-const FORMAT: &str = "rowpoly-batch-cache-v4";
+const FORMAT: &str = "rowpoly-batch-cache-v5";
 
 /// File name inside the cache directory.
 pub const CACHE_FILE: &str = "cache.json";
@@ -160,12 +171,17 @@ impl Checked {
             defs.push('}');
         }
         defs.push(']');
-        let _ = write!(
-            out,
-            "{{\"key\":\"{key:016x}\",\"sum\":\"{:016x}\",\"defs\":{defs}}}",
-            line_sum(key, &defs)
-        );
+        write_checked_line(key, &format!("\"defs\":{defs}"), out);
     }
+}
+
+/// Appends `{"key":…,"sum":…,<body>}`, the sum taken over `body`.
+fn write_checked_line(key: u64, body: &str, out: &mut String) {
+    let _ = write!(
+        out,
+        "{{\"key\":\"{key:016x}\",\"sum\":\"{:016x}\",{body}}}",
+        line_sum(key, body)
+    );
 }
 
 /// A scheme digest: the Fx hash of the scheme's canonical JSON.
@@ -175,26 +191,32 @@ fn digest_of(scheme_json: &str) -> u64 {
     h.finish()
 }
 
-/// The checksum of an entry line: the Fx hash of its key and its `defs`
-/// text.
-fn line_sum(key: u64, defs: &str) -> u64 {
+/// The checksum of a line: the Fx hash of its key and the text after
+/// its sum.
+fn line_sum(key: u64, body: &str) -> u64 {
     let mut h = FxHash64::default();
     h.add(key);
-    h.write(defs.as_bytes());
+    h.write(body.as_bytes());
     h.finish()
+}
+
+/// Splits a line into its key and the text its sum covers, `tag`
+/// included. `None` unless the line reads `{"key":…,"sum":…,<tag>…}`
+/// and the sum matches.
+fn checked_line<'l>(line: &'l str, tag: &str) -> Option<(u64, &'l str)> {
+    let (key, rest) = hex16(line.strip_prefix("{\"key\":\"")?)?;
+    let (sum, rest) = hex16(rest.strip_prefix("\",\"sum\":\"")?)?;
+    let body = rest.strip_prefix("\",")?.strip_suffix('}')?;
+    (body.starts_with(tag) && line_sum(key, body) == sum).then_some((key, body))
 }
 
 /// Decodes one entry line (without its separating comma) straight from
 /// its text. `None` unless the line has the layout
 /// [`Checked::write_line`] writes, its sum matches and every member
 /// decodes.
-fn parse_line(line: &str) -> Option<(u64, Checked)> {
-    let (key, rest) = hex16(line.strip_prefix("{\"key\":\"")?)?;
-    let (sum, rest) = hex16(rest.strip_prefix("\",\"sum\":\"")?)?;
-    let defs_text = rest.strip_prefix("\",\"defs\":")?.strip_suffix('}')?;
-    if line_sum(key, defs_text) != sum {
-        return None;
-    }
+fn parse_entry_line(line: &str) -> Option<(u64, Checked)> {
+    let (key, body) = checked_line(line, "\"defs\":")?;
+    let defs_text = &body["\"defs\":".len()..];
     let mut r = codec::Reader::new(defs_text);
     let members = r
         .list(|r| {
@@ -243,6 +265,94 @@ fn hex16(s: &str) -> Option<(u64, &str)> {
     Some((u64::from_str_radix(digits, 16).ok()?, &s[16..]))
 }
 
+/// A file a warm `check` serves without parsing: per definition, in
+/// source order, the key of its group's entry and its index among the
+/// group's members, and the file's dependency waves. Stored only for a
+/// file whose every definition checked, so no diagnostic ever comes
+/// from the store.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct FileRecord {
+    /// Per definition: its group's key and member index. A group's
+    /// members are consecutive, numbered from 0.
+    pub defs: Vec<(u64, usize)>,
+    /// The file's topological waves ([`crate::graph::ProgramGraph::waves`]).
+    pub waves: usize,
+}
+
+impl FileRecord {
+    /// The keys of the groups the record names, once per group (at its
+    /// first member), in source order.
+    pub fn groups(&self) -> impl Iterator<Item = u64> + '_ {
+        self.defs
+            .iter()
+            .filter(|&&(_, k)| k == 0)
+            .map(|&(key, _)| key)
+    }
+
+    /// Whether the members are numbered as groups number them: from 0,
+    /// each next member of a group one up under the same key.
+    fn well_formed(&self) -> bool {
+        !self.defs.is_empty()
+            && self.defs[0].1 == 0
+            && self
+                .defs
+                .windows(2)
+                .all(|w| w[1].1 == 0 || w[1] == (w[0].0, w[0].1 + 1))
+    }
+
+    /// Appends the record's line under `key` (without a separating
+    /// comma).
+    fn write_line(&self, key: u64, out: &mut String) {
+        let mut body = format!("\"waves\":{},\"defs\":[", self.waves);
+        for (i, (group, k)) in self.defs.iter().enumerate() {
+            if i > 0 {
+                body.push(',');
+            }
+            let _ = write!(body, "[\"{group:016x}\",{k}]");
+        }
+        body.push(']');
+        write_checked_line(key, &body, out);
+    }
+}
+
+/// Decodes one record line (without its separating comma). `None`
+/// unless the line has the layout [`FileRecord::write_line`] writes,
+/// its sum matches and its members are well formed.
+fn parse_record_line(line: &str) -> Option<(u64, FileRecord)> {
+    let (key, body) = checked_line(line, "\"waves\":")?;
+    let mut r = codec::Reader::new(body);
+    r.lit("\"waves\":").ok()?;
+    let waves = r.u32("waves").ok()? as usize;
+    r.lit(",\"defs\":").ok()?;
+    let defs = r
+        .list(|r| {
+            r.lit("[")?;
+            let group = match hex16(&r.string()?) {
+                Some((group, "")) => group,
+                _ => return Err("group: not 16 hex digits".to_string()),
+            };
+            r.lit(",")?;
+            let k = r.u32("member")? as usize;
+            r.lit("]")?;
+            Ok((group, k))
+        })
+        .ok()?;
+    r.end().ok()?;
+    let record = FileRecord { defs, waves };
+    record.well_formed().then_some((key, record))
+}
+
+/// What a warm `check` reads for a file served from its record
+/// ([`Sharded::serve_file`]): per definition, its group's entry and
+/// member index, and the file's waves.
+#[derive(Debug)]
+pub struct ServedFile {
+    /// Per definition, in source order: the entry and member index.
+    pub defs: Vec<(Arc<Checked>, usize)>,
+    /// The file's topological waves.
+    pub waves: usize,
+}
+
 /// One stored group outcome: a fully-successful group's reports.
 #[derive(Debug)]
 struct Entry {
@@ -269,10 +379,13 @@ struct Entry {
 /// The bound also decides what [`Cache::save`] writes: a bounded store
 /// writes every entry it holds, since the bound already limits it; an
 /// unbounded store writes only the entries this process used or
-/// inserted, so entries for deleted code age out of `cache.json`.
+/// inserted, so entries for deleted code age out of `cache.json`. The
+/// file records loaded with the entries are kept as they are and
+/// written exactly when every group they name is.
 #[derive(Debug, Default)]
 pub struct Cache {
     entries: BTreeMap<u64, Entry>,
+    files: BTreeMap<u64, FileRecord>,
     /// `(entry cap, byte bound)`; `None` for an unbounded store.
     bound: Option<(usize, u64)>,
     /// Sum of the entries' size estimates.
@@ -393,9 +506,22 @@ impl Cache {
     /// JSON, wrong format version — as an empty file.
     pub fn load(&mut self, dir: &Path) {
         let _mem = CACHE_MEM.scope();
-        for (key, checked) in read(dir).entries {
+        let loaded = read(dir);
+        for (key, checked) in loaded.entries {
             self.put(key, Arc::new(checked), 0);
         }
+        self.files.extend(loaded.files);
+    }
+
+    /// The key of a file's record: the Fx hash of the format, the
+    /// options fingerprint and the file's text. The path is left out,
+    /// so files with equal text share a record.
+    pub fn file_key(options_fingerprint: &str, source: &str) -> u64 {
+        let mut h = FxHash64::default();
+        h.write(FORMAT.as_bytes());
+        h.write(options_fingerprint.as_bytes());
+        h.write(source.as_bytes());
+        h.finish()
     }
 
     /// Computes a group's cache key from its members' digests
@@ -508,7 +634,18 @@ impl Cache {
     /// Writes the store to `dir` (see [`Cache`] for which entries),
     /// creating it if needed.
     pub fn save(&self, dir: &Path) -> std::io::Result<()> {
-        write(dir, self.saved())
+        write(
+            dir,
+            self.saved(),
+            written_files(&self.files, |key| self.writes(key)),
+        )
+    }
+
+    /// Whether [`Cache::save`] writes the entry under `key`.
+    fn writes(&self, key: u64) -> bool {
+        self.entries
+            .get(&key)
+            .is_some_and(|e| self.bound.is_some() || e.last_used > 0)
     }
 
     /// The entries [`Cache::save`] writes, in key order.
@@ -517,6 +654,11 @@ impl Cache {
             .iter()
             .filter(|(_, e)| self.bound.is_some() || e.last_used > 0)
             .map(|(&key, e)| (key, e.checked.as_ref()))
+    }
+
+    /// The entry under `key`, neither counted nor stamped.
+    fn peek(&self, key: u64) -> Option<&Arc<Checked>> {
+        self.entries.get(&key).map(|e| &e.checked)
     }
 
     /// Whether [`Cache::save`] would write back exactly the entries
@@ -548,10 +690,26 @@ impl Cache {
     }
 }
 
+/// The records a save writes, in key order: those whose every group
+/// `writes`.
+fn written_files(
+    files: &BTreeMap<u64, FileRecord>,
+    writes: impl Fn(u64) -> bool,
+) -> impl Iterator<Item = (u64, &FileRecord)> {
+    files
+        .iter()
+        .filter(move |(_, record)| record.groups().all(&writes))
+        .map(|(&key, record)| (key, record))
+}
+
 /// The first line of a cache file: the document up to its first entry.
 fn header() -> String {
     format!("{{\"version\":\"{FORMAT}\",\"entries\":[")
 }
+
+/// The line between the entries and the file records, when there are
+/// records.
+const FILES: &str = "],\"files\":[";
 
 /// The last line of a cache file.
 const TRAILER: &str = "]}";
@@ -561,16 +719,19 @@ const TRAILER: &str = "]}";
 struct Loaded {
     /// The entries that loaded, in file order.
     entries: Vec<(u64, Checked)>,
-    /// Whether [`write`] of every entry would reproduce the file byte
-    /// for byte: each line loaded, keys ascend, and the separators and
-    /// trailer are the writer's.
+    /// The file records that loaded, in file order.
+    files: Vec<(u64, FileRecord)>,
+    /// Whether [`write`] of every entry and record would reproduce the
+    /// file byte for byte: each line loaded, keys ascend, every group a
+    /// record names loaded, and the separators and trailer are the
+    /// writer's.
     pristine: bool,
 }
 
-/// Reads the entries of `dir`'s cache file, one line at a time. A file
-/// that is missing or whose first line is not this format's header
-/// reads as none; an entry line that fails its sum or does not decode
-/// reads as no entry.
+/// Reads the entries and file records of `dir`'s cache file, one line
+/// at a time. A file that is missing or whose first line is not this
+/// format's header reads as none; a line that fails its sum or does not
+/// decode reads as no entry or record.
 fn read(dir: &Path) -> Loaded {
     let Ok(file) = std::fs::File::open(dir.join(CACHE_FILE)) else {
         return Loaded::default();
@@ -596,11 +757,13 @@ fn read(dir: &Path) -> Loaded {
     }
     let mut loaded = Loaded {
         entries: Vec::new(),
+        files: Vec::new(),
         pristine: true,
     };
-    // Whether the last entry line ended in a comma; `None` before the
-    // first one.
+    // Whether the last line of the current array ended in a comma;
+    // `None` before its first one.
     let mut comma = None;
+    let mut in_files = false;
     let mut closed = false;
     while next(&mut line) {
         let text = line.strip_suffix('\n');
@@ -609,30 +772,60 @@ fn read(dir: &Path) -> Loaded {
         if closed {
             break;
         }
-        if text == TRAILER {
-            loaded.pristine &= comma != Some(true);
-            closed = true;
+        if text == TRAILER || (text == FILES && !in_files) {
+            // The writer opens `files` only for a record and ends each
+            // array without a comma.
+            loaded.pristine &= comma == Some(false) || (comma.is_none() && !in_files);
+            closed = text == TRAILER;
+            in_files = true;
+            comma = None;
             continue;
         }
         loaded.pristine &= comma != Some(false);
         let body = text.strip_suffix(',');
         comma = Some(body.is_some());
-        // One bad entry must not poison the rest.
-        match parse_line(body.unwrap_or(text)) {
-            Some((key, checked)) => {
-                loaded.pristine &= loaded.entries.last().is_none_or(|&(last, _)| last < key);
-                loaded.entries.push((key, checked));
-            }
-            None => loaded.pristine = false,
-        }
+        let body = body.unwrap_or(text);
+        // One bad line must not poison the rest.
+        loaded.pristine &= if in_files {
+            push_ascending(&mut loaded.files, parse_record_line(body))
+        } else {
+            push_ascending(&mut loaded.entries, parse_entry_line(body))
+        };
     }
     loaded.pristine &= closed && !failed;
+    // Entry keys ascend in a pristine file, so a search finds them.
+    loaded.pristine = loaded.pristine
+        && loaded.files.iter().all(|(_, record)| {
+            record.groups().all(|group| {
+                loaded
+                    .entries
+                    .binary_search_by_key(&group, |&(key, _)| key)
+                    .is_ok()
+            })
+        });
     loaded
 }
 
-/// Writes `entries`, in key order, as `dir`'s cache file: the header
-/// line, one line per entry, and the closing line.
-fn write<'a>(dir: &Path, entries: impl Iterator<Item = (u64, &'a Checked)>) -> std::io::Result<()> {
+/// Appends a decoded line to `list`. False when it did not decode or its
+/// key does not ascend.
+fn push_ascending<T>(list: &mut Vec<(u64, T)>, line: Option<(u64, T)>) -> bool {
+    let Some((key, value)) = line else {
+        return false;
+    };
+    let ascends = list.last().is_none_or(|&(last, _)| last < key);
+    list.push((key, value));
+    ascends
+}
+
+/// Writes `entries` and then `files`, each in key order, as `dir`'s
+/// cache file: the header line, one line per entry, the line opening the
+/// records and one line per record when there are any, and the closing
+/// line.
+fn write<'a>(
+    dir: &Path,
+    entries: impl Iterator<Item = (u64, &'a Checked)>,
+    files: impl Iterator<Item = (u64, &'a FileRecord)>,
+) -> std::io::Result<()> {
     std::fs::create_dir_all(dir)?;
     // Write-then-rename so a crashed run leaves either the old
     // cache or the new one, never a torn file.
@@ -651,6 +844,16 @@ fn write<'a>(dir: &Path, entries: impl Iterator<Item = (u64, &'a Checked)>) -> s
             } else {
                 "\n"
             });
+            f.write_all(line.as_bytes())?;
+        }
+        let mut files = files.peekable();
+        if files.peek().is_some() {
+            writeln!(f, "{FILES}")?;
+        }
+        while let Some((key, record)) = files.next() {
+            line.clear();
+            record.write_line(key, &mut line);
+            line.push_str(if files.peek().is_some() { ",\n" } else { "\n" });
             f.write_all(line.as_bytes())?;
         }
         writeln!(f, "{TRAILER}")?;
@@ -692,10 +895,13 @@ static STRIPE_LOCKS: [LockTimer; STRIPES] = [
 /// Persistence stays a single `cache.json` — [`Sharded::load`] deals
 /// the entries out by fingerprint and [`Sharded::save`] merges the
 /// touched entries back, so the on-disk format (and its corruption
-/// tolerance) is exactly the unsharded [`Cache`]'s.
+/// tolerance) is exactly the unsharded [`Cache`]'s. The file records
+/// sit beside the stripes: a `check` run reads them before its workers
+/// start and adds to them after they finish.
 #[derive(Debug)]
 pub struct Sharded {
     stripes: Vec<Mutex<Cache>>,
+    files: Mutex<Files>,
     /// The directory [`Sharded::load`] read, when writing back every
     /// entry it loaded would reproduce its file byte for byte.
     pristine: Option<PathBuf>,
@@ -706,6 +912,7 @@ impl Sharded {
     pub fn new() -> Sharded {
         Sharded {
             stripes: (0..STRIPES).map(|_| Mutex::new(Cache::default())).collect(),
+            files: Mutex::default(),
             pristine: None,
         }
     }
@@ -722,6 +929,12 @@ impl Sharded {
                 .expect("no other thread holds the stripes yet")
                 .put(key, Arc::new(checked), 0);
         }
+        sharded
+            .files
+            .get_mut()
+            .expect("no other thread holds the records yet")
+            .records
+            .extend(loaded.files);
         sharded.pristine = loaded.pristine.then(|| dir.to_path_buf());
         sharded
     }
@@ -742,6 +955,45 @@ impl Sharded {
         self.stripe(key).insert(key, checked, 1);
     }
 
+    /// Serves a file from its record under `key` ([`Cache::file_key`]).
+    /// `None` unless there is one and every group it names is held,
+    /// with as many members as the record gives it. Each group is then
+    /// looked up once, through [`Sharded::lookup`], so it counts a hit
+    /// and is marked used just as the file's own groups would be.
+    pub fn serve_file(&self, key: u64) -> Option<ServedFile> {
+        let record = self.files.lock().unwrap().records.get(&key)?.clone();
+        let mut defs = Vec::with_capacity(record.defs.len());
+        let mut entry: Option<Arc<Checked>> = None;
+        for (i, &(group, k)) in record.defs.iter().enumerate() {
+            if k == 0 {
+                let checked = Arc::clone(self.stripe(group).peek(group)?);
+                let rest = &record.defs[i + 1..];
+                let members = 1 + rest.iter().take_while(|&&(_, j)| j != 0).count();
+                if checked.defs.len() != members {
+                    return None;
+                }
+                entry = Some(checked);
+            }
+            defs.push((Arc::clone(entry.as_ref()?), k));
+        }
+        for group in record.groups() {
+            self.lookup(group);
+        }
+        Some(ServedFile {
+            defs,
+            waves: record.waves,
+        })
+    }
+
+    /// Stores a file's record under `key` ([`Cache::file_key`]).
+    pub fn insert_file(&self, key: u64, record: FileRecord) {
+        let mut files = self.files.lock().unwrap();
+        if files.records.get(&key) != Some(&record) {
+            files.records.insert(key, record);
+            files.added = true;
+        }
+    }
+
     /// Total hits across stripes.
     pub fn hits(&self) -> u64 {
         self.stripes.iter().map(|s| s.lock().unwrap().hits).sum()
@@ -753,24 +1005,40 @@ impl Sharded {
     }
 
     /// Writes every stripe's used or inserted entries as one
-    /// `cache.json`, with [`Cache::save`]'s write-then-rename safety.
-    /// Saving into the directory the cache was loaded from writes
-    /// nothing when the file would come out byte-identical: no line was
-    /// dropped at load, nothing was inserted, and every loaded entry
-    /// was used.
+    /// `cache.json`, then the records whose every group that writes,
+    /// with [`Cache::save`]'s write-then-rename safety. Saving into the
+    /// directory the cache was loaded from writes nothing when the file
+    /// would come out byte-identical: no line was dropped at load,
+    /// nothing was inserted, and every loaded entry was used.
     pub fn save(&self, dir: &Path) -> std::io::Result<()> {
         let stripes: Vec<_> = self
             .stripes
             .iter()
             .map(|s| s.lock().expect("a worker panicked holding a cache stripe"))
             .collect();
-        if self.pristine.as_deref() == Some(dir) && stripes.iter().all(|c| c.unchanged()) {
+        let files = self.files.lock().unwrap();
+        if self.pristine.as_deref() == Some(dir)
+            && !files.added
+            && stripes.iter().all(|c| c.unchanged())
+        {
             return Ok(());
         }
         // Stripes split the keys by their top bits, so walking the
         // stripes in order walks the keys in order.
-        write(dir, stripes.iter().flat_map(|cache| cache.saved()))
+        write(
+            dir,
+            stripes.iter().flat_map(|cache| cache.saved()),
+            written_files(&files.records, |key| stripes[stripe_of(key)].writes(key)),
+        )
     }
+}
+
+/// [`Sharded`]'s file records.
+#[derive(Debug, Default)]
+struct Files {
+    records: BTreeMap<u64, FileRecord>,
+    /// Whether a record was added or changed since the load.
+    added: bool,
 }
 
 impl Default for Sharded {
@@ -913,6 +1181,8 @@ mod tests {
             "{\"version\":\"rowpoly-batch-cache-v3\",\"entries\":[\n\
              {\"key\":\"000000000000002a\",\"defs\":[{\"name\":\"a\",\"class\":\"trivial\",\
              \"scheme\":{\"vars\":[],\"ty\":\"Int\",\"flow\":[]}}]}\n]}\n",
+            // Per-member renderings and digests, before file records.
+            "{\"version\":\"rowpoly-batch-cache-v4\",\"entries\":[\n]}\n",
             "[1,2]",
         ] {
             std::fs::write(dir.join(CACHE_FILE), bad).unwrap();
@@ -989,6 +1259,76 @@ mod tests {
         second.save(&dir).expect("saves");
         assert_eq!(loaded(&dir).len(), 1, "unused entry survived the save");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_record_is_written_exactly_when_its_groups_are() {
+        let dir = temp_dir("records");
+        let sharded = Sharded::new();
+        for (key, tag) in [(1, "a"), (2, "b"), (3, "c")] {
+            sharded.insert(key, defs(tag));
+        }
+        let record = |groups: &[u64]| FileRecord {
+            defs: groups.iter().map(|&g| (g, 0)).collect(),
+            waves: groups.len(),
+        };
+        sharded.insert_file(10, record(&[1, 2]));
+        sharded.insert_file(11, record(&[3]));
+        sharded.save(&dir).expect("saves");
+        let text = std::fs::read_to_string(dir.join(CACHE_FILE)).unwrap();
+        assert_eq!(
+            text.lines().count(),
+            8,
+            "header, 3 entries, files, 2 records, trailer"
+        );
+        let doc = json::parse(&text).expect("the file is one JSON document");
+        let entries = doc.get("entries").and_then(|e| e.as_arr()).unwrap();
+        assert_eq!(entries.len(), 3, "group lines alone in `entries`");
+
+        // A record is served through its groups' lookups, and one whose
+        // group is gone is not served at all.
+        let back = Sharded::load(&dir);
+        let served = back.serve_file(10).expect("served");
+        assert_eq!((served.defs.len(), served.waves), (2, 2));
+        assert_eq!((back.hits(), back.misses()), (2, 0));
+        assert!(back.serve_file(12).is_none());
+
+        // Bounded: every entry is written, so every record is.
+        let mut bounded = Cache::bounded(u64::MAX);
+        bounded.load(&dir);
+        let other = temp_dir("records-bounded");
+        bounded.save(&other).expect("saves");
+        assert_eq!(
+            std::fs::read_to_string(other.join(CACHE_FILE)).unwrap(),
+            text
+        );
+
+        // Unbounded: only the used groups are written, and with them
+        // only the records all of whose groups are.
+        let mut unbounded = loaded(&dir);
+        assert!(unbounded.lookup(3, 1).is_some());
+        unbounded.save(&other).expect("saves");
+        let mut back = loaded(&other);
+        assert_eq!(back.len(), 1);
+        assert_eq!(back.files.keys().copied().collect::<Vec<_>>(), [11]);
+        assert!(back.lookup(3, 1).is_some());
+
+        // A record naming a group the file lacks loads but is never
+        // served, and it leaves the file unpristine: a save of every
+        // entry rewrites the file without it.
+        let mut line = String::new();
+        record(&[9]).write_line(12, &mut line);
+        let orphan = text.replace("\n]}\n", &format!(",\n{line}\n]}}\n"));
+        std::fs::write(dir.join(CACHE_FILE), orphan).unwrap();
+        let back = Sharded::load(&dir);
+        assert!(back.serve_file(12).is_none());
+        for key in [1, 2, 3] {
+            assert!(back.lookup(key).is_some());
+        }
+        back.save(&dir).expect("saves");
+        assert_eq!(std::fs::read_to_string(dir.join(CACHE_FILE)).unwrap(), text);
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&other);
     }
 
     #[test]

@@ -216,7 +216,7 @@ impl<'a> Reader<'a> {
             .map_err(|_| format!("expected an integer at byte {start}"))
     }
 
-    fn u32(&mut self, what: &str) -> Result<u32, String> {
+    pub(crate) fn u32(&mut self, what: &str) -> Result<u32, String> {
         u32::try_from(self.int()?).map_err(|_| format!("{what}: out of range"))
     }
 

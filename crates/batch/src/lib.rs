@@ -11,7 +11,9 @@
 //! * [`cache`] keys each group by the content that determines its
 //!   outcome — one digest of each member's syntax tree, options, and
 //!   the digests of its dependencies' closed schemes — and persists
-//!   results across runs, each with the rendering a report prints;
+//!   results across runs, each with the rendering a report prints,
+//!   plus one record per fully-checked file, so a warm run reports an
+//!   unchanged file without parsing it;
 //! * [`step`] is how one group gets its verdicts — gather dependency
 //!   schemes, key, replay or infer, hand back the entry to store. The
 //!   serve daemon takes the same step. Inference honours a
@@ -216,6 +218,9 @@ pub struct BatchStats {
     pub skipped: usize,
     /// Files that failed to parse.
     pub parse_errors: usize,
+    /// Files parsed: every file but those served from their cache
+    /// records.
+    pub files_parsed: usize,
     /// Definition groups replayed from the cache.
     pub cache_hits: u64,
     /// Definition groups inferred from scratch.
@@ -409,6 +414,7 @@ impl BatchReport {
                     ("timeouts", Json::Int(s.timeouts as i64)),
                     ("skipped", Json::Int(s.skipped as i64)),
                     ("parse_errors", Json::Int(s.parse_errors as i64)),
+                    ("files_parsed", Json::Int(s.files_parsed as i64)),
                     ("cache_hits", Json::Int(s.cache_hits as i64)),
                     ("cache_misses", Json::Int(s.cache_misses as i64)),
                     ("steals", Json::Int(s.steals as i64)),
@@ -512,10 +518,31 @@ fn progress_line(done: usize, total: usize, hits: u64) -> String {
 struct ParsedFile {
     path: String,
     source: String,
+    /// The key of the file's cache record ([`cache::Cache::file_key`]),
+    /// when a cache is in use.
+    record_key: Option<u64>,
     program: Arc<Program>,
     graph: ProgramGraph,
     /// Index of this file's first job in the global job list.
     job_base: usize,
+}
+
+impl ParsedFile {
+    /// The file's cache record, when every definition checked: each
+    /// one's group key and member index, from the published results.
+    fn record(&self, results: &[OnceLock<GroupResult>]) -> Option<cache::FileRecord> {
+        let defs = (0..self.program.defs.len())
+            .map(|i| {
+                let result = results[self.job_base + self.graph.group_of[i]].get()?;
+                let (_, k) = result.verdict(i).ok()?;
+                Some((result.key?, k))
+            })
+            .collect::<Option<Vec<_>>>()?;
+        (!defs.is_empty()).then_some(cache::FileRecord {
+            defs,
+            waves: self.graph.waves,
+        })
+    }
 }
 
 /// Checks a batch of in-memory sources. This is the whole engine; the
@@ -539,10 +566,22 @@ pub fn check_sources(mut inputs: Vec<FileInput>, options: &BatchOptions) -> Batc
         options.jobs
     };
 
-    // Parse every file and lay the groups out in one global job list.
+    let cache = options.use_cache.then(|| Sharded::load(&options.cache_dir));
+    let fingerprint = options.opts.fingerprint();
+
+    // Serve each unchanged, fully-checked file from its record; parse
+    // the others and lay their groups out in one global job list.
+    let mut served: Vec<(String, cache::ServedFile)> = Vec::new();
     let mut parsed: Vec<Result<ParsedFile, (String, String)>> = Vec::new();
     let mut n_jobs = 0usize;
     for input in inputs {
+        let record_key = cache
+            .as_ref()
+            .map(|_| cache::Cache::file_key(&fingerprint, &input.source));
+        if let Some(file) = record_key.and_then(|k| cache.as_ref()?.serve_file(k)) {
+            served.push((input.path, file));
+            continue;
+        }
         match parse_program(&input.source) {
             Err(diag) => {
                 parsed.push(Err((input.path, diag.render(&input.source))));
@@ -554,6 +593,7 @@ pub fn check_sources(mut inputs: Vec<FileInput>, options: &BatchOptions) -> Batc
                 parsed.push(Ok(ParsedFile {
                     path: input.path,
                     source: input.source,
+                    record_key,
                     program: Arc::new(program),
                     graph,
                     job_base,
@@ -580,8 +620,6 @@ pub fn check_sources(mut inputs: Vec<FileInput>, options: &BatchOptions) -> Batc
         })
         .collect();
 
-    let cache = options.use_cache.then(|| Sharded::load(&options.cache_dir));
-    let fingerprint = options.opts.fingerprint();
     let results: Vec<OnceLock<GroupResult>> = (0..n_jobs).map(|_| OnceLock::new()).collect();
 
     let progress = Progress::new(options.progress, n_jobs);
@@ -628,6 +666,11 @@ pub fn check_sources(mut inputs: Vec<FileInput>, options: &BatchOptions) -> Batc
     let profile = profiler.map(|p| ProfileReport::build(p.finish(), &deps));
 
     if let Some(cache) = cache.as_ref() {
+        for pf in parsed.iter().flatten() {
+            if let Some((key, record)) = pf.record_key.zip(pf.record(&results)) {
+                cache.insert_file(key, record);
+            }
+        }
         if let Err(e) = cache.save(&options.cache_dir) {
             eprintln!(
                 "rowpoly: warning: could not save cache to {}: {e}",
@@ -638,6 +681,7 @@ pub fn check_sources(mut inputs: Vec<FileInput>, options: &BatchOptions) -> Batc
 
     let mut report = assemble(
         parsed,
+        served,
         &results,
         cache.as_ref(),
         pool_stats,
@@ -765,6 +809,7 @@ fn run_group(
 #[allow(clippy::too_many_arguments)]
 fn assemble(
     parsed: Vec<Result<ParsedFile, (String, String)>>,
+    served: Vec<(String, cache::ServedFile)>,
     results: &[OnceLock<GroupResult>],
     cache: Option<&Sharded>,
     pool_stats: pool::PoolStats,
@@ -773,7 +818,8 @@ fn assemble(
     explain: bool,
 ) -> BatchReport {
     let mut stats = BatchStats {
-        files: parsed.len(),
+        files: parsed.len() + served.len(),
+        files_parsed: parsed.len(),
         steals: pool_stats.steals,
         workers,
         ..BatchStats::default()
@@ -783,7 +829,31 @@ fn assemble(
         stats.cache_misses = cache.misses();
     }
 
-    let mut files = Vec::with_capacity(parsed.len());
+    let mut files = Vec::with_capacity(stats.files);
+    for (path, file) in served {
+        stats.waves = stats.waves.max(file.waves);
+        obs::hist_record("batch.file.waves", file.waves as u64);
+        let groups = file.defs.iter().filter(|&&(_, k)| k == 0).count();
+        obs::counter_add("batch.cache.hits", groups as u64);
+        obs::counter_add("batch.cache.file_hits", 1);
+        stats.defs += file.defs.len();
+        stats.ok += file.defs.len();
+        let defs = file
+            .defs
+            .iter()
+            .map(|(checked, k)| DefResult {
+                name: checked.defs[*k].name.to_string(),
+                verdict: Verdict::Ok {
+                    scheme: checked.rendered(*k).to_string(),
+                    sat_class: checked.defs[*k].sat_class,
+                },
+            })
+            .collect();
+        files.push(FileReport {
+            path,
+            defs: Ok(defs),
+        });
+    }
     for entry in parsed {
         match entry {
             Err((path, diag)) => {
@@ -849,6 +919,8 @@ fn assemble(
             }
         }
     }
+    // Both lists came in path order; the report interleaves them.
+    files.sort_by(|a, b| a.path.cmp(&b.path));
     stats.wall = wall_start.elapsed();
     BatchReport {
         files,

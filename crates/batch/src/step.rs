@@ -66,6 +66,8 @@ impl Answer {
 pub struct GroupResult {
     /// How the group was answered.
     pub answer: Answer,
+    /// The group's key, when it was keyed and not skipped.
+    pub key: Option<u64>,
     /// Index of the first member (a group is a contiguous interval).
     first: usize,
     /// The leading members that checked: every member unless the group
@@ -79,9 +81,16 @@ pub struct GroupResult {
 }
 
 impl GroupResult {
-    fn new(first: usize, checked: Arc<Checked>, failed: Vec<DefVerdict>, answer: Answer) -> Self {
+    fn new(
+        first: usize,
+        checked: Arc<Checked>,
+        failed: Vec<DefVerdict>,
+        answer: Answer,
+        key: Option<u64>,
+    ) -> Self {
         GroupResult {
             answer,
+            key,
             first,
             checked,
             failed,
@@ -204,7 +213,7 @@ impl GroupStep<'_> {
                     .collect();
                 let checked = Arc::new(Checked::new(Vec::new()));
                 let result =
-                    GroupResult::new(group.def_indices[0], checked, failed, Answer::Skipped);
+                    GroupResult::new(group.def_indices[0], checked, failed, Answer::Skipped, None);
                 return Err(StepOutcome::answered(result, dep_hits));
             };
             if dep.answer.is_hit() {
@@ -237,7 +246,7 @@ impl GroupStep<'_> {
                     .all(|(&i, d)| self.program.defs[i].name == d.name)
         };
         let (answer, checked) = lookup(slice.key?, &fits)?;
-        let result = GroupResult::new(group.def_indices[0], checked, Vec::new(), answer);
+        let result = GroupResult::new(group.def_indices[0], checked, Vec::new(), answer, slice.key);
         Some(StepOutcome::answered(result, slice.dep_hits))
     }
 
@@ -268,7 +277,13 @@ impl GroupStep<'_> {
             .filter(|_| failed.is_empty())
             .map(|key| (key, Arc::clone(&checked)));
         StepOutcome {
-            result: GroupResult::new(group.def_indices[0], checked, failed, Answer::Recomputed),
+            result: GroupResult::new(
+                group.def_indices[0],
+                checked,
+                failed,
+                Answer::Recomputed,
+                slice.key,
+            ),
             dep_hits: slice.dep_hits,
             store,
             phases,

@@ -79,9 +79,15 @@ fn warm_run_is_byte_identical_and_hits() {
     assert!(cold.ok());
     assert_eq!(cold.stats.cache_hits, 0);
 
+    assert_eq!(record_lines(&tmp).len(), 2, "one record per file");
+
+    // Every file is served from its record: no parse, one hit per
+    // group, and the same report, text and JSON, scheduling aside.
     let warm = check(&sources, &tmp.options(2));
     assert_eq!(warm.render(), cold.render());
-    assert!(warm.stats.cache_hits > 0, "second run never hit the cache");
+    assert_eq!(without_timing(&warm), without_timing(&cold));
+    assert_eq!(warm.stats.files_parsed, 0);
+    assert_eq!(warm.stats.cache_hits, cold.stats.cache_misses);
     assert_eq!(warm.stats.cache_misses, 0);
 }
 
@@ -226,6 +232,12 @@ fn dropping_a_file_rewrites_the_cache_without_its_entries() {
 
     let only_a = check(&both[..1], &tmp.options(2));
     assert_eq!(only_a.stats.cache_misses, 0);
+    assert_eq!(only_a.stats.files_parsed, 0);
+    assert_eq!(
+        record_lines(&tmp).len(),
+        1,
+        "b.rp's record went with its groups"
+    );
     let (after, modified) = cache_state(&tmp);
     assert_ne!(modified, stamp, "the unused entries were not aged out");
     let text = String::from_utf8(after).expect("utf-8");
@@ -291,4 +303,191 @@ fn loading_and_saving_elsewhere_reproduces_the_file() {
     assert!(keys.iter().all(|&k| cache.lookup(k).is_some()));
     cache.save(&elsewhere.dir).expect("saves");
     assert_eq!(cache_state(&elsewhere).0, original);
+}
+
+/// The record lines of a saved cache: everything after the line that
+/// opens the `files` array, trailer aside.
+fn record_lines(tmp: &TempCache) -> Vec<String> {
+    let text = String::from_utf8(cache_state(tmp).0).expect("utf-8");
+    text.lines()
+        .skip_while(|l| *l != "],\"files\":[")
+        .skip(1)
+        .filter(|l| *l != "]}")
+        .map(str::to_string)
+        .collect()
+}
+
+/// The JSON report with the stats that depend on cache state and
+/// scheduling left out.
+fn without_timing(report: &BatchReport) -> String {
+    let mut json = report.to_json();
+    if let rowpoly_obs::json::Json::Obj(members) = &mut json {
+        for (name, value) in members.iter_mut() {
+            if name == "stats" {
+                if let rowpoly_obs::json::Json::Obj(stats) = value {
+                    stats.retain(|(k, _)| {
+                        !matches!(
+                            k.as_str(),
+                            "cache_hits" | "cache_misses" | "steals" | "wall_ms" | "files_parsed"
+                        )
+                    });
+                }
+            }
+        }
+    }
+    json.to_string()
+}
+
+const THREE: [(&str, &str); 3] = [
+    ("a.rp", "def inc x = x + 1\ndef two = inc 1"),
+    ("b.rp", "def tag r = @{t = 1} r\ndef use = #t (tag {})"),
+    (
+        "c.rp",
+        "def k = {a = 1}\ndef sel = #a k\ndef alone = \"quiet\"",
+    ),
+];
+
+#[test]
+fn editing_one_file_parses_only_that_file() {
+    let tmp = TempCache::new("records-edit");
+    assert!(check(&THREE, &tmp.options(2)).ok());
+    let mut edited = THREE;
+    edited[2].1 = "def k = {a = 1}\ndef sel = #a k\ndef alone = \"loud\"";
+    let warm = check(&edited, &tmp.options(2));
+    assert!(warm.ok());
+    assert_eq!(warm.stats.files_parsed, 1);
+    assert_eq!(
+        warm.stats.cache_misses, 1,
+        "only the edited group recomputed"
+    );
+    // a.rp's and b.rp's two groups each from their records, c.rp's
+    // unchanged `k` and `sel` through its parse.
+    assert_eq!(warm.stats.cache_hits, 6);
+    let again = check(&edited, &tmp.options(2));
+    assert_eq!(
+        again.stats.files_parsed, 0,
+        "the edited file got its record"
+    );
+    assert_eq!(again.render(), warm.render());
+}
+
+#[test]
+fn a_failing_file_gets_no_record_and_keeps_its_diagnostic() {
+    let tmp = TempCache::new("records-failing");
+    let sources = [
+        ("bad.rp", "def fine = 1\ndef bad = #foo {}\ndef use = bad"),
+        ("hard.rp", "def hard = {a = 1} @@ {b = 2}\ndef easy = 1"),
+        ("ok.rp", "def one = 1"),
+    ];
+    let mut options = tmp.options(2);
+    options.opts.compaction = rowpoly_core::Compaction::PerDef;
+    options.opts.sat_budget = Some(0);
+    let cold = check(&sources, &options);
+    assert_eq!((cold.stats.errors, cold.stats.timeouts), (1, 1));
+    assert_eq!(record_lines(&tmp).len(), 1, "only ok.rp has a record");
+    let warm = check(&sources, &options);
+    assert_eq!(warm.render(), cold.render(), "diagnostics byte for byte");
+    assert_eq!(without_timing(&warm), without_timing(&cold));
+    assert_eq!(
+        warm.stats.files_parsed, 2,
+        "the failing files are parsed again"
+    );
+}
+
+#[test]
+fn a_record_whose_group_line_is_damaged_falls_back() {
+    let tmp = TempCache::new("records-damaged");
+    let cold = check(&THREE, &tmp.options(2));
+    let text = String::from_utf8(cache_state(&tmp).0).expect("utf-8");
+    // Damage `inc`'s entry: its sum no longer holds, so it does not load.
+    let damaged: Vec<String> = text
+        .lines()
+        .map(|l| match l.contains("\"name\":\"inc\"") {
+            true => l.replacen(
+                "\"rendered\":\"Int -> Int\"",
+                "\"rendered\":\"Int -> Inx\"",
+                1,
+            ),
+            false => l.to_string(),
+        })
+        .collect();
+    assert_ne!(damaged.join("\n") + "\n", text, "the entry was found");
+    std::fs::write(tmp.dir.join(cache::CACHE_FILE), damaged.join("\n") + "\n").unwrap();
+    let warm = check(&THREE, &tmp.options(2));
+    assert_eq!(warm.render(), cold.render());
+    assert_eq!(warm.stats.files_parsed, 1, "only a.rp is parsed");
+    assert_eq!(warm.stats.cache_misses, 1);
+    assert_eq!(
+        cache_state(&tmp).0,
+        text.into_bytes(),
+        "the rewrite restores the clean file"
+    );
+}
+
+#[test]
+fn two_paths_with_the_same_text_share_one_record() {
+    let tmp = TempCache::new("records-shared");
+    let sources = [("x/a.rp", THREE[1].1), ("y/a.rp", THREE[1].1)];
+    let cold = check(&sources, &tmp.options(2));
+    assert_eq!(record_lines(&tmp).len(), 1);
+    let warm = check(&sources, &tmp.options(2));
+    assert_eq!(warm.stats.files_parsed, 0);
+    assert_eq!(warm.render(), cold.render());
+    assert!(warm.render().contains("y/a.rp: use : Int"));
+}
+
+#[test]
+fn changed_options_miss_the_record() {
+    let tmp = TempCache::new("records-options");
+    assert!(check(&THREE, &tmp.options(2)).ok());
+    let mut no_fields = tmp.options(2);
+    no_fields.opts.track_fields = false;
+    let mut budget = tmp.options(2);
+    budget.opts.sat_budget = Some(1_000_000);
+    for options in [no_fields, budget] {
+        let report = check(&THREE, &options);
+        assert!(report.ok());
+        assert_eq!(report.stats.files_parsed, 3, "{:?}", options.opts);
+        assert_eq!(report.stats.cache_hits, 0, "{:?}", options.opts);
+        assert_eq!(check(&THREE, &options).stats.files_parsed, 0);
+    }
+}
+
+#[test]
+fn seeded_corrupt_caches_load_and_check_renders_cold() {
+    // Truncations and bit flips of a cache holding group lines and file
+    // records, drawn from one seed: loading never panics, and the next
+    // `check` prints the cold report whatever survived.
+    let tmp = TempCache::new("records-fuzz");
+    let mut sources = THREE.to_vec();
+    sources.push(("d.rp", "def bad = #foo {}\ndef fine = 1"));
+    let cold = check(&sources, &tmp.options(1));
+    let clean = cache_state(&tmp).0;
+    let files_at = String::from_utf8_lossy(&clean)
+        .find("],\"files\":[")
+        .expect("the cache holds records");
+    let mut rng = rowpoly_obs::rng::SplitMix64::seed_from_u64(0x5EED_CAC4E);
+    let path = tmp.dir.join(cache::CACHE_FILE);
+    for case in 0..300 {
+        let mut bytes = clean.clone();
+        // Half the cases aim at the records, half at the group lines.
+        let region = match rng.gen_bool(0.5) {
+            true => files_at..bytes.len(),
+            false => 0..files_at,
+        };
+        if rng.gen_bool(0.3) {
+            bytes.truncate(rng.gen_range(region));
+        } else {
+            for _ in 0..rng.gen_range(1..4usize) {
+                let at = rng.gen_range(region.clone());
+                bytes[at] ^= 1 << rng.gen_range(0..8u32);
+            }
+        }
+        std::fs::write(&path, &bytes).unwrap();
+        let mut bounded = cache::Cache::bounded(u64::MAX);
+        bounded.load(&tmp.dir);
+        let _ = cache::Sharded::load(&tmp.dir);
+        let report = check(&sources, &tmp.options(1));
+        assert_eq!(report.render(), cold.render(), "case {case}");
+    }
 }

@@ -179,6 +179,7 @@ impl TypeError {
                 UnifyError::RowFieldClash { field } => {
                     format!("conflicting row extensions for field `{field}`")
                 }
+                UnifyError::TooDeep => e.to_string(),
             },
             TypeErrorKind::FieldMissing { field: Some(f) } => {
                 format!("field `{f}` may not exist at this access")

@@ -22,7 +22,13 @@ use std::collections::{BTreeSet, HashMap};
 use rowpoly_lang::{Diag, Expr, ExprKind, FieldName, Span, Symbol};
 
 use crate::error::{TypeError, TypeErrorKind};
-use rowpoly_types::UnifyError;
+use rowpoly_types::{UnifyError, MAX_TYPE_DEPTH};
+
+/// The error for a binding deeper than [`MAX_TYPE_DEPTH`], as the flow
+/// inference's unifier reports it.
+fn too_deep(span: Span) -> TypeError {
+    TypeError::new(TypeErrorKind::Unify(UnifyError::TooDeep), span)
+}
 
 /// A type variable of the baseline inference.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -78,6 +84,22 @@ impl RTy {
     fn record(mut fields: Vec<(FieldName, RFlag, RTy)>, tail: Option<(RVar, RFlag)>) -> RTy {
         fields.sort_by_key(|f| f.0);
         RTy::Record(RRow { fields, tail })
+    }
+
+    /// Nodes from root to leaf, counted as [`rowpoly_types::Ty`]'s
+    /// unifier counts them.
+    fn depth(&self) -> usize {
+        1 + match self {
+            RTy::Var(_) | RTy::Int | RTy::Str => 0,
+            RTy::List(t) => t.depth(),
+            RTy::Fun(a, b) => a.depth().max(b.depth()),
+            RTy::Record(row) => row
+                .fields
+                .iter()
+                .map(|(_, _, t)| t.depth())
+                .max()
+                .unwrap_or(0),
+        }
     }
 
     fn vars(&self, out: &mut BTreeSet<RVar>) {
@@ -257,6 +279,9 @@ impl RemyInfer {
                 if vs.contains(x) {
                     return Err(self.occurs_error(span));
                 }
+                if t.depth() > MAX_TYPE_DEPTH {
+                    return Err(too_deep(span));
+                }
                 self.ty_bind.insert(*x, t.clone());
                 Ok(())
             }
@@ -390,6 +415,9 @@ impl RemyInfer {
         suffix.vars(&mut vs);
         if vs.contains(&v) {
             return Err(self.occurs_error(span));
+        }
+        if suffix.depth() > MAX_TYPE_DEPTH {
+            return Err(too_deep(span));
         }
         self.ty_bind.insert(v, suffix);
         Ok(())

@@ -45,4 +45,4 @@ pub use flags::flag_lits;
 pub use pretty::{render_scheme, render_scheme_with_flow, render_ty};
 pub use subst::Subst;
 pub use ty::{FieldEntry, Row, RowTail, Ty, Var, VarAlloc, NO_FLAG};
-pub use unify::{mgu, unify, UnifyError};
+pub use unify::{mgu, unify, UnifyError, MAX_TYPE_DEPTH};

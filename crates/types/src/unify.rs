@@ -6,6 +6,12 @@
 //! Rows unify in Rémy's style: common fields unify point-wise, fields
 //! missing on one side are pushed into the other side's row variable
 //! (failing on closed rows), with a fresh common tail.
+//!
+//! Unification is where types grow: every binding it makes is copied
+//! into the types it is applied to. So it is also where type depth is
+//! bounded: a binding deeper than [`MAX_TYPE_DEPTH`] fails with
+//! [`UnifyError::TooDeep`], and no deeper type reaches the rest of
+//! inference.
 
 use rowpoly_lang::FieldName;
 use std::collections::{BTreeSet, HashMap};
@@ -13,9 +19,20 @@ use std::collections::{BTreeSet, HashMap};
 use crate::subst::Subst;
 use crate::ty::{FieldEntry, Row, RowTail, Ty, Var, VarAlloc, NO_FLAG};
 
+/// The deepest type a binding may hold, in nodes from root to leaf
+/// (a record counts one level over its field types). The expression
+/// bound (`rowpoly_lang::MAX_DEPTH`, 256) keeps every type a
+/// definition writes out shallower than this, but composing a function
+/// with itself doubles its result's depth per definition, and the
+/// recursive walks over types (unification, `applyS`, rendering)
+/// would overflow a pool worker's stack a few doublings later.
+pub const MAX_TYPE_DEPTH: usize = 512;
+
 /// Why unification failed.
 #[derive(Clone, Debug, PartialEq)]
 pub enum UnifyError {
+    /// A binding would nest deeper than [`MAX_TYPE_DEPTH`].
+    TooDeep,
     /// Binding a row variable would splice a field into a row that
     /// already has it (two rows sharing a tail variable demand
     /// contradictory extensions).
@@ -61,6 +78,9 @@ impl std::fmt::Display for UnifyError {
             UnifyError::RowFieldClash { field } => {
                 write!(f, "conflicting row extensions for field `{field}`")
             }
+            UnifyError::TooDeep => {
+                write!(f, "type nests deeper than {MAX_TYPE_DEPTH} levels")
+            }
         }
     }
 }
@@ -94,12 +114,11 @@ pub fn mgu(
         let b = subst.apply(&b);
         match (a, b) {
             (Ty::Var(x, _), Ty::Var(y, _)) if x == y => {}
-            (Ty::Var(x, _), t) | (t, Ty::Var(x, _)) => {
-                if t.mentions_var(x) {
-                    return Err(UnifyError::Occurs { var: x, ty: t });
-                }
-                subst.bind_ty(x, &t.strip());
-            }
+            (Ty::Var(x, _), t) | (t, Ty::Var(x, _)) => match bound_depth(&t, x) {
+                None => return Err(UnifyError::Occurs { var: x, ty: t }),
+                Some(depth) if depth > MAX_TYPE_DEPTH => return Err(UnifyError::TooDeep),
+                Some(_) => subst.bind_ty(x, &t.strip()),
+            },
             (Ty::Int, Ty::Int) | (Ty::Str, Ty::Str) => {}
             (Ty::List(a), Ty::List(b)) => work.push((*a, *b)),
             (Ty::Fun(a1, a2), Ty::Fun(b1, b2)) => {
@@ -116,6 +135,43 @@ pub fn mgu(
 }
 
 type Lacks = HashMap<Var, BTreeSet<FieldName>>;
+
+/// The depth of `t`, or `None` when `x` occurs in it: the occurs check
+/// and the depth bound in one walk.
+fn bound_depth(t: &Ty, x: Var) -> Option<usize> {
+    let depth = match t {
+        Ty::Var(v, _) => return (*v != x).then_some(1),
+        Ty::Int | Ty::Str => 0,
+        Ty::List(inner) => bound_depth(inner, x)?,
+        Ty::Fun(a, b) => bound_depth(a, x)?.max(bound_depth(b, x)?),
+        Ty::Record(row) => row_depth(row, x)?,
+    };
+    Some(depth + 1)
+}
+
+/// The depth of a row's field types, or `None` when `x` occurs in the
+/// row (a field type or the tail).
+fn row_depth(row: &Row, x: Var) -> Option<usize> {
+    if matches!(row.tail, RowTail::Var(v, _) if v == x) {
+        return None;
+    }
+    row.fields
+        .iter()
+        .try_fold(0, |depth, f| Some(depth.max(bound_depth(&f.ty, x)?)))
+}
+
+/// Checks that `suffix` may extend row variable `v`: `v` does not occur
+/// in it and its field types nest at most [`MAX_TYPE_DEPTH`] levels.
+fn check_row_binding(v: Var, suffix: &Row) -> Result<(), UnifyError> {
+    match row_depth(suffix, v) {
+        None => Err(UnifyError::Occurs {
+            var: v,
+            ty: Ty::Record(suffix.clone()),
+        }),
+        Some(depth) if depth > MAX_TYPE_DEPTH => Err(UnifyError::TooDeep),
+        Some(_) => Ok(()),
+    }
+}
 
 /// Records, for every row tail variable in `t`, the fields its row
 /// already carries.
@@ -232,18 +288,8 @@ fn unify_rows(
             };
             check_lacks(a, &suffix_a.fields, lacks)?;
             check_lacks(b, &suffix_b.fields, lacks)?;
-            if Ty::Record(suffix_a.clone()).mentions_var(a) {
-                return Err(UnifyError::Occurs {
-                    var: a,
-                    ty: Ty::Record(suffix_a),
-                });
-            }
-            if Ty::Record(suffix_b.clone()).mentions_var(b) {
-                return Err(UnifyError::Occurs {
-                    var: b,
-                    ty: Ty::Record(suffix_b),
-                });
-            }
+            check_row_binding(a, &suffix_a)?;
+            check_row_binding(b, &suffix_b)?;
             // The common tail inherits both variables' constraints plus
             // every field now known on either side.
             let mut banned: BTreeSet<FieldName> = BTreeSet::new();
@@ -277,12 +323,7 @@ fn unify_rows(
                 tail: RowTail::Closed,
             };
             check_lacks(a, &suffix.fields, lacks)?;
-            if Ty::Record(suffix.clone()).mentions_var(a) {
-                return Err(UnifyError::Occurs {
-                    var: a,
-                    ty: Ty::Record(suffix),
-                });
-            }
+            check_row_binding(a, &suffix)?;
             subst.bind_row(a, &suffix);
         }
         (RowTail::Closed, RowTail::Var(b, _)) => {
@@ -300,12 +341,7 @@ fn unify_rows(
                 tail: RowTail::Closed,
             };
             check_lacks(b, &suffix.fields, lacks)?;
-            if Ty::Record(suffix.clone()).mentions_var(b) {
-                return Err(UnifyError::Occurs {
-                    var: b,
-                    ty: Ty::Record(suffix),
-                });
-            }
+            check_row_binding(b, &suffix)?;
             subst.bind_row(b, &suffix);
         }
         (RowTail::Closed, RowTail::Closed) => {
@@ -343,6 +379,30 @@ mod tests {
             flag: NO_FLAG,
             ty,
         }
+    }
+
+    /// `[…[Int]…]`, `depth` levels in all.
+    fn nested_list(depth: usize) -> Ty {
+        (1..depth).fold(Ty::Int, |t, _| Ty::list(t))
+    }
+
+    #[test]
+    fn bindings_deeper_than_the_bound_fail() {
+        let mut vars = VarAlloc::new();
+        let a = Ty::svar(vars.fresh());
+        let at_bound = nested_list(MAX_TYPE_DEPTH);
+        assert!(unify(&a, &at_bound, &mut vars).is_ok());
+        let past = nested_list(MAX_TYPE_DEPTH + 1);
+        assert_eq!(unify(&a, &past, &mut vars), Err(UnifyError::TooDeep));
+        // A row binding is measured by its field types.
+        let (r, s) = (vars.fresh(), vars.fresh());
+        let open = rec(vec![], RowTail::Var(r, NO_FLAG));
+        let wide = |t: Ty| rec(vec![field("f", t)], RowTail::Var(s, NO_FLAG));
+        assert!(unify(&open, &wide(at_bound), &mut vars).is_ok());
+        assert_eq!(
+            unify(&open, &wide(past), &mut vars),
+            Err(UnifyError::TooDeep)
+        );
     }
 
     fn rec(fields: Vec<FieldEntry>, tail: RowTail) -> Ty {

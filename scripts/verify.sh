@@ -75,19 +75,27 @@ two = json.loads(os.environ['RUN2'])
 assert one['stats']['defs'] > 0, one
 assert one['stats']['errors'] == 1, one          # bad_select.rp only
 assert two['stats']['cache_hits'] > 0, two
+# The warm run serves every fully-checked file from its record and
+# parses only the files with an error.
+failing = [f['path'] for f in two['files']
+           if 'parse_error' in f or any(d['status'] != 'ok' for d in f['defs'])]
+assert two['stats']['files_parsed'] == len(failing) == 1, (two['stats'], failing)
 # Everything but the scheduling-dependent statistics is identical.
 assert one['files'] == two['files'], 'the warm report differs from the cold one'
-timing = {'cache_hits', 'cache_misses', 'steals', 'wall_ms'}
+timing = {'cache_hits', 'cache_misses', 'steals', 'wall_ms', 'files_parsed'}
 assert {k: v for k, v in one['stats'].items() if k not in timing} == \
        {k: v for k, v in two['stats'].items() if k not in timing}
 print(f"    {one['stats']['defs']} defs, warm run hit {two['stats']['cache_hits']} cached groups, "
-      "identical report, cache.json untouched")
+      f"parsed only {failing[0]}, identical report, cache.json untouched")
 PY
 
 echo "==> depth smoke (deep nesting is a diagnostic, never a stack overflow)"
 # 3,000 nested parentheses and a 20,000-term chain must exit 1 with the
 # parser's depth diagnostic (exit 134 is an overflowed stack). Files at
 # the bound must check with two workers, one of them a 2 MiB pool thread.
+# Types are bounded too: 14 definitions that each compose the previous
+# one with itself double the result type's depth per line, and must end
+# in unification's depth diagnostic, cold and warm.
 depth_dir=$(mktemp -d)
 python3 - "$depth_dir" <<'PY'
 import os, sys
@@ -98,6 +106,8 @@ def write(path, body):
     open(path, "w").write(f"def x = {body}\ndef y = 2\n")
 write(f"{d}/too_deep/parens.rp", "(" * 3000 + "1" + ")" * 3000)
 write(f"{d}/too_deep/chain.rp", " + ".join(["1"] * 20000))
+open(f"{d}/too_deep/doubling.rp", "w").write(
+    "def f0 x = {a = x}\n" + "".join(f"def f{i} x = f{i-1} (f{i-1} x)\n" for i in range(1, 15)))
 for i in range(4):
     write(f"{d}/at_bound/chain{i}.rp", " + ".join(["1"] * 256))
     write(f"{d}/at_bound/record{i}.rp", "{a = " * 127 + "1" + "}" * 127)
@@ -113,6 +123,18 @@ for f in parens chain; do
   fi
   echo "    $f.rp: exit 1, $(grep -m1 -F 'nests deeper' <<< "$diag")"
 done
+for run in cold warm; do
+  status=0
+  diag=$(cargo run --release --quiet --bin rowpoly -- check "$depth_dir/too_deep/doubling.rp" \
+    --jobs 2 --cache-dir "$depth_dir/doubling-cache" 2>&1) || status=$?
+  if [ "$status" -ne 1 ] || ! grep -qF 'type nests deeper than 512 levels' <<< "$diag" \
+     || ! grep -qF -- '--> 10:12' <<< "$diag"; then
+    echo "doubling.rp ($run): exit $status, expected 1 with the type-depth diagnostic at 10:12:"
+    echo "$diag"
+    exit 1
+  fi
+done
+echo "    doubling.rp: exit 1 cold and warm, type nests deeper than 512 levels at 10:12"
 cargo run --release --quiet --bin rowpoly -- check "$depth_dir/at_bound" --jobs 2 --no-cache > /dev/null
 echo "    12 files at the bound check with --jobs 2"
 

@@ -3,10 +3,15 @@
 //! program of every nesting form checks on a thread with a pool
 //! worker's 2 MiB stack. Debug builds use more stack per level (some
 //! forms at the bound overflow 2 MiB there), so there the thread gets
-//! 8 MiB.
+//! 8 MiB. Type depth is bounded by unification: a program whose types
+//! double in depth per definition ends in a located diagnostic on the
+//! serial `Session`, `check` (cold and warm, one or two workers) and
+//! `serve`.
 
 use rowpoly::core::{Session, SessionError};
 use rowpoly::lang::{parse_program, Expr, MAX_DEPTH};
+use rowpoly::obs::json::Json;
+use rowpoly::types::MAX_TYPE_DEPTH;
 
 const STACK: usize = if cfg!(debug_assertions) {
     8 << 20
@@ -110,4 +115,135 @@ fn far_past_the_bound_the_parser_stops_early() {
         let d = err.expect_err("too deep");
         assert!(d.message.contains("nests deeper than"), "{}", d.message);
     }
+}
+
+/// `def f0 x = {a = x}`, then `n` definitions that each compose the one
+/// before with itself. `fi`'s result nests `2^i + 1` levels, so `f9`
+/// (line 10) is the first past [`MAX_TYPE_DEPTH`], although every
+/// definition is one short line.
+fn doubling(n: usize) -> String {
+    let mut src = String::from("def f0 x = {a = x}\n");
+    for i in 1..=n {
+        src.push_str(&format!("def f{i} x = f{} (f{} x)\n", i - 1, i - 1));
+    }
+    src
+}
+
+/// The diagnostic every entry point gives [`doubling`]`(14)`.
+const TOO_DEEP: &str = "type nests deeper than 512 levels";
+
+#[test]
+fn a_type_past_the_bound_is_a_located_diagnostic() {
+    assert_eq!(MAX_TYPE_DEPTH, 512);
+    // `g` composes `f7` (129 levels) four times inside one definition.
+    let compose = format!("{}def g x = f7 (f7 (f7 (f7 x)))\n", doubling(7));
+    for (src, line) in [(doubling(14), "10:12"), (compose, "9:11")] {
+        let src_copy = src.clone();
+        let err = on_a_worker_stack(move || match Session::default().infer_source(&src_copy) {
+            Err(SessionError::Type(e)) => Ok(e),
+            other => Err(format!("{other:?}")),
+        })
+        .unwrap_or_else(|e| panic!("expected a type error, got {e}"));
+        let rendered = err.to_diag().render(&src);
+        assert_eq!(err.message(), TOO_DEEP, "{rendered}");
+        assert!(rendered.contains(&format!("--> {line}")), "{rendered}");
+    }
+    // One definition fewer stays within the bound.
+    let src = doubling(8);
+    let report = on_a_worker_stack(move || Session::default().infer_source(&src).map(|_| ()));
+    assert!(report.is_ok(), "{report:?}");
+}
+
+fn rowpoly(args: &[&str], cwd: &std::path::Path, stdin: &str) -> std::process::Output {
+    use std::io::Write;
+    use std::process::{Command, Stdio};
+    let mut child = Command::new(env!("CARGO_BIN_EXE_rowpoly"))
+        .args(args)
+        .current_dir(cwd)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary spawns");
+    child
+        .stdin
+        .take()
+        .expect("piped stdin")
+        .write_all(stdin.as_bytes())
+        .expect("stdin accepts the input");
+    child.wait_with_output().expect("binary exits")
+}
+
+#[test]
+fn check_and_serve_report_a_type_past_the_bound() {
+    let dir = std::env::temp_dir().join(format!("rowpoly-type-depth-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let src = doubling(14);
+    std::fs::write(dir.join("deep.rp"), &src).unwrap();
+    let mut reports = Vec::new();
+    for jobs in ["1", "2"] {
+        let cache = format!("cache-{jobs}");
+        for run in ["cold", "warm"] {
+            let out = rowpoly(
+                &["check", "deep.rp", "--jobs", jobs, "--cache-dir", &cache],
+                &dir,
+                "",
+            );
+            let text = String::from_utf8_lossy(&out.stdout).into_owned();
+            let what = format!(
+                "--jobs {jobs}, {run}: {text}{}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            assert_eq!(out.status.code(), Some(1), "{what}");
+            assert!(
+                text.contains(&format!(
+                    "deep.rp: f9: error\n  error: {TOO_DEEP}\n   --> 10:12"
+                )),
+                "{what}"
+            );
+            assert!(
+                text.contains("deep.rp: f14: skipped (after `f13`)"),
+                "{what}"
+            );
+            assert!(
+                text.contains("9 ok, 1 errors, 0 timeouts, 5 skipped"),
+                "{what}"
+            );
+            reports.push(text);
+        }
+    }
+    assert!(reports.windows(2).all(|w| w[0] == w[1]), "{reports:#?}");
+
+    let open = Json::obj(vec![
+        ("id", Json::Int(1)),
+        ("method", Json::Str("open".into())),
+        (
+            "params",
+            Json::obj(vec![
+                ("path", Json::Str("deep.rp".into())),
+                ("text", Json::Str(src)),
+                ("version", Json::Int(1)),
+            ]),
+        ),
+    ]);
+    let script = format!("{open}\n{{\"id\":2,\"method\":\"shutdown\"}}\n");
+    let out = rowpoly(&["serve", "--json-rpc", "--no-cache"], &dir, &script);
+    let text = String::from_utf8_lossy(&out.stdout).into_owned();
+    assert!(
+        out.status.success(),
+        "{text}{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(
+        text.contains(&format!(
+            "\"def\":\"f9\",\"kind\":\"error\",\"message\":\"{TOO_DEEP}\""
+        )),
+        "{text}"
+    );
+    assert!(
+        text.contains("\"range\":{\"start\":{\"line\":9,\"character\":11}"),
+        "{text}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }

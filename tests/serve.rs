@@ -378,3 +378,67 @@ fn a_zero_byte_bound_is_a_usage_error() {
         assert_eq!(out.status.code(), Some(2), "--memo-max-bytes {bad}");
     }
 }
+
+/// File-record count of the `cache.json` under `dir`.
+fn saved_records(dir: &Path) -> usize {
+    let text = std::fs::read_to_string(dir.join("cache.json")).expect("cache saved");
+    let doc = json::parse(&text).expect("cache is JSON");
+    doc.get("files")
+        .and_then(Json::as_arr)
+        .map_or(0, <[Json]>::len)
+}
+
+#[test]
+fn check_and_serve_keep_sharing_file_records() {
+    let s = Scratch::new("records");
+    let corpus = s.dir.join("programs");
+    std::fs::create_dir_all(&corpus).unwrap();
+    let programs = Path::new(env!("CARGO_MANIFEST_DIR")).join("programs");
+    let mut files = 0;
+    for entry in std::fs::read_dir(programs).unwrap() {
+        let path = entry.unwrap().path();
+        std::fs::copy(&path, corpus.join(path.file_name().unwrap())).unwrap();
+        files += 1;
+    }
+    let cold = check_stats(&["programs", "--cache-dir", "c"], &s.dir);
+    let (stored, records) = (
+        saved_entries(&s.dir.join("c")),
+        saved_records(&s.dir.join("c")),
+    );
+    // Every sample but the one with a rejected definition has a record.
+    assert_eq!(records, files - 1, "{cold}");
+
+    // A daemon over the v5 file answers a sample's groups from disk, as
+    // before records, and its save keeps every record: it still holds
+    // every group they name.
+    let merge = std::fs::read_to_string(corpus.join("merge.rp")).unwrap();
+    let open = Json::obj(vec![
+        ("id", Json::Int(1)),
+        ("method", Json::Str("open".into())),
+        (
+            "params",
+            Json::obj(vec![
+                ("path", Json::Str("programs/merge.rp".into())),
+                ("text", Json::Str(merge)),
+            ]),
+        ),
+    ]);
+    let script = format!(
+        "{open}\n{}\n{}\n{}\n",
+        r#"{"id":2,"method":"open","params":{"path":"z.rp","text":"def z = 1"}}"#,
+        r#"{"id":3,"method":"save"}"#,
+        r#"{"id":4,"method":"shutdown"}"#,
+    );
+    let replies = responses(&serve(&["--json-rpc", "--cache-dir", "c"], &script, &s.dir));
+    assert_eq!(stat(&replies[0], "verdict_recomputed"), 0, "{}", replies[0]);
+    assert!(stat(&replies[0], "verdict_disk_hits") > 0, "{}", replies[0]);
+    assert_eq!(saved_entries(&s.dir.join("c")), stored + 1);
+    assert_eq!(saved_records(&s.dir.join("c")), records);
+
+    // A `check` after the session still serves the unchanged files from
+    // their records and parses only the one with an error.
+    let warm = check_stats(&["programs", "--cache-dir", "c"], &s.dir);
+    let stat_of = |name: &str| warm.get(name).and_then(Json::as_i64).expect(name);
+    assert_eq!(stat_of("files_parsed"), 1, "{warm}");
+    assert_eq!(stat_of("cache_hits") as usize, stored, "{warm}");
+}
