@@ -4,8 +4,9 @@
 //! The serial [`rowpoly_core::Session`] checks one file on one thread.
 //! This crate scales the same inference to many files and many cores:
 //!
-//! * [`graph`] slices each file into definition groups with explicit
-//!   dependency edges (topological waves bound the parallelism);
+//! * [`rowpoly_core::graph`] slices each file into definition groups
+//!   with explicit dependency edges (topological waves bound the
+//!   parallelism);
 //! * [`pool`] drains the resulting DAG on a std-only work-stealing
 //!   thread pool;
 //! * [`cache`] keys each group by the content that determines its
@@ -47,6 +48,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use rowpoly_boolfun::SatClass;
+use rowpoly_core::graph::{Group, ProgramGraph};
 use rowpoly_core::{DefReport, DefVerdict, EngineScratch, Options};
 use rowpoly_lang::{parse_program, Program};
 use rowpoly_obs as obs;
@@ -56,13 +58,11 @@ use rowpoly_obs::Recorder;
 
 pub mod cache;
 pub mod codec;
-pub mod graph;
 pub mod pool;
 pub mod profile;
 pub mod step;
 
 use cache::Sharded;
-use graph::ProgramGraph;
 use profile::ProfileReport;
 use step::{Answer, GroupResult, GroupStep, Lookup};
 
@@ -719,7 +719,7 @@ pub fn check_sources(mut inputs: Vec<FileInput>, options: &BatchOptions) -> Batc
 
 /// Renders `file.rp:def+def` for a group — the label jobs carry in
 /// profiles and traces.
-fn group_label(pf: &ParsedFile, group: &graph::Group) -> String {
+fn group_label(pf: &ParsedFile, group: &Group) -> String {
     let names: Vec<String> = group
         .def_indices
         .iter()

@@ -1,9 +1,9 @@
 //! The group step: how one definition group gets its verdicts.
 //!
-//! The paper's per-definition inference (Fig. 3) runs, outside the
-//! serial driver, as one step per definition group. Both the batch
-//! checker's workers and the serve daemon's revision loop take exactly
-//! this step, so they agree byte for byte:
+//! The paper's per-definition inference (Fig. 3) runs as one step per
+//! definition group ([`run_group_spec`], which `Session` takes in
+//! order). The batch checker's workers and the serve daemon's revision
+//! loop wrap it in exactly this step, so all three agree byte for byte:
 //!
 //! 1. gather the closed schemes of the group's dependencies from their
 //!    already-published results, by reference — a failed dependency
@@ -30,12 +30,12 @@
 
 use std::sync::Arc;
 
+use rowpoly_core::graph::ProgramGraph;
 use rowpoly_core::{run_group_spec, DefReport, DefVerdict, EngineScratch, GroupSpec, Options};
 use rowpoly_lang::{Program, Symbol};
 use rowpoly_types::Scheme;
 
 use crate::cache::{Cache, Checked};
-use crate::graph::ProgramGraph;
 
 /// How a group got its verdicts.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -24,9 +24,7 @@
 //! the clausal form of implication from the guard; this is what makes
 //! `when` require a general SAT solver.
 
-use rowpoly_boolfun::{
-    Cnf, Flag, FlagAlloc, FlagSet, Lit, ProjectStats, Proof, SatResult, UnsatProof,
-};
+use rowpoly_boolfun::{Cnf, Flag, FlagAlloc, FlagSet, Lit, Proof, SatResult, UnsatProof};
 use rowpoly_lang::{BinOp, Def, Expr, ExprKind, FieldName, Span, Symbol};
 use rowpoly_obs as obs;
 use rowpoly_obs::{Phase, PhaseClock};
@@ -145,14 +143,8 @@ impl FlowInfer {
         self.opts.track_fields
     }
 
-    /// Folds projection work done outside the engine (e.g. closing a
-    /// scheme's published flow) into this engine's counters.
-    pub fn note_projection(&mut self, outcome: &ProjectStats) {
-        self.counts.note_projection(outcome);
-    }
-
     /// A fresh flag, or `NO_FLAG` when flows are disabled.
-    fn flag(&mut self) -> Flag {
+    pub(crate) fn flag(&mut self) -> Flag {
         if self.opts.track_fields {
             self.flags.fresh()
         } else {
@@ -459,13 +451,29 @@ impl FlowInfer {
         self.clock.exit();
     }
 
+    /// Closes a definition's published interface (see [`crate::unit`]):
+    /// projects the scheme's stored flow onto the flags of its own
+    /// type, timed as projection.
+    pub fn close_scheme(&mut self, scheme: &mut Scheme) {
+        if !self.opts.track_fields {
+            return;
+        }
+        let _span = obs::span(Phase::Project.name());
+        self.clock.enter(Phase::Project);
+        let keep: FlagSet = scheme.ty.flags().into_iter().collect();
+        let outcome = scheme.flow.project_unless(|f| keep.contains(&f));
+        scheme.flow.normalize();
+        self.counts.note_projection(&outcome);
+        self.clock.exit();
+    }
+
     /// Checks one top-level definition and folds it into `env`: infers
     /// and SAT-checks it (see [`Self::infer_checked`]), moves its flow
-    /// into the scheme, binds the scheme and freezes. Both the serial
-    /// driver and the group runner take this step, so `env` is the sole
-    /// owner of its global layer at the freeze and the layer is extended
-    /// in place. On error `env` is left as it was. Returns the bound
-    /// scheme (its flow not yet closed).
+    /// into the scheme, binds the scheme and freezes. The group step
+    /// takes this per member, so `env` is the sole owner of its global
+    /// layer at the freeze and the layer is extended in place. On error
+    /// `env` is left as it was. Returns the bound scheme (its flow not
+    /// yet closed).
     pub(crate) fn fold_def(&mut self, env: &mut TyEnv, def: &Def) -> Infer<Scheme> {
         let (mut scheme, env_after) = self.infer_checked(def.span, |s| {
             s.infer_def(env, def.name, &def.body, def.span)

@@ -12,6 +12,8 @@
 //! Entry points:
 //!
 //! * [`Session`] — parse + infer whole programs or expressions;
+//! * [`graph`] and [`run_group_spec`] — definition groups and the step
+//!   that infers one, which every entry point infers through;
 //! * [`FlowInfer`] — the rule-level engine (Fig. 3 of the paper plus the
 //!   Section 5 extensions: removal, renaming, asymmetric/symmetric
 //!   concatenation, `when N in x` conditionals);
@@ -50,12 +52,13 @@ mod error;
 mod flow;
 mod unit;
 
+pub mod graph;
 pub mod hm;
 pub mod remy;
 pub mod smt;
 
 pub use config::{Compaction, Options, Stats, SAT_CLASSES, SAT_CLASS_COUNT};
-pub use driver::{DefReport, ProgramReport, Session, SessionError, BUILTINS};
+pub use driver::{DefReport, ProgramReport, Session, SessionError};
 pub use error::{FlagOrigin, ProofInfo, Provenance, TypeError, TypeErrorKind};
 pub use flow::{alpha_eq_skeleton, FlowInfer, Infer};
-pub use unit::{close_scheme, run_group_spec, DefVerdict, EngineScratch, GroupOutcome, GroupSpec};
+pub use unit::{run_group_spec, DefVerdict, EngineScratch, GroupOutcome, GroupSpec};

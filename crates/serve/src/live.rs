@@ -31,7 +31,7 @@
 //! [`ProgramGraph::build`] reads.
 
 use rowpoly_batch::cache::def_digest;
-use rowpoly_batch::graph::ProgramGraph;
+use rowpoly_core::graph::ProgramGraph;
 use rowpoly_lang::{parse_program, Diag, Program};
 
 /// A document's parsed program and what the daemon derives from it.

@@ -10,7 +10,7 @@
 //! fail with the same diagnostic.
 
 use rowpoly::batch::cache::def_digest;
-use rowpoly::batch::graph::ProgramGraph;
+use rowpoly::core::graph::ProgramGraph;
 use rowpoly::gen::generate_with_lines;
 use rowpoly::gen::rng::SplitMix64;
 use rowpoly::lang::parse_program;
