@@ -408,7 +408,7 @@ fn check_and_serve_keep_sharing_file_records() {
     // Every sample but the one with a rejected definition has a record.
     assert_eq!(records, files - 1, "{cold}");
 
-    // A daemon over the v5 file answers a sample's groups from disk, as
+    // A daemon over the v6 file answers a sample's groups from disk, as
     // before records, and its save keeps every record: it still holds
     // every group they name.
     let merge = std::fs::read_to_string(corpus.join("merge.rp")).unwrap();
