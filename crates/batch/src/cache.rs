@@ -27,10 +27,12 @@
 //!
 //! Beside the group entries the store keeps *file records*: a
 //! [`FileRecord`] names, for a file whose every definition checked, each
-//! definition's group entry and member, so a warm `check` serves an
-//! unchanged file without parsing it. A record is keyed by
+//! definition's group entry and member, so a warm `check` serves
+//! an unchanged file without parsing it. A record is keyed by
 //! [`Cache::file_key`] (format, options fingerprint and the file's
-//! text, not its path).
+//! text, not its path), lists the paths it was last checked under, and
+//! digests the member heads it was written from ([`heads_digest`]), so
+//! it serves only from entries that still say what they said then.
 //!
 //! Persistence is one mini-JSON document per cache directory,
 //! `{"version": …, "entries": [ … ], "files": [ … ]}`, written with its
@@ -39,42 +41,63 @@
 //! records):
 //!
 //! ```text
-//! {"key":"<16 hex>","sum":"<16 hex>","defs":[{"name":…,"class":…,"digest":"<16 hex>","rendered":…,"scheme":{…}},…]}
-//! {"key":"<16 hex>","sum":"<16 hex>","waves":N,"defs":[["<group key>",<member>],…]}
+//! {"key":"<16 hex>","sum":"<16 hex>","defs":[{"name":…,"class":…,"digest":"<16 hex>","rendered":…},…],"schemes":[{…},…]}
+//! {"key":"<16 hex>","sum":"<16 hex>","paths":[…],"heads":"<16 hex>","waves":N,"defs":[["<group key>",<member>],…]}
 //! ```
 //!
-//! A member stores what a hit needs without re-deriving it: the rendered
-//! scheme a report prints, the scheme digest dependents key on, and the
-//! scheme JSON inference reads. `sum` is the Fx hash of the key and the
+//! A member's head stores what a hit needs without re-deriving it: the
+//! rendered scheme a report prints and the scheme digest dependents key
+//! on; its scheme JSON, which inference reads, follows the heads. `sum` is the Fx hash of the key and the
 //! rest of the line, so a damaged line is caught when it loads, not when
-//! it is used. Loading reads the file line by line and tolerates
-//! anything: a missing, truncated, corrupted, or wrong-version file is
-//! an empty cache, never an error, and a line that fails its sum, to
-//! parse or to decode (say, a scheme nested past the JSON parser's
-//! bound) drops only its own entry or record. What saving writes
-//! follows from whether the store is bounded (see [`Cache`]): a record
-//! is written exactly when every group it names is. A `check` run that
-//! changed nothing writes nothing at all (see [`Sharded::save`]).
+//! it is used.
+//!
+//! Loading reads the file a line at a time and keeps each group line's
+//! text with its entry: it checks the line's sum and framing and reads
+//! its member heads (name, class, digest, rendering), and decodes its
+//! `schemes` array only when first asked for. The text replaces the
+//! decoded schemes rather than joining them, and no entry holds more
+//! than its own line, so an entry that outlives the rest of the file
+//! in a bounded store does not keep the file alive. A file served from
+//! its record reads no scheme at all. A group step that replays an
+//! entry decodes all of its schemes before accepting it
+//! ([`Checked::decodes`]), and each scheme must derive the digest, class
+//! and rendering its head gives, so a well-summed line that does not
+//! decode, or says something its schemes do not, is a miss and its group
+//! is inferred again, never an error in the middle of a dependent's
+//! inference. Saving copies a loaded entry's line verbatim and encodes
+//! only what this process inferred.
+//!
+//! Loading tolerates anything: a missing, truncated, corrupted, or
+//! wrong-version file is an empty cache, never an error, and a line that
+//! fails its sum or framing drops only its own entry or record. What
+//! saving writes follows from whether the store is bounded (see
+//! [`Cache`]) and, for a `check` run's records, from the paths the run
+//! looked at (see [`Sharded::save`]). A `check` run that changed nothing
+//! writes nothing at all.
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io::{BufRead, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock};
 
+use rowpoly_boolfun::{classify, SatClass};
 use rowpoly_core::DefReport;
 use rowpoly_lang::{Def, Expr, ExprKind, Symbol};
+use rowpoly_obs as obs;
 use rowpoly_obs::contention::LockTimer;
 use rowpoly_obs::json;
 use rowpoly_obs::MemSite;
+use rowpoly_types::{render_scheme, Scheme};
 
 use crate::codec;
 use crate::step::Answer;
 
 /// Bump when the key derivation, the entry layout or the grouping that
 /// records name changes.
-const FORMAT: &str = "rowpoly-batch-cache-v6";
+const FORMAT: &str = "rowpoly-batch-cache-v7";
 
 /// File name inside the cache directory.
 pub const CACHE_FILE: &str = "cache.json";
@@ -87,92 +110,242 @@ pub const BOUNDED_CAP: usize = 4096;
 /// `rowpoly-obs::mem`).
 static CACHE_MEM: MemSite = MemSite::new("batch.cache");
 
-/// The closed per-definition reports of the members of a group that
-/// checked, with what each member's scheme derives to: its digest (what
-/// dependents key on) and its rendering (what reports show), each made
-/// at most once, and its canonical JSON, kept only once a bounded
-/// store's size estimate asks for it. An entry loaded from disk has its
-/// digests and renderings from its line already. A store entry is one
-/// of these behind an [`Arc`], shared by every result that replays it:
-/// a hit neither copies, re-encodes nor re-renders.
+/// The closed per-definition outcomes of the members of a group that
+/// checked: each member's name, SAT class and closed scheme, and what
+/// the scheme derives to — its digest (what dependents key on), its
+/// rendering (what reports show) and its canonical JSON (what a save
+/// writes).
+///
+/// An entry this process inferred holds the reports and derives each of
+/// the rest at most once, on first use. An entry loaded from disk holds
+/// its line and the member heads read from it at load; its schemes are
+/// decoded on first use ([`Checked::decodes`]). A store entry is one of
+/// these behind an [`Arc`], shared by every result that replays it: a
+/// hit neither copies, re-encodes nor re-renders.
 #[derive(Debug)]
-pub struct Checked {
-    /// The reports, in group order.
-    pub defs: Vec<DefReport>,
-    derived: Vec<Derived>,
+pub struct Checked(Members);
+
+#[derive(Debug)]
+enum Members {
+    /// Inferred by this process.
+    Inferred(Vec<Inferred>),
+    /// Loaded from disk.
+    Loaded(Line),
 }
 
-/// What one member's scheme derives to, made on first use.
-#[derive(Debug, Default)]
-struct Derived {
+/// One inferred member: its report and what its scheme derives to,
+/// made on first use.
+#[derive(Debug)]
+struct Inferred {
+    report: DefReport,
     json: OnceLock<String>,
     digest: OnceLock<u64>,
     rendered: OnceLock<String>,
 }
 
+/// A loaded entry's line.
+#[derive(Debug)]
+struct Line {
+    /// The line, without its separating comma and line break.
+    text: Box<str>,
+    /// The members as their heads give them, in group order.
+    members: Box<[Head]>,
+    /// The line's `schemes` array in `text`.
+    schemes_at: Range<usize>,
+    /// The members' schemes, decoded on first use; `None` when they do
+    /// not decode to what the heads give.
+    schemes: OnceLock<Option<Box<[Scheme]>>>,
+}
+
+/// One member's head in a group line: everything but its scheme.
+#[derive(Debug)]
+struct Head {
+    name: Box<str>,
+    sat_class: SatClass,
+    digest: u64,
+    rendered: Box<str>,
+}
+
+/// Where a group line's `defs` array starts: after
+/// `{"key":"<16 hex>","sum":"<16 hex>","defs":`.
+const DEFS_AT: usize = "{\"key\":\"\",\"sum\":\"\",\"defs\":".len() + 32;
+
+/// How many arrays and objects enclose a group line's `schemes` array in
+/// the cache file: the document, its `entries` array and the line.
+const LINE_DEPTH: usize = 3;
+
+impl Line {
+    /// The schemes, decoded on first use; `None` when they do not decode
+    /// to the digests, classes and renderings the heads give.
+    fn schemes(&self) -> Option<&[Scheme]> {
+        self.schemes
+            .get_or_init(|| {
+                obs::counter_add("batch.cache.decoded", self.members.len() as u64);
+                decode_schemes(&self.text[self.schemes_at.clone()], &self.members)
+            })
+            .as_deref()
+    }
+}
+
 impl Checked {
     /// Wraps reports whose derived strings are not made yet.
     pub fn new(defs: Vec<DefReport>) -> Checked {
-        Checked {
-            derived: defs.iter().map(|_| Derived::default()).collect(),
-            defs,
+        let members = defs.into_iter().map(|report| Inferred {
+            report,
+            json: OnceLock::new(),
+            digest: OnceLock::new(),
+            rendered: OnceLock::new(),
+        });
+        Checked(Members::Inferred(members.collect()))
+    }
+
+    /// Number of members.
+    pub fn len(&self) -> usize {
+        match &self.0 {
+            Members::Inferred(members) => members.len(),
+            Members::Loaded(line) => line.members.len(),
         }
     }
 
-    /// Canonical JSON of member `k`'s closed scheme, kept once made.
-    pub fn scheme_json(&self, k: usize) -> &str {
-        self.derived[k]
-            .json
-            .get_or_init(|| codec::scheme_to_json(&self.defs[k].scheme))
+    /// Whether the entry has no members.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 
-    /// Member `k`'s canonical scheme JSON: the kept one, if
-    /// [`Checked::scheme_json`] made it, or a fresh encoding that is not
-    /// kept (a `check` run's entries need it only to digest and save).
-    fn scheme_text(&self, k: usize) -> Cow<'_, str> {
-        match self.derived[k].json.get() {
-            Some(json) => Cow::Borrowed(json),
-            None => Cow::Owned(codec::scheme_to_json(&self.defs[k].scheme)),
+    /// Member `k`'s name.
+    pub fn name(&self, k: usize) -> &str {
+        match &self.0 {
+            Members::Inferred(members) => members[k].report.name.as_str(),
+            Members::Loaded(line) => &line.members[k].name,
+        }
+    }
+
+    /// Member `k`'s SAT class.
+    pub fn sat_class(&self, k: usize) -> SatClass {
+        match &self.0 {
+            Members::Inferred(members) => members[k].report.sat_class,
+            Members::Loaded(line) => line.members[k].sat_class,
+        }
+    }
+
+    /// Whether every member's scheme is at hand: true of an inferred
+    /// entry, and of a loaded one whose schemes decode to the digests,
+    /// classes and renderings its heads give, which this decodes if that
+    /// was not done yet. A group step replays an entry only once this
+    /// holds.
+    pub fn decodes(&self) -> bool {
+        match &self.0 {
+            Members::Inferred(_) => true,
+            Members::Loaded(line) => line.schemes().is_some(),
+        }
+    }
+
+    /// Member `k`'s closed scheme.
+    ///
+    /// # Panics
+    ///
+    /// On a loaded entry for which [`Checked::decodes`] does not hold.
+    pub fn scheme(&self, k: usize) -> &Scheme {
+        match &self.0 {
+            Members::Inferred(members) => &members[k].report.scheme,
+            Members::Loaded(line) => &line
+                .schemes()
+                .expect("an entry is replayed only once its schemes decode")[k],
         }
     }
 
     /// Member `k`'s scheme digest: the Fx hash of its canonical JSON.
     pub fn scheme_digest(&self, k: usize) -> u64 {
-        *self.derived[k]
-            .digest
-            .get_or_init(|| digest_of(&self.scheme_text(k)))
+        match &self.0 {
+            Members::Inferred(members) => *members[k]
+                .digest
+                .get_or_init(|| digest_of(&scheme_text(&members[k]))),
+            Members::Loaded(line) => line.members[k].digest,
+        }
     }
 
     /// Member `k`'s scheme rendered without flags.
     pub fn rendered(&self, k: usize) -> &str {
-        self.derived[k]
-            .rendered
-            .get_or_init(|| self.defs[k].render(false))
+        match &self.0 {
+            Members::Inferred(members) => {
+                let m = &members[k];
+                m.rendered.get_or_init(|| m.report.render(false))
+            }
+            Members::Loaded(line) => &line.members[k].rendered,
+        }
+    }
+
+    /// Total length of the members' canonical scheme JSON. An inferred
+    /// entry keeps the JSON it makes, for the line a save encodes; a
+    /// loaded one measures it in its line.
+    fn scheme_bytes(&self) -> usize {
+        match &self.0 {
+            Members::Inferred(members) => members
+                .iter()
+                .map(|m| {
+                    m.json
+                        .get_or_init(|| codec::scheme_to_json(&m.report.scheme))
+                        .len()
+                })
+                .sum(),
+            // The `schemes` array less its brackets and commas.
+            Members::Loaded(line) => line
+                .schemes_at
+                .len()
+                .saturating_sub(1 + line.members.len().max(1)),
+        }
     }
 
     /// Appends the entry's cache line under `key` (without a separating
-    /// comma). A loaded entry encodes to the line it was loaded from.
-    fn write_line(&self, key: u64, out: &mut String) {
-        let mut defs = String::from("[");
-        for (k, d) in self.defs.iter().enumerate() {
-            if k > 0 {
-                defs.push(',');
+    /// comma): a loaded entry's line as it was read, an inferred one's
+    /// freshly encoded. False, with nothing appended, for an inferred
+    /// entry a load could not read back: one whose scheme nests past the
+    /// reader's bound where its line puts it.
+    fn write_line(&self, key: u64, out: &mut String) -> bool {
+        let members = match &self.0 {
+            Members::Loaded(line) => {
+                out.push_str(&line.text);
+                return true;
             }
-            defs.push_str("{\"name\":");
-            json::write_escaped(d.name.as_str(), &mut defs);
-            defs.push_str(",\"class\":");
-            json::write_escaped(d.sat_class.name(), &mut defs);
-            let json = self.scheme_text(k);
-            let digest = *self.derived[k].digest.get_or_init(|| digest_of(&json));
-            let _ = write!(defs, ",\"digest\":\"{digest:016x}\"");
-            defs.push_str(",\"rendered\":");
-            json::write_escaped(self.rendered(k), &mut defs);
-            defs.push_str(",\"scheme\":");
-            defs.push_str(&json);
-            defs.push('}');
+            Members::Inferred(members) => members,
+        };
+        let mut body = String::from("\"defs\":[");
+        let mut schemes = String::from("[");
+        for (k, m) in members.iter().enumerate() {
+            let json = scheme_text(m);
+            if !codec::reads_back(&json, LINE_DEPTH + 1) {
+                return false;
+            }
+            if k > 0 {
+                body.push(',');
+                schemes.push(',');
+            }
+            body.push_str("{\"name\":");
+            json::write_escaped(m.report.name.as_str(), &mut body);
+            body.push_str(",\"class\":");
+            json::write_escaped(m.report.sat_class.name(), &mut body);
+            let digest = *m.digest.get_or_init(|| digest_of(&json));
+            let _ = write!(body, ",\"digest\":\"{digest:016x}\"");
+            body.push_str(",\"rendered\":");
+            json::write_escaped(self.rendered(k), &mut body);
+            body.push('}');
+            schemes.push_str(&json);
         }
-        defs.push(']');
-        write_checked_line(key, &format!("\"defs\":{defs}"), out);
+        body.push_str("],\"schemes\":");
+        body.push_str(&schemes);
+        body.push(']');
+        write_checked_line(key, &body, out);
+        true
+    }
+}
+
+/// An inferred member's canonical scheme JSON: the kept one, if
+/// [`Checked::scheme_bytes`] made it, or a fresh encoding that is not
+/// kept (a `check` run's entries need it only to digest and save).
+fn scheme_text(m: &Inferred) -> Cow<'_, str> {
+    match m.json.get() {
+        Some(json) => Cow::Borrowed(json),
+        None => Cow::Owned(codec::scheme_to_json(&m.report.scheme)),
     }
 }
 
@@ -211,18 +384,18 @@ fn checked_line<'l>(line: &'l str, tag: &str) -> Option<(u64, &'l str)> {
     (body.starts_with(tag) && line_sum(key, body) == sum).then_some((key, body))
 }
 
-/// Decodes one entry line (without its separating comma) straight from
-/// its text. `None` unless the line has the layout
-/// [`Checked::write_line`] writes, its sum matches and every member
-/// decodes.
-fn parse_entry_line(line: &str) -> Option<(u64, Checked)> {
-    let (key, body) = checked_line(line, "\"defs\":")?;
-    let defs_text = &body["\"defs\":".len()..];
-    let mut r = codec::Reader::new(defs_text);
+/// Reads a group line (without its separating comma): its key and
+/// member heads, and where its `schemes` array sits, leaving the schemes
+/// undecoded. `None` unless the line's sum matches and it has the layout
+/// [`Checked::write_line`] writes up to the `schemes` array.
+fn read_group_line(line: &str) -> Option<(u64, Checked)> {
+    let (key, _) = checked_line(line, "\"defs\":")?;
+    let end = line.len() - 1;
+    let mut r = codec::Reader::new(&line[DEFS_AT..end]);
     let members = r
         .list(|r| {
             r.lit("{\"name\":")?;
-            let name = Symbol::intern(&r.string()?);
+            let name = r.string()?.into_boxed_str();
             r.lit(",\"class\":")?;
             let sat_class = codec::sat_class_from_name(&r.string()?)?;
             r.lit(",\"digest\":")?;
@@ -231,26 +404,48 @@ fn parse_entry_line(line: &str) -> Option<(u64, Checked)> {
                 _ => return Err("digest: not 16 hex digits".to_string()),
             };
             r.lit(",\"rendered\":")?;
-            let rendered = r.string()?;
-            r.lit(",\"scheme\":")?;
-            let scheme = r.scheme()?;
+            let rendered = r.string()?.into_boxed_str();
             r.lit("}")?;
-            let report = DefReport {
+            Ok(Head {
                 name,
-                scheme,
                 sat_class,
-            };
-            let derived = Derived {
-                digest: OnceLock::from(digest),
-                rendered: OnceLock::from(rendered),
-                ..Derived::default()
-            };
-            Ok((report, derived))
+                digest,
+                rendered,
+            })
+        })
+        .ok()?;
+    r.lit(",\"schemes\":").ok()?;
+    let line = Line {
+        text: line.into(),
+        members: members.into_boxed_slice(),
+        schemes_at: DEFS_AT + r.pos()..end,
+        schemes: OnceLock::new(),
+    };
+    Some((key, Checked(Members::Loaded(line))))
+}
+
+/// Decodes a line's `schemes` array, one scheme per member, each of
+/// which must derive its member's digest, class and rendering.
+fn decode_schemes(json: &str, members: &[Head]) -> Option<Box<[Scheme]>> {
+    let mut r = codec::Reader::nested(json, LINE_DEPTH);
+    let mut heads = members.iter();
+    let schemes = r
+        .list(|r| {
+            let from = r.pos();
+            let scheme = r.scheme()?;
+            let derives = heads.next().is_some_and(|m| {
+                m.digest == digest_of(&json[from..r.pos()])
+                    && m.sat_class == classify(&scheme.flow)
+                    && *m.rendered == render_scheme(&scheme, false)
+            });
+            match derives {
+                true => Ok(scheme),
+                false => Err("a scheme that is not its member's".to_string()),
+            }
         })
         .ok()?;
     r.end().ok()?;
-    let (defs, derived) = members.into_iter().unzip();
-    Some((key, Checked { defs, derived }))
+    (schemes.len() == members.len()).then(|| schemes.into_boxed_slice())
 }
 
 /// Splits 16 lowercase hex digits off the front of `s`, as the line
@@ -268,16 +463,36 @@ fn hex16(s: &str) -> Option<(u64, &str)> {
 
 /// A file a warm `check` serves without parsing: per definition, in
 /// source order, the key of its group's entry and its index among the
-/// group's members, and the file's dependency waves. Stored only for a
-/// file whose every definition checked, so no diagnostic ever comes
-/// from the store.
+/// group's members, a digest of what the file's report reads of those
+/// members, and the file's dependency waves. Stored only for a file whose every definition
+/// checked, so no diagnostic ever comes from the store.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FileRecord {
     /// Per definition: its group's key and member index. A group's
     /// members are consecutive, numbered from 0.
     pub defs: Vec<(u64, usize)>,
+    /// The members' names, classes and renderings, in source order
+    /// ([`heads_digest`]): a file is served only from entries whose
+    /// heads give exactly what the record was written from.
+    pub heads: u64,
     /// The file's topological waves ([`rowpoly_core::graph::ProgramGraph::waves`]).
     pub waves: usize,
+    /// The paths of the files the record was written or last used for,
+    /// sorted (see [`Sharded::save`]).
+    pub paths: Vec<String>,
+}
+
+/// The digest of what a file's report reads of its definitions' group
+/// members, in source order: the Fx hash of each member's name, SAT class
+/// and rendering.
+pub fn heads_digest<'a>(members: impl IntoIterator<Item = (&'a Checked, usize)>) -> u64 {
+    let mut h = FxHash64::default();
+    for (checked, k) in members {
+        h.write(checked.name(k).as_bytes());
+        h.write(checked.sat_class(k).name().as_bytes());
+        h.write(checked.rendered(k).as_bytes());
+    }
+    h.finish()
 }
 
 impl FileRecord {
@@ -304,7 +519,18 @@ impl FileRecord {
     /// Appends the record's line under `key` (without a separating
     /// comma).
     fn write_line(&self, key: u64, out: &mut String) {
-        let mut body = format!("\"waves\":{},\"defs\":[", self.waves);
+        let mut body = String::from("\"paths\":[");
+        for (i, path) in self.paths.iter().enumerate() {
+            if i > 0 {
+                body.push(',');
+            }
+            json::write_escaped(path, &mut body);
+        }
+        let _ = write!(
+            body,
+            "],\"heads\":\"{:016x}\",\"waves\":{},\"defs\":[",
+            self.heads, self.waves
+        );
         for (i, (group, k)) in self.defs.iter().enumerate() {
             if i > 0 {
                 body.push(',');
@@ -320,18 +546,23 @@ impl FileRecord {
 /// unless the line has the layout [`FileRecord::write_line`] writes,
 /// its sum matches and its members are well formed.
 fn parse_record_line(line: &str) -> Option<(u64, FileRecord)> {
-    let (key, body) = checked_line(line, "\"waves\":")?;
+    let (key, body) = checked_line(line, "\"paths\":")?;
+    let hex = |r: &mut codec::Reader| match hex16(&r.string()?) {
+        Some((n, "")) => Ok(n),
+        _ => Err("not 16 hex digits".to_string()),
+    };
     let mut r = codec::Reader::new(body);
-    r.lit("\"waves\":").ok()?;
+    r.lit("\"paths\":").ok()?;
+    let paths = r.list(codec::Reader::string).ok()?;
+    r.lit(",\"heads\":").ok()?;
+    let heads = hex(&mut r).ok()?;
+    r.lit(",\"waves\":").ok()?;
     let waves = r.u32("waves").ok()? as usize;
     r.lit(",\"defs\":").ok()?;
     let defs = r
         .list(|r| {
             r.lit("[")?;
-            let group = match hex16(&r.string()?) {
-                Some((group, "")) => group,
-                _ => return Err("group: not 16 hex digits".to_string()),
-            };
+            let group = hex(r)?;
             r.lit(",")?;
             let k = r.u32("member")? as usize;
             r.lit("]")?;
@@ -339,7 +570,12 @@ fn parse_record_line(line: &str) -> Option<(u64, FileRecord)> {
         })
         .ok()?;
     r.end().ok()?;
-    let record = FileRecord { defs, waves };
+    let record = FileRecord {
+        defs,
+        heads,
+        waves,
+        paths,
+    };
     record.well_formed().then_some((key, record))
 }
 
@@ -380,9 +616,11 @@ struct Entry {
 /// The bound also decides what [`Cache::save`] writes: a bounded store
 /// writes every entry it holds, since the bound already limits it; an
 /// unbounded store writes only the entries this process used or
-/// inserted, so entries for deleted code age out of `cache.json`. The
-/// file records loaded with the entries are kept as they are and
-/// written exactly when every group they name is.
+/// inserted, so entries for deleted code age out of `cache.json`.
+/// Neither writes an entry a load could not read back (a scheme nested
+/// past the reader's bound). The file records loaded with the entries
+/// are kept as they are and written exactly when every group they name
+/// is.
 #[derive(Debug, Default)]
 pub struct Cache {
     entries: BTreeMap<u64, Entry>,
@@ -403,14 +641,12 @@ pub struct Cache {
 
 /// Deterministic size estimate of one entry: fixed struct sizes plus
 /// the canonical-JSON length of each scheme, so the estimate tracks the
-/// scheme's real complexity without depending on allocator state. The
-/// JSON is kept in the entry for the line a save encodes.
+/// scheme's real complexity without depending on allocator state. An
+/// inferred entry keeps the JSON for the line a save encodes; a loaded
+/// one measures it in its line.
 fn entry_bytes(checked: &Checked) -> u64 {
-    let fixed = std::mem::size_of::<Entry>() + std::mem::size_of_val(checked.defs.as_slice());
-    let schemes: usize = (0..checked.defs.len())
-        .map(|k| checked.scheme_json(k).len())
-        .sum();
-    (fixed + schemes) as u64
+    let fixed = std::mem::size_of::<Entry>() + checked.len() * std::mem::size_of::<DefReport>();
+    (fixed + checked.scheme_bytes()) as u64
 }
 
 /// The content digest of one definition: the Fx hash of its name and
@@ -548,8 +784,20 @@ impl Cache {
     /// stamp 0 — loaded from disk, unused since — is [`Answer::Disk`];
     /// any other hit is [`Answer::Memo`].
     pub fn lookup(&mut self, key: u64, stamp: u64) -> Option<(Answer, Arc<Checked>)> {
+        self.lookup_if(key, stamp, &|_| true)
+    }
+
+    /// [`Cache::lookup`] for a group step: an entry that `fits` rejects
+    /// (its members do not line up with the group's, or its line does
+    /// not decode) is a miss, neither stamped nor counted as a hit.
+    pub fn lookup_if(
+        &mut self,
+        key: u64,
+        stamp: u64,
+        fits: &dyn Fn(&Checked) -> bool,
+    ) -> Option<(Answer, Arc<Checked>)> {
         let _mem = CACHE_MEM.scope();
-        match self.entries.get_mut(&key) {
+        match self.entries.get_mut(&key).filter(|e| fits(&e.checked)) {
             Some(entry) => {
                 self.hits += 1;
                 let answer = if entry.last_used == 0 {
@@ -644,16 +892,18 @@ impl Cache {
 
     /// Whether [`Cache::save`] writes the entry under `key`.
     fn writes(&self, key: u64) -> bool {
-        self.entries
-            .get(&key)
-            .is_some_and(|e| self.bound.is_some() || e.last_used > 0)
+        self.entries.get(&key).is_some_and(|e| self.written(e))
+    }
+
+    fn written(&self, entry: &Entry) -> bool {
+        self.bound.is_some() || entry.last_used > 0
     }
 
     /// The entries [`Cache::save`] writes, in key order.
     fn saved(&self) -> impl Iterator<Item = (u64, &Checked)> {
         self.entries
             .iter()
-            .filter(|(_, e)| self.bound.is_some() || e.last_used > 0)
+            .filter(|(_, e)| self.written(e))
             .map(|(&key, e)| (key, e.checked.as_ref()))
     }
 
@@ -729,10 +979,11 @@ struct Loaded {
     pristine: bool,
 }
 
-/// Reads the entries and file records of `dir`'s cache file, one line
-/// at a time. A file that is missing or whose first line is not this
-/// format's header reads as none; a line that fails its sum or does not
-/// decode reads as no entry or record.
+/// Reads the entries and file records of `dir`'s cache file. A file
+/// that is missing or whose first line is not this format's header
+/// reads as none; a line that fails its sum or framing reads as no entry
+/// or record. A group line is kept as it is, its schemes undecoded (see
+/// [`Checked`]); a record line is decoded.
 fn read(dir: &Path) -> Loaded {
     let Ok(file) = std::fs::File::open(dir.join(CACHE_FILE)) else {
         return Loaded::default();
@@ -790,7 +1041,7 @@ fn read(dir: &Path) -> Loaded {
         loaded.pristine &= if in_files {
             push_ascending(&mut loaded.files, parse_record_line(body))
         } else {
-            push_ascending(&mut loaded.entries, parse_entry_line(body))
+            push_ascending(&mut loaded.entries, read_group_line(body))
         };
     }
     loaded.pristine &= closed && !failed;
@@ -821,7 +1072,8 @@ fn push_ascending<T>(list: &mut Vec<(u64, T)>, line: Option<(u64, T)>) -> bool {
 /// Writes `entries` and then `files`, each in key order, as `dir`'s
 /// cache file: the header line, one line per entry, the line opening the
 /// records and one line per record when there are any, and the closing
-/// line.
+/// line. An entry a load could not read back is left out
+/// ([`Checked::write_line`]), and so is every record naming it.
 fn write<'a>(
     dir: &Path,
     entries: impl Iterator<Item = (u64, &'a Checked)>,
@@ -835,27 +1087,38 @@ fn write<'a>(
     {
         let mut f = std::io::BufWriter::new(std::fs::File::create(&tmp)?);
         writeln!(f, "{}", header())?;
+        // Each line after an array's first one starts by ending the
+        // line before it with a comma.
         let mut line = String::new();
-        let mut entries = entries.peekable();
-        while let Some((key, checked)) = entries.next() {
+        let mut sep = "";
+        let mut unwritten = Vec::new();
+        for (key, checked) in entries {
             line.clear();
-            checked.write_line(key, &mut line);
-            line.push_str(if entries.peek().is_some() {
-                ",\n"
+            line.push_str(sep);
+            if checked.write_line(key, &mut line) {
+                f.write_all(line.as_bytes())?;
+                sep = ",\n";
             } else {
-                "\n"
-            });
-            f.write_all(line.as_bytes())?;
+                unwritten.push(key);
+            }
         }
-        let mut files = files.peekable();
+        if !sep.is_empty() {
+            writeln!(f)?;
+        }
+        let mut files = files
+            .filter(|(_, record)| record.groups().all(|g| !unwritten.contains(&g)))
+            .peekable();
         if files.peek().is_some() {
             writeln!(f, "{FILES}")?;
-        }
-        while let Some((key, record)) = files.next() {
-            line.clear();
-            record.write_line(key, &mut line);
-            line.push_str(if files.peek().is_some() { ",\n" } else { "\n" });
-            f.write_all(line.as_bytes())?;
+            sep = "";
+            for (key, record) in files {
+                line.clear();
+                line.push_str(sep);
+                record.write_line(key, &mut line);
+                f.write_all(line.as_bytes())?;
+                sep = ",\n";
+            }
+            writeln!(f)?;
         }
         writeln!(f, "{TRAILER}")?;
         f.flush()?;
@@ -951,18 +1214,40 @@ impl Sharded {
         self.stripe(key).lookup(key, 1)
     }
 
+    /// [`Sharded::lookup`] for a group step: an entry `fits` rejects is a
+    /// miss (see [`Cache::lookup_if`]).
+    pub fn lookup_if(
+        &self,
+        key: u64,
+        fits: &dyn Fn(&Checked) -> bool,
+    ) -> Option<(Answer, Arc<Checked>)> {
+        self.stripe(key).lookup_if(key, 1, fits)
+    }
+
     /// Stores a fully-successful group outcome in the key's stripe.
     pub fn insert(&self, key: u64, checked: Arc<Checked>) {
         self.stripe(key).insert(key, checked, 1);
     }
 
-    /// Serves a file from its record under `key` ([`Cache::file_key`]).
-    /// `None` unless there is one and every group it names is held,
-    /// with as many members as the record gives it. Each group is then
-    /// looked up once, through [`Sharded::lookup`], so it counts a hit
-    /// and is marked used just as the file's own groups would be.
-    pub fn serve_file(&self, key: u64) -> Option<ServedFile> {
-        let record = self.files.lock().unwrap().records.get(&key)?.clone();
+    /// Serves the file at `path` from its record under `key`
+    /// ([`Cache::file_key`]). `None` unless there is one and every group
+    /// it names is held, with as many members as the record gives it,
+    /// whose heads digest to the record's [`FileRecord::heads`]. Each group is
+    /// then looked up once, through [`Sharded::lookup`], so it counts a
+    /// hit and is marked used just as the file's own groups would be.
+    /// No scheme is decoded. Either way the run has looked at `path`
+    /// (see [`Sharded::save`]).
+    pub fn serve_file(&self, key: u64, path: &str) -> Option<ServedFile> {
+        let record = self.files.lock().unwrap().records.get(&key).cloned();
+        let served = record.and_then(|record| self.served(&record));
+        let mut files = self.files.lock().unwrap();
+        files
+            .seen
+            .insert(path.to_string(), served.as_ref().map(|_| key));
+        served
+    }
+
+    fn served(&self, record: &FileRecord) -> Option<ServedFile> {
         let mut defs = Vec::with_capacity(record.defs.len());
         let mut entry: Option<Arc<Checked>> = None;
         for (i, &(group, k)) in record.defs.iter().enumerate() {
@@ -970,12 +1255,15 @@ impl Sharded {
                 let checked = Arc::clone(self.stripe(group).peek(group)?);
                 let rest = &record.defs[i + 1..];
                 let members = 1 + rest.iter().take_while(|&&(_, j)| j != 0).count();
-                if checked.defs.len() != members {
+                if checked.len() != members {
                     return None;
                 }
                 entry = Some(checked);
             }
             defs.push((Arc::clone(entry.as_ref()?), k));
+        }
+        if heads_digest(defs.iter().map(|(checked, k)| (checked.as_ref(), *k))) != record.heads {
+            return None;
         }
         for group in record.groups() {
             self.lookup(group);
@@ -986,10 +1274,15 @@ impl Sharded {
         })
     }
 
-    /// Stores a file's record under `key` ([`Cache::file_key`]).
-    pub fn insert_file(&self, key: u64, record: FileRecord) {
+    /// Stores the record under `key` ([`Cache::file_key`]) of the file
+    /// at `path`, which this run checked (its `paths` are ignored).
+    pub fn insert_file(&self, key: u64, path: &str, record: FileRecord) {
         let mut files = self.files.lock().unwrap();
-        if files.records.get(&key) != Some(&record) {
+        files.seen.insert(path.to_string(), Some(key));
+        let same = |old: &FileRecord| {
+            old.defs == record.defs && old.heads == record.heads && old.waves == record.waves
+        };
+        if !files.records.get(&key).is_some_and(same) {
             files.records.insert(key, record);
             files.added = true;
         }
@@ -1006,11 +1299,21 @@ impl Sharded {
     }
 
     /// Writes every stripe's used or inserted entries as one
-    /// `cache.json`, then the records whose every group that writes,
-    /// with [`Cache::save`]'s write-then-rename safety. Saving into the
-    /// directory the cache was loaded from writes nothing when the file
-    /// would come out byte-identical: no line was dropped at load,
-    /// nothing was inserted, and every loaded entry was used.
+    /// `cache.json`, then the records this run keeps, with
+    /// [`Cache::save`]'s write-then-rename safety.
+    ///
+    /// A record is kept when every group it names is written and it
+    /// still has a path: of the paths it was loaded with, those this run
+    /// did not look at ([`Sharded::serve_file`]), and of the paths this
+    /// run looked at, those it served or that wrote it. So a file edited
+    /// in its comments or layout keeps one record, the one for its
+    /// current text, while the records of files this run did not look
+    /// at stay as they were.
+    ///
+    /// Saving into the directory the cache was loaded from writes
+    /// nothing when the file would come out byte-identical: no line was
+    /// dropped at load, nothing was inserted, every loaded entry was
+    /// used, and every record keeps the paths it had.
     pub fn save(&self, dir: &Path) -> std::io::Result<()> {
         let stripes: Vec<_> = self
             .stripes
@@ -1018,8 +1321,14 @@ impl Sharded {
             .map(|s| s.lock().expect("a worker panicked holding a cache stripe"))
             .collect();
         let files = self.files.lock().unwrap();
+        let kept = files.kept(|key| stripes[stripe_of(key)].writes(key));
+        let same_records = !files.added
+            && kept.len() == files.records.len()
+            && kept
+                .iter()
+                .all(|(key, r)| files.records[key].paths == r.paths);
         if self.pristine.as_deref() == Some(dir)
-            && !files.added
+            && same_records
             && stripes.iter().all(|c| c.unchanged())
         {
             return Ok(());
@@ -1029,7 +1338,7 @@ impl Sharded {
         write(
             dir,
             stripes.iter().flat_map(|cache| cache.saved()),
-            written_files(&files.records, |key| stripes[stripe_of(key)].writes(key)),
+            kept.iter().map(|(key, record)| (*key, record)),
         )
     }
 }
@@ -1038,8 +1347,43 @@ impl Sharded {
 #[derive(Debug, Default)]
 struct Files {
     records: BTreeMap<u64, FileRecord>,
+    /// The paths this run looked at, each with the key of the record
+    /// that served it or that it wrote.
+    seen: BTreeMap<String, Option<u64>>,
     /// Whether a record was added or changed since the load.
     added: bool,
+}
+
+impl Files {
+    /// The records [`Sharded::save`] writes, in key order, each with the
+    /// paths it keeps; `writes` tells whether a group is written.
+    fn kept(&self, writes: impl Fn(u64) -> bool) -> Vec<(u64, FileRecord)> {
+        let mut used: BTreeMap<u64, Vec<&String>> = BTreeMap::new();
+        for (path, key) in &self.seen {
+            if let Some(key) = key {
+                used.entry(*key).or_default().push(path);
+            }
+        }
+        let mut kept = Vec::new();
+        for (&key, record) in &self.records {
+            let unseen = record.paths.iter().filter(|p| !self.seen.contains_key(*p));
+            let mut paths: Vec<String> = unseen
+                .chain(used.get(&key).into_iter().flatten().copied())
+                .cloned()
+                .collect();
+            paths.sort_unstable();
+            if !paths.is_empty() && record.groups().all(&writes) {
+                kept.push((
+                    key,
+                    FileRecord {
+                        paths,
+                        ..record.clone()
+                    },
+                ));
+            }
+        }
+        kept
+    }
 }
 
 impl Default for Sharded {
@@ -1081,7 +1425,8 @@ impl FxHash64 {
         self.add(tail ^ (bytes.len() as u64));
     }
 
-    fn add(&mut self, word: u64) {
+    /// Folds one word into the state.
+    pub fn add(&mut self, word: u64) {
         self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(Self::SEED);
     }
 
@@ -1150,10 +1495,7 @@ mod tests {
         let mut back = loaded(&dir);
         assert_eq!(back.len(), 1);
         let (answer, got) = back.lookup(42, 1).expect("hit");
-        assert_eq!(
-            (answer, got.defs[0].name),
-            (Answer::Disk, Symbol::intern("one"))
-        );
+        assert_eq!((answer, got.name(0)), (Answer::Disk, "one"));
         let (answer, _) = back.lookup(42, 2).expect("hit");
         assert_eq!(answer, Answer::Memo, "a used entry is no longer a disk hit");
         assert_eq!(back.hits, 2);
@@ -1187,6 +1529,9 @@ mod tests {
             // File records cut before an ambient reader's dependents
             // joined its group: their verdicts may be the split ones.
             "{\"version\":\"rowpoly-batch-cache-v5\",\"entries\":[\n]}\n",
+            // Schemes inside each member, decoded at load; records without
+            // paths.
+            "{\"version\":\"rowpoly-batch-cache-v6\",\"entries\":[\n]}\n",
             "[1,2]",
         ] {
             std::fs::write(dir.join(CACHE_FILE), bad).unwrap();
@@ -1215,18 +1560,118 @@ mod tests {
         // drops it.
         assert!(lines[3].contains("\"rendered\":\"Int\""));
         lines[3] = lines[3].replace("\"rendered\":\"Int\"", "\"rendered\":\"Ind\"");
-        // A line with a good sum whose defs nest past the parser's bound.
-        let deep = format!("{}{}", "[".repeat(600), "]".repeat(600));
+        // A line with a good sum whose schemes nest past the parser's
+        // bound: it loads, its schemes being read only on first use, and
+        // then is a miss.
+        let (_, body) = checked_line(lines[4].trim_end_matches(','), "\"defs\":").unwrap();
+        let heads = &body[..body.find("\"schemes\":").unwrap()];
+        let deep = format!(
+            "{heads}\"schemes\":[{}{}]",
+            "[".repeat(600),
+            "]".repeat(600)
+        );
         lines[4] = format!(
-            "{{\"key\":\"{:016x}\",\"sum\":\"{:016x}\",\"defs\":{deep}}},",
+            "{{\"key\":\"{:016x}\",\"sum\":\"{:016x}\",{deep}}},",
             4,
             line_sum(4, &deep)
         );
         std::fs::write(dir.join(CACHE_FILE), lines.join("\n")).unwrap();
         let mut back = loaded(&dir);
-        assert_eq!(back.len(), 1);
+        assert_eq!(back.len(), 2);
+        assert!(back.lookup_if(4, 1, &Checked::decodes).is_none());
+        assert_eq!((back.hits, back.misses), (0, 1));
         assert!(back.lookup(5, 1).is_some(), "the intact entry survives");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A group line whose body `edit` rewrote, under a sum recomputed to
+    /// match, as a writer that got the line wrong would leave it.
+    fn resealed(line: &str, edit: impl Fn(&str) -> String) -> String {
+        let body = checked_line(line, "\"defs\":").expect("a group line").1;
+        let mut out = String::new();
+        write_checked_line(1, &edit(body), &mut out);
+        out
+    }
+
+    #[test]
+    fn a_loaded_entry_decodes_on_first_use_and_saves_verbatim() {
+        let dir = temp_dir("lazy");
+        let other = temp_dir("lazy-resaved");
+        let report = rowpoly_core::Session::default()
+            .infer_source("def mk r = @{foo = 1} r\ndef sel r = #foo (mk r)")
+            .expect("checks");
+        let mut cache = Cache::default();
+        cache.insert(1, Arc::new(Checked::new(report.defs.clone())), 1);
+        cache.save(&dir).expect("saves");
+        let text = std::fs::read_to_string(dir.join(CACHE_FILE)).unwrap();
+
+        let mut back = loaded(&dir);
+        let (_, checked) = back.lookup(1, 1).expect("hit");
+        let Members::Loaded(line) = &checked.0 else {
+            panic!("a loaded entry holds its line");
+        };
+        assert_eq!(checked.name(1), "sel");
+        assert_eq!(checked.rendered(0), report.defs[0].render(false));
+        assert_eq!(checked.sat_class(1), report.defs[1].sat_class);
+        assert!(line.schemes.get().is_none(), "a scheme was decoded");
+        assert!(checked.decodes());
+        for (k, d) in report.defs.iter().enumerate() {
+            assert_eq!(
+                rowpoly_types::render_scheme(checked.scheme(k), true),
+                rowpoly_types::render_scheme(&d.scheme, true)
+            );
+        }
+        back.save(&other).expect("saves");
+        let resaved = std::fs::read_to_string(other.join(CACHE_FILE)).unwrap();
+        assert_eq!(resaved, text, "the line was not copied verbatim");
+
+        // Lines whose sums hold but whose heads are wrong: a class that
+        // is no class fails to read, and the line does not load; a scheme
+        // that is not its digest's, or a class or rendering its scheme
+        // does not derive, fails to decode, and the entry is a miss.
+        let lines: Vec<&str> = text.lines().collect();
+        let entry = lines[1];
+        let no_class = resealed(entry, |body| {
+            body.replacen("\"class\":\"", "\"class\":\"x", 1)
+        });
+        std::fs::write(dir.join(CACHE_FILE), text.replace(entry, &no_class)).unwrap();
+        assert!(loaded(&dir).is_empty(), "{no_class}");
+        let class = report.defs[0].sat_class.name();
+        let other_class = if class == "general" {
+            "horn"
+        } else {
+            "general"
+        };
+        let wrong_scheme = resealed(entry, |body| {
+            let (heads, schemes) = body.split_at(body.find("\"schemes\":").unwrap());
+            format!("{heads}{}", schemes.replacen("\"Int\"", "\"Str\"", 1))
+        });
+        let wrong_class = resealed(entry, |body| {
+            body.replacen(
+                &format!("\"class\":\"{class}\""),
+                &format!("\"class\":\"{other_class}\""),
+                1,
+            )
+        });
+        let rendered = report.defs[0].render(false);
+        let wrong_rendering = resealed(entry, |body| {
+            body.replacen(
+                &format!("\"rendered\":\"{rendered}"),
+                &format!("\"rendered\":\"{rendered} "),
+                1,
+            )
+        });
+        for bad in [wrong_scheme, wrong_class, wrong_rendering] {
+            assert_ne!(bad, entry);
+            std::fs::write(dir.join(CACHE_FILE), text.replace(entry, &bad)).unwrap();
+            let mut back = loaded(&dir);
+            assert!(back.lookup_if(1, 1, &Checked::decodes).is_none(), "{bad}");
+            assert_eq!(back.misses, 1);
+            let (_, checked) = back.lookup(1, 1).expect("held");
+            assert_eq!(checked.len(), 2, "{bad}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(other);
     }
 
     #[test]
@@ -1272,12 +1717,21 @@ mod tests {
         for (key, tag) in [(1, "a"), (2, "b"), (3, "c")] {
             sharded.insert(key, defs(tag));
         }
-        let record = |groups: &[u64]| FileRecord {
-            defs: groups.iter().map(|&g| (g, 0)).collect(),
-            waves: groups.len(),
+        // Group `g`'s one member is named by the `g`th letter.
+        let record = |groups: &[u64]| {
+            let members: Vec<_> = groups
+                .iter()
+                .map(|&g| defs(&"abcdefghi"[g as usize - 1..g as usize]))
+                .collect();
+            FileRecord {
+                defs: groups.iter().map(|&g| (g, 0)).collect(),
+                heads: heads_digest(members.iter().map(|m| (m.as_ref(), 0))),
+                waves: groups.len(),
+                paths: Vec::new(),
+            }
         };
-        sharded.insert_file(10, record(&[1, 2]));
-        sharded.insert_file(11, record(&[3]));
+        sharded.insert_file(10, "ab.rp", record(&[1, 2]));
+        sharded.insert_file(11, "c.rp", record(&[3]));
         sharded.save(&dir).expect("saves");
         let text = std::fs::read_to_string(dir.join(CACHE_FILE)).unwrap();
         assert_eq!(
@@ -1292,10 +1746,10 @@ mod tests {
         // A record is served through its groups' lookups, and one whose
         // group is gone is not served at all.
         let back = Sharded::load(&dir);
-        let served = back.serve_file(10).expect("served");
+        let served = back.serve_file(10, "ab.rp").expect("served");
         assert_eq!((served.defs.len(), served.waves), (2, 2));
         assert_eq!((back.hits(), back.misses()), (2, 0));
-        assert!(back.serve_file(12).is_none());
+        assert!(back.serve_file(12, "x.rp").is_none());
 
         // Bounded: every entry is written, so every record is.
         let mut bounded = Cache::bounded(u64::MAX);
@@ -1325,7 +1779,7 @@ mod tests {
         let orphan = text.replace("\n]}\n", &format!(",\n{line}\n]}}\n"));
         std::fs::write(dir.join(CACHE_FILE), orphan).unwrap();
         let back = Sharded::load(&dir);
-        assert!(back.serve_file(12).is_none());
+        assert!(back.serve_file(12, "x.rp").is_none());
         for key in [1, 2, 3] {
             assert!(back.lookup(key).is_some());
         }
@@ -1333,6 +1787,53 @@ mod tests {
         assert_eq!(std::fs::read_to_string(dir.join(CACHE_FILE)).unwrap(), text);
         let _ = std::fs::remove_dir_all(&dir);
         let _ = std::fs::remove_dir_all(&other);
+    }
+
+    #[test]
+    fn a_check_save_keeps_a_record_for_the_paths_it_did_not_look_at() {
+        let dir = temp_dir("record-paths");
+        let sharded = Sharded::new();
+        sharded.insert(1, defs("a"));
+        let record = || FileRecord {
+            defs: vec![(1, 0)],
+            heads: heads_digest([(defs("a").as_ref(), 0)]),
+            waves: 1,
+            paths: Vec::new(),
+        };
+        sharded.insert_file(10, "x.rp", record());
+        sharded.insert_file(10, "y.rp", record());
+        sharded.save(&dir).expect("saves");
+        let paths = |dir: &Path| {
+            let back = Sharded::load(dir);
+            let files = back.files.lock().unwrap();
+            files
+                .records
+                .values()
+                .map(|r| r.paths.clone())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(paths(&dir), [["x.rp", "y.rp"]]);
+
+        // `x.rp` now has other text: its path leaves the record, which
+        // keeps `y.rp`, unseen this run.
+        let back = Sharded::load(&dir);
+        assert!(back.serve_file(11, "x.rp").is_none());
+        assert!(back.lookup(1).is_some());
+        back.save(&dir).expect("saves");
+        assert_eq!(paths(&dir), [["y.rp"]]);
+
+        // Seen and served, `y.rp` keeps the record; once it is seen and
+        // not served, the record goes.
+        let back = Sharded::load(&dir);
+        assert!(back.serve_file(10, "y.rp").is_some());
+        back.save(&dir).expect("saves");
+        assert_eq!(paths(&dir), [["y.rp"]]);
+        let back = Sharded::load(&dir);
+        assert!(back.serve_file(12, "y.rp").is_none());
+        assert!(back.lookup(1).is_some());
+        back.save(&dir).expect("saves");
+        assert!(paths(&dir).is_empty());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -43,6 +43,14 @@ pub fn scheme_to_json(s: &Scheme) -> String {
     out
 }
 
+/// Whether a [`Reader`] that starts `outside` arrays and objects deep
+/// reads back `json`, the text [`scheme_to_json`] wrote for a scheme.
+/// Text shorter than twice the levels left cannot open more of them,
+/// so only longer text is read.
+pub(crate) fn reads_back(json: &str, outside: usize) -> bool {
+    json.len() < 2 * (MAX_DEPTH - outside) || Reader::nested(json, outside).scheme().is_ok()
+}
+
 /// Decodes a scheme from the text [`scheme_to_json`] writes; any other
 /// text is an error.
 pub fn scheme_from_json(text: &str) -> Result<Scheme, String> {
@@ -135,11 +143,22 @@ pub(crate) struct Reader<'a> {
 
 impl<'a> Reader<'a> {
     pub(crate) fn new(text: &'a str) -> Reader<'a> {
+        Reader::nested(text, 0)
+    }
+
+    /// A reader over text that sits `depth` arrays and objects deep in
+    /// its document, so the nesting bound counts the levels around it.
+    pub(crate) fn nested(text: &'a str, depth: usize) -> Reader<'a> {
         Reader {
             bytes: text.as_bytes(),
             pos: 0,
-            depth: 0,
+            depth,
         }
+    }
+
+    /// The byte offset read so far.
+    pub(crate) fn pos(&self) -> usize {
+        self.pos
     }
 
     fn peek(&self) -> Option<u8> {
@@ -416,6 +435,23 @@ mod tests {
             let mut r = Reader::new(&text);
             assert_eq!(r.string().as_deref(), Ok(s));
             assert!(r.end().is_ok());
+        }
+    }
+
+    #[test]
+    fn reads_back_only_skips_text_too_short_to_nest_past_the_bound() {
+        let mut ty = Ty::Int;
+        for levels in 0..600 {
+            let text = scheme_to_json(&Scheme::new(vec![], ty.clone()));
+            for outside in [0, 4, 500, 511] {
+                let reads = Reader::nested(&text, outside).scheme().is_ok();
+                assert_eq!(
+                    reads_back(&text, outside),
+                    reads,
+                    "{levels} levels, {outside} outside"
+                );
+            }
+            ty = Ty::List(Box::new(ty));
         }
     }
 

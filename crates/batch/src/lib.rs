@@ -49,7 +49,7 @@ use std::time::{Duration, Instant};
 
 use rowpoly_boolfun::SatClass;
 use rowpoly_core::graph::{Group, ProgramGraph};
-use rowpoly_core::{DefReport, DefVerdict, EngineScratch, Options};
+use rowpoly_core::{DefVerdict, EngineScratch, Options};
 use rowpoly_lang::{parse_program, Program};
 use rowpoly_obs as obs;
 use rowpoly_obs::json::Json;
@@ -62,7 +62,7 @@ pub mod pool;
 pub mod profile;
 pub mod step;
 
-use cache::Sharded;
+use cache::{Checked, Sharded};
 use profile::ProfileReport;
 use step::{Answer, GroupResult, GroupStep, Lookup};
 
@@ -529,18 +529,21 @@ struct ParsedFile {
 
 impl ParsedFile {
     /// The file's cache record, when every definition checked: each
-    /// one's group key and member index, from the published results.
+    /// one's group key and member index, and the digest of the members'
+    /// heads, from the published results.
     fn record(&self, results: &[OnceLock<GroupResult>]) -> Option<cache::FileRecord> {
-        let defs = (0..self.program.defs.len())
+        let members = (0..self.program.defs.len())
             .map(|i| {
                 let result = results[self.job_base + self.graph.group_of[i]].get()?;
-                let (_, k) = result.verdict(i).ok()?;
-                Some((result.key?, k))
+                let (checked, k) = result.verdict(i).ok()?;
+                Some((result.key?, checked, k))
             })
             .collect::<Option<Vec<_>>>()?;
-        (!defs.is_empty()).then_some(cache::FileRecord {
-            defs,
+        (!members.is_empty()).then(|| cache::FileRecord {
+            defs: members.iter().map(|&(key, _, k)| (key, k)).collect(),
+            heads: cache::heads_digest(members.iter().map(|&(_, checked, k)| (checked, k))),
             waves: self.graph.waves,
+            paths: Vec::new(),
         })
     }
 }
@@ -578,7 +581,8 @@ pub fn check_sources(mut inputs: Vec<FileInput>, options: &BatchOptions) -> Batc
         let record_key = cache
             .as_ref()
             .map(|_| cache::Cache::file_key(&fingerprint, &input.source));
-        if let Some(file) = record_key.and_then(|k| cache.as_ref()?.serve_file(k)) {
+        let served_file = record_key.and_then(|k| cache.as_ref()?.serve_file(k, &input.path));
+        if let Some(file) = served_file {
             served.push((input.path, file));
             continue;
         }
@@ -668,7 +672,7 @@ pub fn check_sources(mut inputs: Vec<FileInput>, options: &BatchOptions) -> Batc
     if let Some(cache) = cache.as_ref() {
         for pf in parsed.iter().flatten() {
             if let Some((key, record)) = pf.record_key.zip(pf.record(&results)) {
-                cache.insert_file(key, record);
+                cache.insert_file(key, &pf.path, record);
             }
         }
         if let Err(e) = cache.save(&options.cache_dir) {
@@ -763,11 +767,7 @@ fn run_group(
         fingerprint,
         digests: &digests,
     };
-    let mut lookup = |key, fits: &dyn Fn(&[DefReport]) -> bool| {
-        cache?
-            .lookup(key)
-            .filter(|(_, checked)| fits(&checked.defs))
-    };
+    let mut lookup = |key, fits: &dyn Fn(&Checked) -> bool| cache?.lookup_if(key, fits);
     let out = step.run(
         |d| {
             results[pf.job_base + d]
@@ -842,10 +842,10 @@ fn assemble(
             .defs
             .iter()
             .map(|(checked, k)| DefResult {
-                name: checked.defs[*k].name.to_string(),
+                name: checked.name(*k).to_string(),
                 verdict: Verdict::Ok {
                     scheme: checked.rendered(*k).to_string(),
-                    sat_class: checked.defs[*k].sat_class,
+                    sat_class: checked.sat_class(*k),
                 },
             })
             .collect();
@@ -876,7 +876,7 @@ fn assemble(
                             stats.ok += 1;
                             Verdict::Ok {
                                 scheme: checked.rendered(k).to_string(),
-                                sat_class: checked.defs[k].sat_class,
+                                sat_class: checked.sat_class(k),
                             }
                         }
                         Err(DefVerdict::Ok(_)) => unreachable!("checked members lead their group"),

@@ -13,8 +13,8 @@
 //!    digest, which a replayed dependency read from its stored line and
 //!    a recomputed one derives once, on first use);
 //! 3. replay a stored verdict when the caller's store has one that
-//!    lines up with the group's members — the result shares the
-//!    store's entry, so a hit copies nothing;
+//!    lines up with the group's members and whose schemes decode — the
+//!    result shares the store's entry, so a hit copies nothing;
 //! 4. otherwise run inference ([`run_group_spec`]) and hand back the
 //!    entry to store when every member checked.
 //!
@@ -31,7 +31,7 @@
 use std::sync::Arc;
 
 use rowpoly_core::graph::ProgramGraph;
-use rowpoly_core::{run_group_spec, DefReport, DefVerdict, EngineScratch, GroupSpec, Options};
+use rowpoly_core::{run_group_spec, DefVerdict, EngineScratch, GroupSpec, Options};
 use rowpoly_lang::{Program, Symbol};
 use rowpoly_types::Scheme;
 
@@ -101,7 +101,7 @@ impl GroupResult {
     /// among them, or the verdict of a member that did not check.
     pub fn verdict(&self, def_idx: usize) -> Result<(&Checked, usize), &DefVerdict> {
         let k = def_idx - self.first;
-        match k.checked_sub(self.checked.defs.len()) {
+        match k.checked_sub(self.checked.len()) {
             None => Ok((&self.checked, k)),
             Some(j) => Err(&self.failed[j]),
         }
@@ -110,10 +110,10 @@ impl GroupResult {
 
 /// A store lookup: given a key and a check that an entry lines up with
 /// the group's members, returns how the store answered and the entry.
-/// An entry failing the check (a hash collision or a stale decode) is
-/// not an answer.
+/// An entry failing the check (a hash collision, or a loaded line that
+/// does not decode) is not an answer.
 pub type Lookup<'a> =
-    dyn FnMut(u64, &dyn Fn(&[DefReport]) -> bool) -> Option<(Answer, Arc<Checked>)> + 'a;
+    dyn FnMut(u64, &dyn Fn(&Checked) -> bool) -> Option<(Answer, Arc<Checked>)> + 'a;
 
 /// What one step produced.
 #[derive(Debug)]
@@ -219,7 +219,7 @@ impl GroupStep<'_> {
             if dep.answer.is_hit() {
                 dep_hits += 1;
             }
-            deps.push((name, &checked.defs[k].scheme));
+            deps.push((name, checked.scheme(k)));
             if keyed {
                 dep_digests.push((name, checked.scheme_digest(k)));
             }
@@ -233,17 +233,19 @@ impl GroupStep<'_> {
     }
 
     /// Step 3: replays the entry `lookup` holds under the slice's key,
-    /// if it lines up with the group's members. `None` for an unkeyed
-    /// slice.
+    /// if it lines up with the group's members and every scheme it
+    /// holds decodes ([`Checked::decodes`]), so a dependent never meets
+    /// a scheme that does not. `None` for an unkeyed slice.
     pub fn replay(&self, slice: &Slice<'_>, lookup: &mut Lookup<'_>) -> Option<StepOutcome> {
         let group = &self.graph.groups[self.group];
-        let fits = |defs: &[DefReport]| {
-            defs.len() == group.def_indices.len()
+        let fits = |checked: &Checked| {
+            checked.len() == group.def_indices.len()
                 && group
                     .def_indices
                     .iter()
-                    .zip(defs)
-                    .all(|(&i, d)| self.program.defs[i].name == d.name)
+                    .enumerate()
+                    .all(|(k, &i)| self.program.defs[i].name.as_str() == checked.name(k))
+                && checked.decodes()
         };
         let (answer, checked) = lookup(slice.key?, &fits)?;
         let result = GroupResult::new(group.def_indices[0], checked, Vec::new(), answer, slice.key);

@@ -490,4 +490,188 @@ fn seeded_corrupt_caches_load_and_check_renders_cold() {
         let report = check(&sources, &tmp.options(1));
         assert_eq!(report.render(), cold.render(), "case {case}");
     }
+
+    // Then damage that passes the sum: a scheme, name, class or rendering
+    // changed in one group line whose sum is recomputed to match. A third
+    // of the runs check the sources as they were, so every file whose
+    // record still matches its entries is served from it; a third end
+    // every file with a comment, so every group is parsed and replays its
+    // entry; and a third edit each dependent, so it is inferred again
+    // against the schemes its dependencies replay. Each must report what
+    // a cold run over its sources reports, classes included.
+    let text = String::from_utf8(clean).expect("utf-8");
+    let lines: Vec<&str> = text.split('\n').collect();
+    let groups: Vec<usize> = (0..lines.len())
+        .filter(|&i| lines[i].contains("\"schemes\":"))
+        .collect();
+    let touched: Vec<(&str, String)> = sources
+        .iter()
+        .map(|(path, src)| (*path, format!("{src}\n-- touched\n")))
+        .collect();
+    let touched: Vec<(&str, &str)> = touched.iter().map(|(p, s)| (*p, s.as_str())).collect();
+    let edited = [
+        ("a.rp", "def inc x = x + 1\ndef two = inc 2"),
+        ("b.rp", "def tag r = @{t = 1} r\ndef use = #t (tag {u = 1})"),
+        (
+            "c.rp",
+            "def k = {a = 1}\ndef sel = #a k + 0\ndef alone = \"quiet\"",
+        ),
+        sources[3],
+    ];
+    let edited_cold = check(&edited, &BatchOptions::in_memory(1));
+    let runs = [
+        (&sources[..], &cold),
+        (&touched[..], &cold),
+        (&edited[..], &edited_cold),
+    ];
+    let names = ["inc", "two", "tag", "use", "k", "sel", "alone", "fine", "x"];
+    let classes = [
+        "trivial",
+        "unsat",
+        "2sat",
+        "horn",
+        "dual-horn",
+        "general",
+        "cubic",
+    ];
+    for case in 0..300 {
+        let i = groups[rng.gen_range(0..groups.len())];
+        let (line, comma) = match lines[i].strip_suffix(',') {
+            Some(line) => (line, ","),
+            None => (lines[i], ""),
+        };
+        // `{"key":"<16 hex>","sum":"<16 hex>",<body>}`
+        let key = u64::from_str_radix(&line[8..24], 16).expect("a hex key");
+        let body = &line[51..line.len() - 1];
+        let schemes_at = body.find("\"schemes\":").expect("a group line");
+        let mut body = body.to_string();
+        match rng.gen_range(0..4u32) {
+            // A scheme: one byte, or one base type for the other.
+            0 if rng.gen_bool(0.5) => {
+                let at = rng.gen_range(schemes_at + 11..body.len() - 1);
+                let bytes = b"0123456789-,:[]{}\"aIntSr";
+                let by = bytes[rng.gen_range(0..bytes.len())];
+                if body.as_bytes()[at].is_ascii() {
+                    body.replace_range(at..at + 1, &(by as char).to_string());
+                }
+            }
+            0 => {
+                let schemes = &body[schemes_at..];
+                let swapped = match rng.gen_bool(0.5) {
+                    true => schemes.replacen("\"Int\"", "\"Str\"", 1),
+                    false => schemes.replacen("\"Str\"", "\"Int\"", 1),
+                };
+                body.replace_range(schemes_at.., &swapped);
+            }
+            1 => {
+                let at = pick(&body, "{\"name\":\"", &mut rng);
+                let end = at + body[at..].find('"').expect("a closing quote");
+                body.replace_range(at..end, names[rng.gen_range(0..names.len())]);
+            }
+            2 => {
+                let at = pick(&body, "\"class\":\"", &mut rng);
+                let end = at + body[at..].find('"').expect("a closing quote");
+                body.replace_range(at..end, classes[rng.gen_range(0..classes.len())]);
+            }
+            _ => {
+                let at = pick(&body, "\"rendered\":\"", &mut rng);
+                let end = at + body[at..].find('"').expect("a closing quote");
+                let swapped = match rng.gen_bool(0.5) {
+                    true => body[at..end].replacen("Int", "Str", 1),
+                    false => body[at..end].replacen("Str", "Int", 1),
+                };
+                body.replace_range(at..end, &swapped);
+            }
+        }
+        let mut sum = cache::FxHash64::default();
+        sum.add(key);
+        sum.write(body.as_bytes());
+        let resealed = format!(
+            "{{\"key\":\"{key:016x}\",\"sum\":\"{:016x}\",{body}}}{comma}",
+            sum.finish()
+        );
+        let mut damaged = lines.clone();
+        damaged[i] = &resealed;
+        std::fs::write(&path, damaged.join("\n")).unwrap();
+        let (run, expected) = runs[rng.gen_range(0..runs.len())];
+        let report = check(run, &tmp.options(1));
+        assert_eq!(
+            outcomes(&report),
+            outcomes(expected),
+            "case {case}: {resealed}"
+        );
+    }
+}
+
+/// What a report says of the sources, cache aside: its text and the
+/// `files` of its JSON, which add each definition's SAT class.
+fn outcomes(report: &BatchReport) -> (String, String) {
+    let json = report.to_json();
+    let files = json.get("files").expect("a files array").render();
+    (report.render(), files)
+}
+
+/// The offset just past one occurrence of `prefix` in `text`, drawn
+/// from `rng`.
+fn pick(text: &str, prefix: &str, rng: &mut rowpoly_obs::rng::SplitMix64) -> usize {
+    let ats: Vec<usize> = text.match_indices(prefix).map(|(at, _)| at).collect();
+    ats[rng.gen_range(0..ats.len())] + prefix.len()
+}
+
+/// `check` with metric recording on: the report and how many member
+/// schemes it decoded (`batch.cache.decoded`).
+fn check_counting_decodes(sources: &[(&str, &str)], options: &BatchOptions) -> (BatchReport, u64) {
+    rowpoly_obs::reset();
+    rowpoly_obs::enable();
+    let report = check(sources, options);
+    let decoded = rowpoly_obs::snapshot()
+        .metrics
+        .counter("batch.cache.decoded");
+    rowpoly_obs::disable();
+    (report, decoded)
+}
+
+#[test]
+fn a_warm_check_decodes_only_the_entries_it_replays() {
+    let tmp = TempCache::new("decoded");
+    let (cold, decoded) = check_counting_decodes(&THREE, &tmp.options(2));
+    assert!(cold.ok());
+    assert_eq!(decoded, 0, "a cold run has nothing to decode");
+    let (warm, decoded) = check_counting_decodes(&THREE, &tmp.options(2));
+    assert_eq!(warm.stats.files_parsed, 0);
+    assert_eq!(
+        decoded, 0,
+        "a file served from its record decodes no scheme"
+    );
+    assert_eq!(warm.render(), cold.render());
+
+    // Editing `alone` re-infers its group. c.rp's two other groups, `k`
+    // and `sel`, replay their entries and decode one scheme each; a.rp's
+    // and b.rp's come from their records.
+    let mut edited = THREE;
+    edited[2].1 = "def k = {a = 1}\ndef sel = #a k\ndef alone = \"loud\"";
+    let (warm, decoded) = check_counting_decodes(&edited, &tmp.options(2));
+    assert_eq!((warm.stats.files_parsed, warm.stats.cache_misses), (1, 1));
+    assert_eq!(decoded, 2);
+}
+
+#[test]
+fn comment_only_edits_leave_one_record_per_path() {
+    let tmp = TempCache::new("records-comments");
+    let x = "def inc x = x + 1\ndef two = inc 1";
+    let mut text = x.to_string();
+    for edits in 0..4 {
+        if edits > 0 {
+            text = format!("-- edit {edits}\n{x}");
+        }
+        let report = check(&[("x.rp", &text), THREE[1]], &tmp.options(2));
+        assert!(report.ok());
+        assert_eq!(report.stats.files_parsed, if edits == 0 { 2 } else { 1 });
+        let records = record_lines(&tmp);
+        assert_eq!(records.len(), 2, "after {edits} edits: {records:#?}");
+        for path in ["x.rp", "b.rp"] {
+            let paths = format!("\"paths\":[\"{path}\"]");
+            assert!(records.iter().any(|r| r.contains(&paths)), "{records:#?}");
+        }
+    }
 }

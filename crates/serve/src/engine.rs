@@ -50,11 +50,11 @@ use std::path::PathBuf;
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-use rowpoly_batch::cache::Cache;
+use rowpoly_batch::cache::{Cache, Checked};
 use rowpoly_batch::pool;
 use rowpoly_batch::step::{Answer, GroupResult, GroupStep, Slice, StepOutcome};
 use rowpoly_boolfun::SatClass;
-use rowpoly_core::{DefReport, DefVerdict, EngineScratch, Options};
+use rowpoly_core::{DefVerdict, EngineScratch, Options};
 use rowpoly_lang::{LineMap, Span};
 use rowpoly_obs as obs;
 use rowpoly_obs::json::Json;
@@ -774,7 +774,7 @@ impl ServeEngine {
                 let status = match published(graph.group_of[i]).verdict(i) {
                     Ok((checked, k)) => DefStatus::Ok {
                         scheme: checked.rendered(k).to_string(),
-                        sat_class: checked.defs[k].sat_class,
+                        sat_class: checked.sat_class(k),
                     },
                     Err(DefVerdict::Ok(_)) => unreachable!("checked members lead their group"),
                     Err(DefVerdict::Error(e)) => DefStatus::Error {
@@ -845,11 +845,7 @@ fn replay(
     store: &mut Cache,
     revision: u64,
 ) -> Option<StepOutcome> {
-    let mut lookup = |key, fits: &dyn Fn(&[DefReport]) -> bool| {
-        store
-            .lookup(key, revision)
-            .filter(|(_, checked)| fits(&checked.defs))
-    };
+    let mut lookup = |key, fits: &dyn Fn(&Checked) -> bool| store.lookup_if(key, revision, fits);
     step.replay(slice, &mut lookup)
 }
 

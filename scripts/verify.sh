@@ -140,7 +140,7 @@ echo "    12 files at the bound check with --jobs 2"
 
 echo "==> cache smoke (an entry too deep to load drops only itself)"
 # `v`'s scheme nests records 180 deep, past the JSON parser's bound, so
-# its cache line is dropped on load; `w`'s and `y`'s groups still hit.
+# its cache line is not written; `w`'s and `y`'s groups still hit.
 python3 - "$depth_dir/deep_entry.rp" <<'PY'
 import sys
 record = "{a = " * 10 + "x" + "}" * 10
@@ -366,6 +366,20 @@ print(f"    cascade edit of the helper: verdict_recomputed {stats['verdict_recom
       f"= {dependents} dependents + 1, schemes match one-shot check")
 PY
 rm -rf "$serve_dir"
+
+echo "==> A/B script (syntax + usage)"
+# scripts/ab.sh builds two revisions and runs perfbench pairs, too long
+# for CI; check that it parses and that a call without arguments prints
+# its usage and exits 2.
+bash -n scripts/ab.sh
+set +e
+usage=$(scripts/ab.sh 2>&1)
+status=$?
+set -e
+if [ "$status" != 2 ] || [[ $usage != usage:* ]]; then
+  echo "scripts/ab.sh without arguments: exit $status, output: $usage"
+  exit 1
+fi
 
 echo "==> perfbench smoke (build + known answers, one second per workload)"
 # The benchmark is a package of its own, so nothing above builds or runs

@@ -126,8 +126,8 @@ fn stat(json: &str, name: &str) -> u64 {
 
 #[test]
 fn an_entry_too_deep_to_load_does_not_empty_the_cache() {
-    // `v`'s scheme nests records 180 deep: its cache line parses past the
-    // JSON bound and is dropped on load, but `w`'s and `y`'s still hit.
+    // `v`'s scheme nests records 180 deep: its cache line would nest past
+    // the JSON bound, so it is not written, but `w`'s and `y`'s still hit.
     let s = Scratch::new("deep-entry");
     let record = format!("{}x{}", "{a = ".repeat(10), "}".repeat(10));
     let apply = format!("{}1{}", "w (".repeat(18), ")".repeat(18));
